@@ -62,17 +62,13 @@ def unified_time(delta_e: float, mean_e: float) -> float:
     return min(candidates)
 
 
-def sin_star(x: float) -> float:
+def sin_star(x):
     """Monotone envelope helper: 0 below 0, sin on [0, pi/2], 1 beyond.
 
-    The cap sits at pi/2, where sin reaches 1; capping any earlier would make
-    the envelope discontinuous.
+    Takes a scalar or an array.  The cap sits at pi/2, where sin reaches 1;
+    capping any earlier would make the envelope discontinuous.
     """
-    if x <= 0.0:
-        return 0.0
-    if x <= 0.5 * math.pi:
-        return math.sin(x)
-    return 1.0
+    return np.sin(np.clip(x, 0.0, 0.5 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -315,9 +311,6 @@ class BoundReport:
         if self.t_opt is not None:
             lines.append(f"t_opt    = {self.t_opt:.12g}")
         return "\n".join(lines)
-
-
-REPORT_CSV_HEADER = "tmin_a,tmin_b,tmin_c1,tmin_c2,tqsl_star,t_opt,pass_a,pass_b,pass_c1,pass_c2"
 
 
 def compute_report(

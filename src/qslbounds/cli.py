@@ -23,12 +23,17 @@ from .dynamics import (
     bhattacharyya_check,
     path_length,
     pfeifer_envelope_check,
-    propagate,
     propagate_refined,
     tqsl_star,
 )
 from .quantum import fubini_study_distance
-from .property_suites import run_property_suites
+from .property_suites import (
+    AA_TOL,
+    ARENZ_TOL,
+    BHATTACHARYYA_TOL,
+    PFEIFER_TOL,
+    run_property_suites,
+)
 from .two_level import (
     LandauZenerProblem,
     OptimalProtocol,
@@ -45,10 +50,6 @@ SWEEP_CSV_HEADER = (
 )
 
 FIDELITY_TOL = 0.999
-BHATTACHARYYA_TOL = 1e-4
-AA_TOL = 1e-6
-PFEIFER_TOL = 1e-6
-ARENZ_TOL = 1e-9
 DOMINANCE_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-12
 
@@ -283,18 +284,6 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _refined_bhattacharyya(ch, field, psi0) -> float:
-    samples = 200
-    residual = math.inf
-    for _ in range(5):
-        traj = propagate(ch, field, psi0, samples_per_segment=samples)
-        residual = bhattacharyya_check(traj)
-        if residual <= BHATTACHARYYA_TOL:
-            break
-        samples *= 2
-    return residual
-
-
 def verify_case(
     delta: float,
     theta: float,
@@ -334,7 +323,7 @@ def verify_case(
     aa_residual = fubini_study_distance(psi0, traj.final_state()) - path_length(traj)
     checks["anandan_aharonov"] = Check(aa_residual, AA_TOL, aa_residual <= AA_TOL)
 
-    bh = _refined_bhattacharyya(ch, protocol.field, psi0)
+    bh = bhattacharyya_check(traj, ch, protocol.field)
     checks["bhattacharyya"] = Check(bh, BHATTACHARYYA_TOL, bh <= BHATTACHARYYA_TOL)
 
     pf = pfeifer_envelope_check(traj, ch, protocol.field, psig)
@@ -381,8 +370,13 @@ def _load_config_file(path: Optional[str]) -> Dict:
     return data
 
 
-def _merged(args: argparse.Namespace, file_cfg: Dict, key: str, flag_value):
-    return flag_value if flag_value is not None else file_cfg.get(key)
+def _merged(file_cfg: Dict, key: str, flag_value, default=None):
+    """The flag wins over the file; the default fills in only a missing value,
+    so a falsy one such as 0 still reaches validation."""
+    if flag_value is not None:
+        return flag_value
+    value = file_cfg.get(key)
+    return default if value is None else value
 
 
 def _lambda_spec_from(args: argparse.Namespace, file_cfg: Dict) -> LambdaSpec:
@@ -462,18 +456,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = SweepConfig(
-        delta=float(_merged(args, file_cfg, "delta", args.delta) or 1.0),
+        delta=float(_merged(file_cfg, "delta", args.delta, 1.0)),
         lambda_spec=_lambda_spec_from(args, file_cfg),
-        theta_min=float(
-            _merged(args, file_cfg, "theta_min", args.theta_min) or 0.02
-        ),
+        theta_min=float(_merged(file_cfg, "theta_min", args.theta_min, 0.02)),
         theta_max=float(
-            _merged(args, file_cfg, "theta_max", args.theta_max) or (0.5 * math.pi - 0.02)
+            _merged(file_cfg, "theta_max", args.theta_max, 0.5 * math.pi - 0.02)
         ),
-        theta_count=int(_merged(args, file_cfg, "theta_count", args.theta_count) or 50),
-        u0_surrogate=_merged(args, file_cfg, "u0", args.u0),
-        output_path=_merged(args, file_cfg, "out", args.out),
-        seed=int(_merged(args, file_cfg, "seed", args.seed) or 0),
+        theta_count=int(_merged(file_cfg, "theta_count", args.theta_count, 50)),
+        u0_surrogate=_merged(file_cfg, "u0", args.u0),
+        output_path=_merged(file_cfg, "out", args.out),
+        seed=int(_merged(file_cfg, "seed", args.seed, 0)),
     )
     if cfg.output_path is None:
         raise SystemExit("sweep needs --out (or 'out' in the config file)")
@@ -485,14 +477,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
-    theta = _merged(args, file_cfg, "theta", args.theta)
+    theta = _merged(file_cfg, "theta", args.theta)
     if theta is None:
         raise SystemExit("verify needs --theta (or 'theta' in the config file)")
     report = verify_case(
-        delta=float(_merged(args, file_cfg, "delta", args.delta) or 1.0),
+        delta=float(_merged(file_cfg, "delta", args.delta, 1.0)),
         theta=float(theta),
         lambda_spec=_lambda_spec_from(args, file_cfg),
-        u0_surrogate=_merged(args, file_cfg, "u0", args.u0),
+        u0_surrogate=_merged(file_cfg, "u0", args.u0),
     )
     text = report.text()
     print(text, end="")
@@ -503,8 +495,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_proptest(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = int(_merged(args, file_cfg, "seed", args.seed) or 0)
-    instances = int(_merged(args, file_cfg, "instances", args.instances) or 1000)
+    seed = int(_merged(file_cfg, "seed", args.seed, 0))
+    instances = int(_merged(file_cfg, "instances", args.instances, 1000))
     report = run_property_suites(seed, instances)
     text = report.text()
     print(text, end="")

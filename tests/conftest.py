@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qslbounds import (
-    ControlHamiltonian,
-    HermitianOperator,
-    PiecewiseConstantField,
-    PureState,
+from qslbounds import HermitianOperator, PureState
+from qslbounds.property_suites import (  # noqa: F401  re-exported to the tests
+    random_control_problem,
+    random_field,
+    random_hermitian,
+    random_state,
 )
 
 
@@ -18,31 +19,6 @@ def state(*amps) -> PureState:
 
 def hermitian(rows) -> HermitianOperator:
     return HermitianOperator(np.asarray(rows, dtype=complex))
-
-
-def random_state(rng: np.random.Generator, dim: int) -> PureState:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(v / np.linalg.norm(v))
-
-
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * 0.5 * (a + a.conj().T))
-
-
-def random_field(
-    rng: np.random.Generator, u_max: float, max_segments: int = 3
-) -> PiecewiseConstantField:
-    n = int(rng.integers(1, max_segments + 1))
-    segs = tuple(
-        (float(rng.uniform(0.1, 1.0)), float(rng.uniform(-u_max, u_max))) for _ in range(n)
-    )
-    return PiecewiseConstantField(segs)
-
-
-def random_control_problem(rng: np.random.Generator, dim: int, u_max: float = 2.0):
-    ch = ControlHamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim), u_max)
-    return ch, random_field(rng, u_max), random_state(rng, dim)
 
 
 @pytest.fixture

@@ -98,6 +98,8 @@ def test_sin_star_frozen_values():
     assert sin_star(0.5 * math.pi) == 1.0
     assert sin_star(2.0) == 1.0
     assert sin_star(100.0) == 1.0
+    xs = [-1.0, 0.0, math.pi / 6, 1.0, 0.5 * math.pi, 2.0]
+    assert list(sin_star(np.array(xs))) == [sin_star(x) for x in xs]
 
 
 @settings(max_examples=300, deadline=None)

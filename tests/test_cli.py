@@ -279,6 +279,26 @@ def test_main_requires_some_cap_policy():
         main(["verify", "--theta", "0.9"])
 
 
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("delta", ["sweep", "--unconstrained", "--delta", "0"]),
+        ("theta_count", ["sweep", "--unconstrained", "--theta-count", "0"]),
+        ("theta_min", ["sweep", "--unconstrained", "--theta-min", "0"]),
+        ("instances", ["proptest", "--instances", "0"]),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_zero_values_reach_validation(tmp_path, key, argv, source):
+    # a falsy value is a value, not a request for the default
+    if source == "config":
+        cfg_path = tmp_path / "zero.json"
+        cfg_path.write_text(json.dumps({key: 0}))
+        argv = argv[:-2] + ["--config", str(cfg_path)]
+    with pytest.raises(ValueError):
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg_path = tmp_path / "case.json"
     cfg_path.write_text(
@@ -331,3 +351,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verify: PASS" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, qslbounds, qslbounds.cli; print('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
