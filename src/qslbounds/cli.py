@@ -93,8 +93,6 @@ class SweepConfig:
     theta_max: float = 0.5 * math.pi - 0.02
     theta_count: int = 50
     u0_surrogate: Optional[float] = None
-    output_path: Optional[str] = None
-    seed: int = 0
 
     def __post_init__(self):
         if not self.delta > 0.0:
@@ -214,7 +212,6 @@ def _config_echo(cfg: SweepConfig) -> List[str]:
         f"theta_max={_fmt(cfg.theta_max)}",
         f"theta_count={cfg.theta_count}",
         f"u0_surrogate={'auto' if cfg.u0_surrogate is None else _fmt(cfg.u0_surrogate)}",
-        f"seed={cfg.seed}",
     ]
 
 
@@ -360,73 +357,37 @@ def verify_case(
 # argument plumbing
 
 
-def _load_config_file(path: Optional[str]) -> Dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
+def _cap_type(mode: str):
+    """argparse type of a cap flag: its value becomes a LambdaSpec."""
+
+    def parse(text: str) -> LambdaSpec:
+        return LambdaSpec(mode, float(text))
+
+    parse.__name__ = f"{mode} cap"  # argparse: "invalid factor cap value: '0'"
+    return parse
 
 
-def _merged(file_cfg: Dict, key: str, flag_value, default=None):
-    """The flag wins over the file; the default fills in only a missing value,
-    so a falsy one such as 0 still reaches validation."""
-    if flag_value is not None:
-        return flag_value
-    value = file_cfg.get(key)
-    return default if value is None else value
-
-
-def _lambda_spec_from(args: argparse.Namespace, file_cfg: Dict) -> LambdaSpec:
-    cli_choices = [
-        args.unconstrained,
-        args.lambda_factor is not None,
-        args.lambda_abs is not None,
-    ]
-    if sum(cli_choices) > 1:
-        raise SystemExit(
-            "pass exactly one of --unconstrained, --lambda-factor, --lambda"
-        )
-    if args.unconstrained:
-        return LambdaSpec("unconstrained")
-    if args.lambda_factor is not None:
-        return LambdaSpec("factor", float(args.lambda_factor))
-    if args.lambda_abs is not None:
-        return LambdaSpec("absolute", float(args.lambda_abs))
-    # nothing on the command line, fall back to the file
-    if file_cfg.get("unconstrained", False):
-        return LambdaSpec("unconstrained")
-    if "lambda_factor" in file_cfg:
-        return LambdaSpec("factor", float(file_cfg["lambda_factor"]))
-    if "lambda" in file_cfg:
-        return LambdaSpec("absolute", float(file_cfg["lambda"]))
-    raise ValueError(
-        "drive cap unspecified: pass --unconstrained, --lambda-factor or --lambda"
+def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--delta", type=float, default=SweepConfig.delta, help="gap delta (> 0)")
+    cap = p.add_mutually_exclusive_group()
+    cap.add_argument(
+        "--unconstrained",
+        dest="cap",
+        action="store_const",
+        const=LambdaSpec("unconstrained"),
+        help="no drive cap",
     )
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON file with flat key=value settings")
-    p.add_argument("--delta", type=float, default=None, help="gap delta (> 0)")
-    p.add_argument("--unconstrained", action="store_true", help="no drive cap")
-    p.add_argument(
+    cap.add_argument(
         "--lambda-factor",
-        type=float,
-        default=None,
+        dest="cap",
+        type=_cap_type("factor"),
+        metavar="F",
         help="cap as a multiple of the critical value delta^2/(4*gamma)",
     )
-    p.add_argument(
-        "--lambda",
-        dest="lambda_abs",
-        type=float,
-        default=None,
-        help="absolute drive cap",
+    cap.add_argument(
+        "--lambda", dest="cap", type=_cap_type("absolute"), metavar="V", help="absolute drive cap"
     )
-    p.add_argument("--u0", type=float, default=None, help="surrogate kick amplitude")
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
-    p.add_argument("--out", default=None, help="output path")
+    p.add_argument("--u0", type=float, help="surrogate kick amplitude")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,82 +397,127 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="bounds and protocol times over a theta grid")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--theta-min", type=float, default=None)
-    p_sweep.add_argument("--theta-max", type=float, default=None)
-    p_sweep.add_argument("--theta-count", type=int, default=None)
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(parser=p, run=run)
+        p.add_argument(
+            "--config",
+            help="JSON object whose keys are this command's flag names with underscores",
+        )
+        return p
 
-    p_verify = sub.add_parser("verify", help="all inequality checks at a single theta")
-    _add_common_flags(p_verify)
-    p_verify.add_argument("--theta", type=float, default=None)
+    p_sweep = command("sweep", _cmd_sweep, "bounds and protocol times over a theta grid")
+    _add_problem_flags(p_sweep)
+    p_sweep.add_argument("--theta-min", type=float, default=SweepConfig.theta_min)
+    p_sweep.add_argument("--theta-max", type=float, default=SweepConfig.theta_max)
+    p_sweep.add_argument("--theta-count", type=int, default=SweepConfig.theta_count)
+    p_sweep.add_argument("--out", help="CSV path; the summary is written next to it")
 
-    p_prop = sub.add_parser("proptest", help="seeded random-instance inequality suites")
-    _add_common_flags(p_prop)
-    p_prop.add_argument("--instances", type=int, default=None)
+    p_verify = command("verify", _cmd_verify, "all inequality checks at a single theta")
+    _add_problem_flags(p_verify)
+    p_verify.add_argument("--theta", type=float)
+    p_verify.add_argument("--out", help="also write the report to this path")
+
+    p_prop = command("proptest", _cmd_proptest, "seeded random-instance inequality suites")
+    p_prop.add_argument("--seed", type=int, default=0)
+    p_prop.add_argument("--instances", type=int, default=1000)
+    p_prop.add_argument("--out", help="also write the report to this path")
 
     return parser
 
 
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the settings of a JSON config file the defaults of `parser`, so a
+    flag given on the command line still wins.  Each key names one of the
+    parser's flags and its value is parsed by that flag's type."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    flags = {
+        a.option_strings[-1].lstrip("-").replace("-", "_"): a
+        for a in parser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    defaults: Dict[str, object] = {}
+    set_by: Dict[str, str] = {}
+    for key, value in data.items():
+        action = flags.get(key)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if action.dest in set_by:
+            raise ValueError(
+                f"config keys {set_by[action.dest]!r} and {key!r} both set the {action.dest}"
+            )
+        set_by[action.dest] = key
+        if action.nargs == 0:
+            if value is not True:
+                raise ValueError(f"config key {key!r} must be true, got {value!r}")
+            defaults[action.dest] = action.const
+            continue
+        try:
+            defaults[action.dest] = (action.type or str)(str(value))
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    parser.set_defaults(**defaults)
+
+
+def _cap(args: argparse.Namespace) -> LambdaSpec:
+    if args.cap is None:
+        raise ValueError(
+            "drive cap unspecified: pass --unconstrained, --lambda-factor or --lambda"
+        )
+    return args.cap
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
     cfg = SweepConfig(
-        delta=float(_merged(file_cfg, "delta", args.delta, 1.0)),
-        lambda_spec=_lambda_spec_from(args, file_cfg),
-        theta_min=float(_merged(file_cfg, "theta_min", args.theta_min, 0.02)),
-        theta_max=float(
-            _merged(file_cfg, "theta_max", args.theta_max, 0.5 * math.pi - 0.02)
-        ),
-        theta_count=int(_merged(file_cfg, "theta_count", args.theta_count, 50)),
-        u0_surrogate=_merged(file_cfg, "u0", args.u0),
-        output_path=_merged(file_cfg, "out", args.out),
-        seed=int(_merged(file_cfg, "seed", args.seed, 0)),
+        delta=args.delta,
+        lambda_spec=_cap(args),
+        theta_min=args.theta_min,
+        theta_max=args.theta_max,
+        theta_count=args.theta_count,
+        u0_surrogate=args.u0,
     )
-    if cfg.output_path is None:
-        raise SystemExit("sweep needs --out (or 'out' in the config file)")
+    if args.out is None:
+        raise ValueError("sweep needs --out (or 'out' in the config file)")
     rows = run_sweep(cfg)
-    csv_path, sidecar = emit_report(rows, cfg, cfg.output_path)
+    csv_path, sidecar = emit_report(rows, cfg, args.out)
     print(f"wrote {csv_path} ({len(rows)} rows) and {sidecar}")
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    theta = _merged(file_cfg, "theta", args.theta)
-    if theta is None:
-        raise SystemExit("verify needs --theta (or 'theta' in the config file)")
-    report = verify_case(
-        delta=float(_merged(file_cfg, "delta", args.delta, 1.0)),
-        theta=float(theta),
-        lambda_spec=_lambda_spec_from(args, file_cfg),
-        u0_surrogate=_merged(file_cfg, "u0", args.u0),
-    )
+def _print_report(report, out: Optional[str]) -> int:
     text = report.text()
     print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     return 0 if report.passed else 1
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.theta is None:
+        raise ValueError("verify needs --theta (or 'theta' in the config file)")
+    report = verify_case(args.delta, args.theta, _cap(args), args.u0)
+    return _print_report(report, args.out)
 
 
 def _cmd_proptest(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = int(_merged(file_cfg, "seed", args.seed, 0))
-    instances = int(_merged(file_cfg, "instances", args.instances, 1000))
-    report = run_property_suites(seed, instances)
-    text = report.text()
-    print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    return 0 if report.passed else 1
+    return _print_report(run_property_suites(args.seed, args.instances), args.out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_proptest(args)
+    """Run one subcommand: 0 when every check passes, 1 when one fails and 2
+    (through parser.error) for bad input."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if args.config is not None:
+            _config_defaults(args.parser, args.config)
+            args = parser.parse_args(argv)
+        return args.run(args)
+    except (ValueError, OSError) as exc:
+        args.parser.error(str(exc))
 
 
 def entry() -> None:

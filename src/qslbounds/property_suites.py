@@ -158,7 +158,7 @@ def _bhattacharyya_suite(rng: np.random.Generator, count: int) -> SuiteResult:
     return SuiteResult("bhattacharyya", count, worst, BHATTACHARYYA_TOL)
 
 
-def run_property_suites(seed: int, instance_count: int = 1000) -> PropertyReport:
+def run_property_suites(seed: int, instance_count: int) -> PropertyReport:
     """Run every inequality suite on instance_count seeded random instances.
 
     The Bhattacharyya suite samples 200 points per segment, the most of any

@@ -89,13 +89,6 @@ class LandauZenerProblem:
         )
 
 
-def lz_hamiltonian(problem: LandauZenerProblem, u: float) -> HermitianOperator:
-    """H(u) for an admissible drive value."""
-    if abs(u) > problem.lambda_cap:
-        raise ValueError(f"drive {u!r} exceeds lambda_cap {problem.lambda_cap!r}")
-    return u * SIGMA_Z + (0.5 * problem.delta) * SIGMA_X
-
-
 def _bias_hamiltonian(problem: LandauZenerProblem, bias: float) -> HermitianOperator:
     # endpoint definition, deliberately not windowed by lambda_cap
     return bias * SIGMA_Z + (0.5 * problem.delta) * SIGMA_X

@@ -1,6 +1,7 @@
 """Sweep table emission, the single-case verifier and the argument plumbing."""
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -248,9 +249,21 @@ def test_main_sweep_writes_files(tmp_path, capsys):
     assert "(3 rows)" in capsys.readouterr().out
 
 
-def test_main_sweep_requires_out():
-    with pytest.raises(SystemExit):
-        main(["sweep", "--unconstrained"])
+def usage_error(capsys, argv) -> str:
+    """Run main on bad input: exit code 2 and a single `error:` line, which
+    is returned, on stderr after the usage text."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == err.splitlines()[-1:]
+    return errors[0]
+
+
+def test_main_sweep_requires_out(capsys):
+    assert "needs --out" in usage_error(capsys, ["sweep", "--unconstrained"])
 
 
 def test_main_verify_exit_code_and_text(capsys):
@@ -269,14 +282,12 @@ def test_main_verify_writes_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_rejects_conflicting_cap_flags():
-    with pytest.raises(SystemExit):
-        main(["verify", "--theta", "0.9", "--unconstrained", "--lambda", "1.0"])
+def test_main_rejects_conflicting_cap_flags(capsys):
+    usage_error(capsys, ["verify", "--theta", "0.9", "--unconstrained", "--lambda", "1.0"])
 
 
-def test_main_requires_some_cap_policy():
-    with pytest.raises(ValueError, match="drive cap unspecified"):
-        main(["verify", "--theta", "0.9"])
+def test_main_requires_some_cap_policy(capsys):
+    assert "drive cap unspecified" in usage_error(capsys, ["verify", "--theta", "0.9"])
 
 
 @pytest.mark.parametrize(
@@ -289,14 +300,13 @@ def test_main_requires_some_cap_policy():
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_zero_values_reach_validation(tmp_path, key, argv, source):
+def test_zero_values_reach_validation(tmp_path, capsys, key, argv, source):
     # a falsy value is a value, not a request for the default
     if source == "config":
         cfg_path = tmp_path / "zero.json"
         cfg_path.write_text(json.dumps({key: 0}))
         argv = argv[:-2] + ["--config", str(cfg_path)]
-    with pytest.raises(ValueError):
-        main(argv + ["--out", str(tmp_path / "out.csv")])
+    usage_error(capsys, argv + ["--out", str(tmp_path / "out.csv")])
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -317,11 +327,123 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     assert "theta=0.69999999999999996" in capsys.readouterr().out
 
 
-def test_config_file_must_hold_an_object(tmp_path):
+def test_cap_flag_overrides_config_cap(tmp_path, capsys):
+    cfg_path = tmp_path / "case.json"
+    cfg_path.write_text(json.dumps({"theta": 0.9, "lambda_factor": 6.0}))
+    assert main(["verify", "--config", str(cfg_path), "--unconstrained"]) == 0
+    assert "lambda_cap=inf" in capsys.readouterr().out
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("[1, 2]")
-    with pytest.raises(ValueError, match="JSON object"):
-        main(["verify", "--config", str(cfg_path), "--theta", "0.9"])
+    argv = ["verify", "--config", str(cfg_path), "--theta", "0.9"]
+    assert "JSON object" in usage_error(capsys, argv)
+
+
+MISSING = object()  # stands for a config path that does not exist
+
+
+@pytest.mark.parametrize(
+    "argv, config, match",
+    [
+        (["verify", "--theta", "2.0", "--unconstrained"], None, "theta must lie in"),
+        (["verify", "--theta", "0.9"], None, "drive cap unspecified"),
+        (
+            ["verify", "--theta", "0.9", "--unconstrained", "--lambda", "1"],
+            None,
+            "--lambda: not allowed with argument --unconstrained",
+        ),
+        (["sweep", "--unconstrained"], None, "needs --out"),
+        (["proptest", "--delta", "1"], None, "unrecognized arguments: --delta 1"),
+        (
+            ["verify", "--seed", "3", "--theta", "0.9", "--unconstrained"],
+            None,
+            "unrecognized arguments: --seed 3",
+        ),
+        (
+            ["verify", "--theta", "0.9", "--unconstrained", "--out", "{tmp}/no/such/dir.txt"],
+            None,
+            "No such file or directory",
+        ),
+        (["verify"], {"theta": 0.9, "lamda_factor": 6}, "unknown config key 'lamda_factor'"),
+        (
+            ["verify", "--theta", "0.9"],
+            {"lambda_factor": 6, "unconstrained": True},
+            "'lambda_factor' and 'unconstrained' both set",
+        ),
+        (["sweep", "--unconstrained"], {"theta_count": 2.5}, "'theta_count'.*'2.5'"),
+        (
+            ["verify", "--theta", "0.9"],
+            {"unconstrained": "false"},
+            "'unconstrained' must be true",
+        ),
+        (
+            ["verify", "--theta", "0.9", "--unconstrained", "--lambda", "1"],
+            {"unconstrained": True},
+            "--lambda: not allowed with argument --unconstrained",
+        ),
+        (["verify", "--theta", "0.9", "--unconstrained"], MISSING, "No such file or directory"),
+        (["verify", "--theta", "0.9", "--unconstrained"], '{"theta": 0.9', "Expecting"),
+    ],
+    ids=[
+        "theta-out-of-range",
+        "no-cap-policy",
+        "two-cap-flags",
+        "sweep-without-out",
+        "proptest-delta",
+        "verify-seed",
+        "out-in-missing-dir",
+        "config-unknown-key",
+        "config-two-caps",
+        "config-fractional-count",
+        "config-unconstrained-string",
+        "config-cap-and-two-cap-flags",
+        "config-missing-file",
+        "config-malformed-json",
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if config is not None:
+        cfg_path = tmp_path / "case.json"
+        if config is not MISSING:
+            cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = argv + ["--config", str(cfg_path)]
+    assert re.search(match, usage_error(capsys, argv))
+
+
+@pytest.mark.parametrize(
+    "flags, config, cfg",
+    [
+        (
+            ["--unconstrained", "--u0", "300", "--theta-count", "3"],
+            {"unconstrained": True, "u0": 300, "theta_count": 3},
+            SweepConfig(lambda_spec=LambdaSpec("unconstrained"), theta_count=3, u0_surrogate=300.0),
+        ),
+        (
+            ["--lambda-factor", "0.2", "--delta", "1.3", "--theta-min", "0.3", "--theta-count", "3"],
+            {"lambda_factor": 0.2, "delta": 1.3, "theta_min": 0.3, "theta_count": 3},
+            SweepConfig(delta=1.3, lambda_spec=LambdaSpec("factor", 0.2), theta_min=0.3, theta_count=3),
+        ),
+        (
+            ["--lambda", "0.7", "--theta-max", "1.2", "--theta-count", "4"],
+            {"lambda": 0.7, "theta_max": 1.2, "theta_count": 4},
+            SweepConfig(lambda_spec=LambdaSpec("absolute", 0.7), theta_max=1.2, theta_count=4),
+        ),
+    ],
+)
+def test_cli_sweep_matches_library(tmp_path, capsys, flags, config, cfg):
+    reference = emit_report(run_sweep(cfg), cfg, tmp_path / "lib.csv")
+    assert main(["sweep", *flags, "--out", str(tmp_path / "flags.csv")]) == 0
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({**config, "out": str(tmp_path / "file.csv")}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    for stem in ("flags", "file"):
+        made = (tmp_path / f"{stem}.csv", tmp_path / f"{stem}.summary.txt")
+        for path, ref in zip(made, reference):
+            assert path.read_bytes() == ref.read_bytes()
 
 
 def test_main_proptest_deterministic(capsys):
@@ -351,6 +473,19 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verify: PASS" in proc.stdout
+
+
+def test_module_entry_point_reports_bad_input():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qslbounds", "verify", "--theta", "2.0", "--unconstrained"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("qslbounds verify: error: theta must lie in")
 
 
 def test_import_does_not_load_scipy():

@@ -17,7 +17,6 @@ from qslbounds import (
     gamma_from_theta,
     ground_state,
     hs_norm,
-    lz_hamiltonian,
     optimal_protocol,
     propagate,
     propagate_refined,
@@ -116,10 +115,10 @@ def test_critical_cap():
 
 
 def test_lz_hamiltonian_matrix():
-    p = lz(0.25 * math.pi, cap=3.0)
-    h = lz_hamiltonian(p, 0.0)
+    ch = lz(0.25 * math.pi, cap=3.0).control_hamiltonian()
+    h = ch.hamiltonian(0.0)
     assert np.allclose(h.entries, [[0.0, 0.5], [0.5, 0.0]])
-    h2 = lz_hamiltonian(p, 2.0)
+    h2 = ch.hamiltonian(2.0)
     assert np.allclose(h2.entries, [[2.0, 0.5], [0.5, -2.0]])
     eigs = spectral(h2).eigenvalues
     assert eigs[0] == pytest.approx(-math.sqrt(4.25), abs=1e-12)
@@ -128,10 +127,10 @@ def test_lz_hamiltonian_matrix():
 
 
 def test_lz_hamiltonian_enforces_cap():
-    p = lz(0.25 * math.pi, cap=1.0)
-    lz_hamiltonian(p, 1.0)
+    ch = lz(0.25 * math.pi, cap=1.0).control_hamiltonian()
+    ch.hamiltonian(1.0)
     with pytest.raises(ValueError):
-        lz_hamiltonian(p, 1.5)
+        ch.hamiltonian(1.5)
 
 
 # ---------------------------------------------------------------------------
