@@ -21,12 +21,12 @@ TABLES = (
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="figures", help="output directory")
-    parser.add_argument("--delta", type=float, default=1.0)
-    parser.add_argument("--theta-count", type=int, default=50)
+    parser.add_argument("--delta", type=float, default=SweepConfig.delta)
+    parser.add_argument("--theta-count", type=int, default=SweepConfig.theta_count)
     parser.add_argument(
         "--theta-margin",
         type=float,
-        default=0.02,
+        default=SweepConfig.theta_min,
         help="grid runs from margin to pi/2 - margin",
     )
     return parser.parse_args()

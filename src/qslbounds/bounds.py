@@ -178,7 +178,7 @@ def tmin_b(inputs: BoundInputs) -> float:
 def _require_eigenstate(chi: PureState, hc: HermitianOperator, name: str) -> None:
     hx = hc.entries @ chi.amplitudes
     mean = complex(np.vdot(chi.amplitudes, hx))
-    if float(np.linalg.norm(hx - mean * chi.amplitudes)) > EIGENSTATE_ATOL:
+    if not float(np.linalg.norm(hx - mean * chi.amplitudes)) <= EIGENSTATE_ATOL:
         raise ValueError(f"{name} is not an eigenstate of the control operator")
 
 
@@ -204,11 +204,9 @@ def tmin_b_eigenstate(inputs: BoundInputs) -> float:
 
 
 def _eigenbasis_overlap_sum(op: HermitianOperator, psi0: PureState, psig: PureState) -> float:
-    dec = spectral(op)
-    total = 0.0
-    for vec in dec.eigenvectors:
-        total += abs(psig.overlap(vec)) * abs(vec.overlap(psi0))
-    return total
+    """sum_j |<psig|phi_j>| |<phi_j|psi0>| over the eigenvectors phi_j of op."""
+    vh = spectral(op).vectors.conj().T
+    return float(np.abs(vh @ psig.amplitudes) @ np.abs(vh @ psi0.amplitudes))
 
 
 def tmin_c1(inputs: BoundInputs) -> float:
@@ -234,10 +232,10 @@ def tmin_c2(inputs: BoundInputs) -> float:
     round-off floor counts as vanished; otherwise a closed window would turn
     a 1e-16 residue into +inf.
     """
+    if math.isinf(inputs.ch.u_max):
+        return 0.0
     numerator = max(0.0, 1.0 - _eigenbasis_overlap_sum(inputs.ch.h0, inputs.psi0, inputs.psig))
     if numerator <= OVERLAP_SUM_ATOL:
-        return 0.0
-    if math.isinf(inputs.ch.u_max):
         return 0.0
     control_norm = hs_norm(inputs.ch.hc)
     if inputs.ch.u_max == 0.0 or control_norm == 0.0:
@@ -257,7 +255,7 @@ def arenz_overlap_inequality_check(
     psig for the comparison to mean anything, so a missed target is an error.
     """
     fidelity = traj.final_state().fidelity(psig)
-    if fidelity < 1.0 - TARGET_FIDELITY_ATOL:
+    if not fidelity >= 1.0 - TARGET_FIDELITY_ATOL:
         raise ValueError(f"trajectory missed the target (fidelity {fidelity!r})")
     alpha = field.amplitude_integral()
     u_ctrl = unitary_step(ch.hc, alpha)
@@ -286,16 +284,10 @@ class BoundReport:
         return getattr(self, f"t_min_{name}")
 
     def csv_row(self) -> str:
-        def fmt(x):
-            return "" if x is None else format(x, ".17g")
-
-        cells = [fmt(self.value(n)) for n in self._ORDER]
-        cells.append(fmt(self.t_qsl_star))
-        cells.append(fmt(self.t_opt))
-        for n in self._ORDER:
-            flag = self.inequality_flags.get(n)
-            cells.append("" if flag is None else ("1" if flag else "0"))
-        return ",".join(cells)
+        times = [self.value(n) for n in self._ORDER] + [self.t_qsl_star, self.t_opt]
+        flags = [self.inequality_flags.get(n) for n in self._ORDER]
+        cells = ["" if x is None else format(x, ".17g") for x in times]
+        return ",".join(cells + ["" if f is None else str(int(f)) for f in flags])
 
     def text_block(self) -> str:
         lines = []
@@ -335,12 +327,6 @@ def compute_report(
             if not math.isnan(v):
                 flags[name] = t_opt >= v - PASS_TOL
     return BoundReport(
-        t_min_a=values["a"],
-        t_min_b=values["b"],
-        t_min_c1=values["c1"],
-        t_min_c2=values["c2"],
-        t_qsl_star=t_qsl,
-        t_opt=t_opt,
-        inequality_flags=flags,
-        errors=errors,
+        values["a"], values["b"], values["c1"], values["c2"],
+        t_qsl_star=t_qsl, t_opt=t_opt, inequality_flags=flags, errors=errors,
     )

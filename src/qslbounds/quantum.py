@@ -22,6 +22,12 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
+def _reject_non_finite(values: np.ndarray, what: str) -> None:
+    bad = np.argwhere(~np.isfinite(values)).tolist()
+    if bad:
+        raise ValueError(f"non-finite {what} at {', '.join(map(str, bad))}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of a d-level system, d >= 2."""
@@ -29,13 +35,13 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.shape[0] < 2:
             raise ValueError(f"state must be a vector with d >= 2, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
+            _reject_non_finite(amps, "state amplitudes")
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -67,12 +73,14 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError(f"operator must be square with d >= 2, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL:
+        with np.errstate(invalid="ignore"):  # inf - inf is reported below, not warned
+            dev = np.abs(m - m.conj().T).max()
+        if not dev <= HERMITIAN_ATOL:
+            _reject_non_finite(m, "operator entries")
             raise ValueError("matrix is not Hermitian within tolerance")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -88,6 +96,8 @@ class HermitianOperator:
     def __mul__(self, scalar: float) -> "HermitianOperator":
         if isinstance(scalar, complex) and scalar.imag != 0.0:
             raise ValueError("only real scalars keep the operator Hermitian")
+        if not math.isfinite(scalar):
+            raise ValueError(f"scalar factor must be finite, got {scalar!r}")
         return HermitianOperator(float(scalar) * self.entries)
 
     __rmul__ = __mul__
@@ -103,43 +113,46 @@ def zero_operator(dim: int) -> HermitianOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues in ascending order with phase-fixed orthonormal eigenvectors."""
+    """Ascending eigenvalues; phase-fixed eigenvectors as the columns of ``vectors``."""
 
     eigenvalues: np.ndarray
-    eigenvectors: Tuple[PureState, ...]
+    vectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @property
+    def eigenvectors(self) -> Tuple[PureState, ...]:
+        """The columns of ``vectors`` as states, built on request."""
+        return tuple(PureState(column) for column in self.vectors.T)
+
     def vector_matrix(self) -> np.ndarray:
         """Eigenvectors as columns, in eigenvalue order."""
-        return np.column_stack([s.amplitudes for s in self.eigenvectors])
-
-
-def _fix_phase(column: np.ndarray) -> np.ndarray:
-    # Largest-magnitude entry made real positive; argmax takes the lowest
-    # index on ties, which pins the convention deterministically.
-    k = int(np.argmax(np.abs(column)))
-    pivot = column[k]
-    return column * (pivot.conjugate() / abs(pivot))
+        return self.vectors
 
 
 def spectral(h: HermitianOperator) -> SpectralDecomposition:
     eigvals, vecs = np.linalg.eigh(h.entries)
-    states = tuple(PureState(_fix_phase(vecs[:, j])) for j in range(h.dim))
-    eigvals = eigvals.copy()
+    # Largest-magnitude entry of each column made real positive, lowest index
+    # on ties; np.hypot rounds as abs() of one complex does, np.abs may not.
+    pivots = vecs[np.abs(vecs).argmax(axis=0), np.arange(h.dim)]
+    vecs = vecs * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
+    dev = np.abs(np.linalg.norm(vecs, axis=0) - 1.0)
+    if not (dev <= NORM_ATOL).all():
+        raise ValueError(f"eigenvector norm deviates from 1 by {dev.max()!r} beyond {NORM_ATOL}")
     eigvals.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=eigvals, eigenvectors=states)
+    vecs.setflags(write=False)
+    return SpectralDecomposition(eigenvalues=eigvals, vectors=vecs)
 
 
 def ground_state(h: HermitianOperator) -> PureState:
     """Eigenvector of the smallest eigenvalue; rejects a degenerate ground space."""
     dec = spectral(h)
     gap = float(dec.eigenvalues[1] - dec.eigenvalues[0])
-    if gap <= DEGENERACY_ATOL:
+    if not gap > DEGENERACY_ATOL:
         raise ValueError(f"ground space degenerate within {DEGENERACY_ATOL} (gap {gap!r})")
-    return dec.eigenvectors[0]
+    return PureState(dec.vectors[:, 0])
 
 
 def fubini_study_distance(a: PureState, b: PureState) -> float:

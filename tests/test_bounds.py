@@ -21,6 +21,7 @@ from qslbounds import (
     max_variance_over_field,
     propagate,
     sin_star,
+    spectral,
     tmin_a,
     tmin_b,
     tmin_b_eigenstate,
@@ -29,8 +30,9 @@ from qslbounds import (
     unified_time,
     zero_operator,
 )
-from qslbounds.bounds import variance_quadratic_coeffs
-from conftest import random_control_problem, random_state, state
+import qslbounds.bounds as bounds_module
+from qslbounds.bounds import _eigenbasis_overlap_sum, variance_quadratic_coeffs
+from conftest import random_control_problem, random_hermitian, random_state, state
 
 HALF_SX = 0.5 * SIGMA_X  # ||.||_HS = sqrt(2)/2, spread 1/2 in either basis state
 
@@ -245,6 +247,41 @@ def test_tmin_b_eigenstate_rejects_non_eigenstate():
     inputs = BoundInputs(ch, state(1.0, 1.0), basis_state(2, 1))
     with pytest.raises(ValueError):
         tmin_b_eigenstate(inputs)
+
+
+# ---------------------------------------------------------------------------
+# eigenbasis overlap sum shared by tmin_c1 and tmin_c2
+
+
+def _overlap_sum_reference(op, psi0, psig):
+    # one eigenvector at a time, as the sum is written in the bound
+    total = 0.0
+    for vec in spectral(op).eigenvectors:
+        total += abs(psig.overlap(vec)) * abs(vec.overlap(psi0))
+    return total
+
+
+def test_eigenbasis_overlap_sum_matches_per_eigenvector_reference():
+    rng = np.random.default_rng(404)
+    for i in range(200):
+        dim = 2 + i % 7
+        op = random_hermitian(rng, dim)
+        psi0, psig = random_state(rng, dim), random_state(rng, dim)
+        fast = _eigenbasis_overlap_sum(op, psi0, psig)
+        assert abs(fast - _overlap_sum_reference(op, psi0, psig)) <= 1e-14, (i, dim)
+
+
+def test_tmin_c2_unbounded_window_skips_the_drift_decomposition(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bounds_module, "spectral", lambda h: calls.append(h.dim) or spectral(h))
+    rng = np.random.default_rng(405)
+    for dim in range(2, 9):
+        ch = ControlHamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim), math.inf)
+        inputs = BoundInputs(ch, random_state(rng, dim), random_state(rng, dim))
+        assert tmin_c2(inputs) == 0.0
+    assert calls == []
+    tmin_c2(BoundInputs(ControlHamiltonian(ch.h0, ch.hc, 1.0), inputs.psi0, inputs.psig))
+    assert calls == [8]
 
 
 # ---------------------------------------------------------------------------

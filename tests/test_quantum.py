@@ -1,5 +1,6 @@
 """States, operators, spectral helpers and the metric primitives."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,48 @@ def test_basis_state_indexing():
 def test_hermitian_rejects_nonhermitian():
     with pytest.raises(ValueError):
         hermitian([[0.0, 1.0], [0.0, 0.0]])
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        ([[NAN, 0.0], [0.0, 1.0]], "[0, 0]"),
+        ([[1.0, 0.0], [0.0, INF]], "[1, 1]"),
+        ([[0.0, NAN], [NAN, 1.0]], "[0, 1], [1, 0]"),
+        ([[0.0, INF], [INF, 1.0]], "[0, 1], [1, 0]"),
+        ([[0.0, -INF], [0.0, 1.0]], "[0, 1]"),
+        ([[0.0, complex(0.0, NAN)], [0.0, 1.0]], "[0, 1]"),
+    ],
+)
+def test_hermitian_rejects_non_finite_entries(rows, where):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf must not warn on the way
+        with pytest.raises(ValueError, match=r"^non-finite operator entries at ") as exc:
+            hermitian(rows)
+    assert str(exc.value).endswith(where)
+
+
+@pytest.mark.parametrize(
+    "amps, where",
+    [([NAN, 0.0], "[0]"), ([0.0, INF], "[1]"), ([complex(-INF, 0.0), 1.0], "[0]")],
+)
+def test_pure_state_rejects_non_finite_amplitudes(amps, where):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^non-finite state amplitudes at ") as exc:
+            PureState(np.array(amps, dtype=complex))
+    assert str(exc.value).endswith(where)
+
+
+@pytest.mark.parametrize("factor", [NAN, INF, -INF])
+def test_hermitian_rejects_non_finite_scalar(factor):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf * 0 must not warn on the way
+        with pytest.raises(ValueError, match="scalar factor must be finite"):
+            factor * SIGMA_X
 
 
 def test_hermitian_rejects_complex_scalar():
@@ -188,6 +231,45 @@ def test_spectral_phase_is_deterministic(rng):
         pivot = vec.amplitudes[np.argmax(np.abs(vec.amplitudes))]
         assert pivot.imag == pytest.approx(0.0, abs=1e-12)
         assert pivot.real > 0.0
+
+
+def _fix_phase_reference(column):
+    # the per-column phase convention spectral applies to all columns at once
+    k = int(np.argmax(np.abs(column)))
+    pivot = column[k]
+    return column * (pivot.conjugate() / abs(pivot))
+
+
+def test_spectral_matches_per_column_phase_reference(rng):
+    for dim in range(2, 9):
+        for _ in range(10):
+            h = random_hermitian(rng, dim)
+            _, raw = np.linalg.eigh(h.entries)
+            ref = np.column_stack([_fix_phase_reference(raw[:, j]) for j in range(dim)])
+            assert np.array_equal(spectral(h).vectors, ref)
+
+
+def test_spectral_ties_break_to_lowest_index():
+    # both components of each sigma_x eigenvector have modulus 1/sqrt(2)
+    vectors = spectral(SIGMA_X).vectors
+    assert np.all(vectors[0].imag == 0.0)
+    assert np.all(vectors[0].real > 0.0)
+
+
+def test_spectral_eigenvectors_are_the_read_only_columns(rng):
+    dec = spectral(random_hermitian(rng, 6))
+    assert dec.vector_matrix() is dec.vectors
+    assert len(dec.eigenvectors) == dec.dim == 6
+    for j, vec in enumerate(dec.eigenvectors):
+        assert np.array_equal(vec.amplitudes, dec.vectors[:, j])
+    for arr in (dec.vectors, dec.eigenvalues):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_ground_state_is_column_zero(rng):
+    h = random_hermitian(rng, 5)
+    assert np.array_equal(ground_state(h).amplitudes, spectral(h).vectors[:, 0])
 
 
 def test_ground_state_two_level_overlap():
