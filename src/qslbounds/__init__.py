@@ -66,62 +66,3 @@ from .two_level import (
 )
 from .property_suites import PropertyReport, SuiteResult, run_property_suites
 
-__all__ = [
-    "__version__",
-    "HermitianOperator",
-    "PureState",
-    "SIGMA_X",
-    "SIGMA_Z",
-    "SpectralDecomposition",
-    "basis_state",
-    "energy_mean",
-    "energy_variance",
-    "fubini_study_distance",
-    "ground_state",
-    "hs_norm",
-    "spectral",
-    "unitary_step",
-    "zero_operator",
-    "ControlHamiltonian",
-    "PiecewiseConstantField",
-    "Trajectory",
-    "TqslEstimate",
-    "bhattacharyya_check",
-    "path_length",
-    "pfeifer_envelope",
-    "pfeifer_envelope_check",
-    "propagate",
-    "propagate_refined",
-    "tqsl_star",
-    "write_trajectory_csv",
-    "BoundInputs",
-    "BoundReport",
-    "arenz_overlap_inequality_check",
-    "compute_report",
-    "mandelstam_tamm_time",
-    "margolus_levitin_time",
-    "max_hs_norm_over_field",
-    "max_variance_over_field",
-    "sin_star",
-    "tmin_a",
-    "tmin_b",
-    "tmin_b_eigenstate",
-    "tmin_c1",
-    "tmin_c2",
-    "unified_time",
-    "variance_quadratic_coeffs",
-    "ClosedFormBounds",
-    "LandauZenerProblem",
-    "OptimalProtocol",
-    "boundary_states",
-    "closed_form_bounds",
-    "constrained_protocol",
-    "gamma_from_theta",
-    "optimal_protocol",
-    "theta_from_gamma",
-    "tqsl_star_closed",
-    "unconstrained_protocol",
-    "PropertyReport",
-    "SuiteResult",
-    "run_property_suites",
-]

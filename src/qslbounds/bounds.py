@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
 
-from .dynamics import (
-    ControlHamiltonian,
-    PiecewiseConstantField,
-    TARGET_FIDELITY_ATOL,
-    Trajectory,
-    tqsl_star,
-)
+from .dynamics import ControlHamiltonian, TARGET_FIDELITY_ATOL, Trajectory, tqsl_star
 from .quantum import (
     HermitianOperator,
     PureState,
@@ -83,7 +78,7 @@ class BoundInputs:
         if self.psi0.dim != self.ch.dim or self.psig.dim != self.ch.dim:
             raise ValueError("state dimensions must match the control Hamiltonian")
 
-    @property
+    @cached_property
     def distance(self) -> float:
         return fubini_study_distance(self.psi0, self.psig)
 
@@ -121,10 +116,15 @@ def max_variance_over_field(ch: ControlHamiltonian, chi: PureState) -> float:
 
 
 def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
-    """max over |u| <= u_max of ||h0 + u*hc||_HS, again quadratic in u."""
-    t00 = float(np.trace(ch.h0.entries @ ch.h0.entries).real)
-    t0c = float(np.trace(ch.h0.entries @ ch.hc.entries).real)
-    tcc = float(np.trace(ch.hc.entries @ ch.hc.entries).real)
+    """max over |u| <= u_max of ||h0 + u*hc||_HS, again quadratic in u.
+
+    For Hermitian a and b, tr(a b) = sum_ij a_ij conj(b_ij), one vdot of the
+    entries.
+    """
+    h0, hc = ch.h0.entries, ch.hc.entries
+    t00 = float(np.vdot(h0, h0).real)
+    t0c = float(np.vdot(hc, h0).real)
+    tcc = float(np.vdot(hc, hc).real)
     if math.isinf(ch.u_max):
         if tcc > 0.0:
             return math.inf
@@ -243,26 +243,21 @@ def tmin_c2(inputs: BoundInputs) -> float:
     return numerator / (inputs.ch.u_max * control_norm)
 
 
-def arenz_overlap_inequality_check(
-    traj: Trajectory,
-    ch: ControlHamiltonian,
-    field: PiecewiseConstantField,
-    psig: PureState,
-) -> float:
+def arenz_overlap_inequality_check(traj: Trajectory, psig: PureState) -> float:
     """Signed residual of 1 - |<psig|exp(-i*alpha(T)*hc)|psi0>| <= ||h0||_HS * T.
 
-    alpha(T) is the drive area; the trajectory must actually have reached
-    psig for the comparison to mean anything, so a missed target is an error.
+    alpha(T) is the area of the drive that produced the trajectory; the
+    trajectory must actually have reached psig for the comparison to mean
+    anything, so a missed target is an error.
     """
     fidelity = traj.final_state().fidelity(psig)
     if not fidelity >= 1.0 - TARGET_FIDELITY_ATOL:
         raise ValueError(f"trajectory missed the target (fidelity {fidelity!r})")
-    alpha = field.amplitude_integral()
-    u_ctrl = unitary_step(ch.hc, alpha)
+    u_ctrl = unitary_step(traj.ch.hc, traj.field.amplitude_integral())
     lhs = 1.0 - abs(
         complex(np.vdot(psig.amplitudes, u_ctrl @ traj.initial_state().amplitudes))
     )
-    return lhs - hs_norm(ch.h0) * float(traj.times[-1])
+    return lhs - hs_norm(traj.ch.h0) * float(traj.times[-1])
 
 
 @dataclass

@@ -320,14 +320,14 @@ def verify_case(
     aa_residual = fubini_study_distance(psi0, traj.final_state()) - path_length(traj)
     checks["anandan_aharonov"] = Check(aa_residual, AA_TOL, aa_residual <= AA_TOL)
 
-    bh = bhattacharyya_check(traj, ch, protocol.field)
+    bh = bhattacharyya_check(traj)
     checks["bhattacharyya"] = Check(bh, BHATTACHARYYA_TOL, bh <= BHATTACHARYYA_TOL)
 
-    pf = pfeifer_envelope_check(traj, ch, protocol.field, psig)
+    pf = pfeifer_envelope_check(traj, psig)
     checks["pfeifer_envelope"] = Check(pf, PFEIFER_TOL, pf <= PFEIFER_TOL)
 
     try:
-        ar = arenz_overlap_inequality_check(traj, ch, protocol.field, psig)
+        ar = arenz_overlap_inequality_check(traj, psig)
         checks["arenz_overlap"] = Check(ar, ARENZ_TOL, ar <= ARENZ_TOL)
     except ValueError as exc:
         checks["arenz_overlap"] = Check(math.nan, ARENZ_TOL, False, note=str(exc))

@@ -85,7 +85,8 @@ class Trajectory:
 
     states holds one row per sample; segment_index maps each sample to the
     field segment whose amplitude was in force there (boundary nodes appear
-    twice, once per side).
+    twice, once per side).  The drive that produced the path travels with
+    it: ch, field, and hamiltonians[j] = H(u_j) for each segment j.
     """
 
     times: np.ndarray
@@ -93,6 +94,9 @@ class Trajectory:
     variance_samples: np.ndarray
     survival: np.ndarray
     segment_index: np.ndarray
+    ch: ControlHamiltonian
+    field: PiecewiseConstantField
+    hamiltonians: Tuple[HermitianOperator, ...]
 
     @property
     def dim(self) -> int:
@@ -128,14 +132,14 @@ def propagate(
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be a positive integer")
 
+    hamiltonians = tuple(ch.hamiltonian(amp) for _, amp in field.segments)
     times = [0.0]
     seg_idx = [0]
     blocks = [psi0.amplitudes[:, None]]
 
     psi = psi0.amplitudes
     t_start = 0.0
-    for j, (dur, amp) in enumerate(field.segments):
-        h = ch.hamiltonian(amp)
+    for j, ((dur, _), h) in enumerate(zip(field.segments, hamiltonians)):
         eigvals, vecs = np.linalg.eigh(h.entries)
         if j > 0:
             # duplicate boundary node, this side carrying the new amplitude
@@ -155,15 +159,13 @@ def propagate(
     times_arr = np.asarray(times)
     seg_arr = np.asarray(seg_idx, dtype=int)
 
-    amps = np.array([a for _, a in field.segments])
     variance = np.empty(times_arr.shape[0])
     survival = np.empty(times_arr.shape[0])
     psi0row = psi0.amplitudes
-    for j in range(len(field.segments)):
+    for j, h in enumerate(hamiltonians):
         mask = seg_arr == j
         block = states[mask]
-        h = ch.h0.entries + amps[j] * ch.hc.entries
-        hpsi = block @ h.T
+        hpsi = block @ h.entries.T
         second = np.einsum("ij,ij->i", hpsi.conj(), hpsi).real
         mean = np.einsum("ij,ij->i", block.conj(), hpsi).real
         variance[mask] = np.sqrt(np.maximum(second - mean * mean, 0.0))
@@ -176,6 +178,9 @@ def propagate(
         variance_samples=variance,
         survival=survival,
         segment_index=seg_arr,
+        ch=ch,
+        field=field,
+        hamiltonians=hamiltonians,
     )
 
 
@@ -210,11 +215,7 @@ def propagate_refined(
     return propagate(ch, field, psi0, samples_per_segment)
 
 
-def bhattacharyya_check(
-    traj: Trajectory,
-    ch: ControlHamiltonian,
-    field: PiecewiseConstantField,
-) -> float:
+def bhattacharyya_check(traj: Trajectory) -> float:
     """Max signed residual of d/dt arccos|<psi0|psi(t)>| <= deltaE(t).
 
     With a = <psi0|psi> and psi_perp = psi - a*psi0 the rate is exactly
@@ -234,31 +235,19 @@ def bhattacharyya_check(
     if not np.any(keep):
         return 0.0
     # <psi0|H perp> = <H psi0|perp> per segment's Hamiltonian
-    h_psi0 = np.array([ch.hamiltonian(u).entries @ psi0 for _, u in field.segments])
+    h_psi0 = np.array([h.entries @ psi0 for h in traj.hamiltonians])
     coupling = np.einsum("ij,ij->i", h_psi0[traj.segment_index].conj(), perp)
     rate = -np.imag(a.conj() * coupling)[keep] / (abs_a[keep] * perp_norm[keep])
     return float(np.max(rate - traj.variance_samples[keep]))
 
 
-def _anchored_variances(
-    ch: ControlHamiltonian,
-    field: PiecewiseConstantField,
-    chi: PureState,
-    traj: Trajectory,
-) -> np.ndarray:
+def _anchored_variances(traj: Trajectory, chi: PureState) -> np.ndarray:
     """deltaE of H(u(t)) in the fixed state chi, per trajectory sample."""
-    per_segment = np.array(
-        [energy_variance(chi, ch.hamiltonian(a)) for _, a in field.segments]
-    )
+    per_segment = np.array([energy_variance(chi, h) for h in traj.hamiltonians])
     return per_segment[traj.segment_index]
 
 
-def pfeifer_envelope(
-    traj: Trajectory,
-    ch: ControlHamiltonian,
-    field: PiecewiseConstantField,
-    phi: PureState,
-) -> Tuple[np.ndarray, np.ndarray]:
+def pfeifer_envelope(traj: Trajectory, phi: PureState) -> Tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounding envelopes sin*(delta -+ h(t)) for |<phi|psi(t)>|.
 
     h(t) is the smaller of the accumulated energy spreads anchored at phi and
@@ -270,21 +259,16 @@ def pfeifer_envelope(
     if phi.dim != traj.dim:
         raise ValueError(f"dimension mismatch: {phi.dim} vs {traj.dim}")
     psi0 = traj.initial_state()
-    h_phi = _running_integral(traj.times, _anchored_variances(ch, field, phi, traj))
-    h_psi0 = _running_integral(traj.times, _anchored_variances(ch, field, psi0, traj))
+    h_phi = _running_integral(traj.times, _anchored_variances(traj, phi))
+    h_psi0 = _running_integral(traj.times, _anchored_variances(traj, psi0))
     envelope_angle = np.minimum(h_phi, h_psi0)
     delta = math.asin(min(abs(phi.overlap(psi0)), 1.0))
     return sin_star(delta - envelope_angle), sin_star(delta + envelope_angle)
 
 
-def pfeifer_envelope_check(
-    traj: Trajectory,
-    ch: ControlHamiltonian,
-    field: PiecewiseConstantField,
-    phi: PureState,
-) -> float:
+def pfeifer_envelope_check(traj: Trajectory, phi: PureState) -> float:
     """Largest violation of the overlap envelope; 0 means fully contained."""
-    lower, upper = pfeifer_envelope(traj, ch, field, phi)
+    lower, upper = pfeifer_envelope(traj, phi)
     overlaps = np.abs(traj.states @ phi.amplitudes.conj())
     worst = max(float(np.max(lower - overlaps)), float(np.max(overlaps - upper)))
     return max(worst, 0.0)

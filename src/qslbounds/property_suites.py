@@ -134,10 +134,8 @@ def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult
         traj = propagate(ch, field, psi0, samples_per_segment=48)
         geodesic = fubini_study_distance(psi0, traj.final_state())
         worst_aa = max(worst_aa, geodesic - path_length(traj))
-        worst_pfeifer = max(worst_pfeifer, pfeifer_envelope_check(traj, ch, field, phi))
-        worst_arenz = max(
-            worst_arenz, arenz_overlap_inequality_check(traj, ch, field, traj.final_state())
-        )
+        worst_pfeifer = max(worst_pfeifer, pfeifer_envelope_check(traj, phi))
+        worst_arenz = max(worst_arenz, arenz_overlap_inequality_check(traj, traj.final_state()))
         norms = np.linalg.norm(traj.states, axis=1)
         worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
     return [
@@ -152,9 +150,8 @@ def _bhattacharyya_suite(rng: np.random.Generator, count: int) -> SuiteResult:
     worst = -math.inf
     for _ in range(count):
         dim = int(rng.integers(2, MAX_DIM + 1))
-        ch, field, psi0 = random_control_problem(rng, dim)
-        traj = propagate(ch, field, psi0, samples_per_segment=200)
-        worst = max(worst, bhattacharyya_check(traj, ch, field))
+        traj = propagate(*random_control_problem(rng, dim), samples_per_segment=200)
+        worst = max(worst, bhattacharyya_check(traj))
     return SuiteResult("bhattacharyya", count, worst, BHATTACHARYYA_TOL)
 
 

@@ -127,10 +127,6 @@ class SpectralDecomposition:
         """The columns of ``vectors`` as states, built on request."""
         return tuple(PureState(column) for column in self.vectors.T)
 
-    def vector_matrix(self) -> np.ndarray:
-        """Eigenvectors as columns, in eigenvalue order."""
-        return self.vectors
-
 
 def spectral(h: HermitianOperator) -> SpectralDecomposition:
     eigvals, vecs = np.linalg.eigh(h.entries)

@@ -158,6 +158,27 @@ def test_max_hs_norm_matches_dense_grid(seed, u_max):
     assert analytic <= direct + 1e-4  # grid resolution slack
 
 
+def _hs_norm_reference(ch: ControlHamiltonian) -> float:
+    # the trace-of-products form max_hs_norm_over_field replaces by vdots
+    t00 = float(np.trace(ch.h0.entries @ ch.h0.entries).real)
+    t0c = float(np.trace(ch.h0.entries @ ch.hc.entries).real)
+    tcc = float(np.trace(ch.hc.entries @ ch.hc.entries).real)
+    candidates = [-ch.u_max, 0.0, ch.u_max]
+    if tcc > 0.0:
+        candidates.append(min(max(-t0c / tcc, -ch.u_max), ch.u_max))
+    return math.sqrt(max(max(t00 + 2.0 * u * t0c + u * u * tcc for u in candidates), 0.0))
+
+
+def test_max_hs_norm_matches_trace_of_products_reference():
+    rng = np.random.default_rng(406)
+    for i in range(200):
+        dim = 2 + i % 7
+        u_max = float(rng.uniform(0.0, 3.0))
+        ch = ControlHamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim), u_max)
+        expected = _hs_norm_reference(ch)
+        assert max_hs_norm_over_field(ch) == pytest.approx(expected, rel=1e-14, abs=0.0), i
+
+
 # ---------------------------------------------------------------------------
 # tmin_a
 
@@ -358,7 +379,7 @@ def test_arenz_slack_for_resonant_flip():
     ch = ControlHamiltonian(h0=(0.5 * math.pi) * SIGMA_X, hc=SIGMA_Z)
     field = PiecewiseConstantField(((1.0, 0.0),))
     traj = propagate(ch, field, basis_state(2, 0))
-    residual = arenz_overlap_inequality_check(traj, ch, field, basis_state(2, 1))
+    residual = arenz_overlap_inequality_check(traj, basis_state(2, 1))
     # lhs = 1 (alpha = 0 leaves |0> in place), rhs = (pi/2)*sqrt(2)
     assert residual == pytest.approx(1.0 - 0.5 * math.pi * math.sqrt(2.0), abs=1e-9)
     assert residual <= 1e-9
@@ -371,7 +392,7 @@ def test_arenz_degenerate_duration_limit():
     field = PiecewiseConstantField(((1e-12, 0.0),))
     psi0 = basis_state(2, 0)
     traj = propagate(ch, field, psi0, samples_per_segment=3)
-    residual = arenz_overlap_inequality_check(traj, ch, field, psi0)
+    residual = arenz_overlap_inequality_check(traj, psi0)
     assert abs(residual) < 1e-11
     assert residual <= 0.0
 
@@ -381,7 +402,7 @@ def test_arenz_requires_reached_target():
     field = PiecewiseConstantField(((0.5, 0.0),))
     traj = propagate(ch, field, basis_state(2, 0))
     with pytest.raises(ValueError):
-        arenz_overlap_inequality_check(traj, ch, field, basis_state(2, 1))
+        arenz_overlap_inequality_check(traj, basis_state(2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +483,16 @@ def test_compute_report_csv_row_shape():
     assert len(cells) == 10
     assert cells[6:] == ["1", "1", "1", "1"]
     assert cells[4] == ""  # no trajectory supplied
+
+
+def test_compute_report_measures_the_distance_once(monkeypatch):
+    calls = []
+    distance = bounds_module.fubini_study_distance
+    monkeypatch.setattr(
+        bounds_module, "fubini_study_distance", lambda a, b: calls.append(1) or distance(a, b)
+    )
+    compute_report(flip_inputs(1.0), t_opt=4.0)
+    assert len(calls) == 1
 
 
 def test_compute_report_includes_trajectory_time():

@@ -13,6 +13,7 @@ from qslbounds import (
     SIGMA_X,
     SIGMA_Z,
     Trajectory,
+    arenz_overlap_inequality_check,
     basis_state,
     bhattacharyya_check,
     energy_variance,
@@ -84,6 +85,31 @@ def test_propagate_rejects_dim_mismatch():
 def test_propagate_rejects_zero_samples():
     with pytest.raises(ValueError):
         propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=0)
+
+
+def test_trajectory_records_its_drive(rng):
+    ch, field, psi0 = random_control_problem(rng, 4)
+    traj = propagate(ch, field, psi0, samples_per_segment=7)
+    assert traj.ch is ch
+    assert traj.field is field
+    assert len(traj.hamiltonians) == len(field.segments)
+    for h, (_, u) in zip(traj.hamiltonians, field.segments):
+        assert np.array_equal(h.entries, ch.hamiltonian(u).entries)
+
+
+def test_checks_build_no_operator(monkeypatch):
+    # the trajectory checks read the Hamiltonians propagate built, one per segment
+    calls = []
+    build = ControlHamiltonian.hamiltonian
+    monkeypatch.setattr(
+        ControlHamiltonian, "hamiltonian", lambda self, u: calls.append(u) or build(self, u)
+    )
+    field = PiecewiseConstantField(((0.3, 0.4), (0.2, -0.7), (0.5, 0.0)))
+    traj = propagate(RABI, field, basis_state(2, 0), samples_per_segment=9)
+    bhattacharyya_check(traj)
+    pfeifer_envelope_check(traj, basis_state(2, 1))
+    arenz_overlap_inequality_check(traj, traj.final_state())
+    assert calls == [0.4, -0.7, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +240,7 @@ def test_bhattacharyya_saturated_by_resonant_drive():
     ch = ControlHamiltonian(h0=(0.25 * math.pi) * SIGMA_X, hc=SIGMA_Z)
     for samples in (1, 200):
         traj = propagate(ch, FREE_UNIT, basis_state(2, 0), samples_per_segment=samples)
-        assert abs(bhattacharyya_check(traj, ch, FREE_UNIT)) <= 1e-12
+        assert abs(bhattacharyya_check(traj)) <= 1e-12
 
 
 def test_bhattacharyya_eigenstate_is_exactly_zero():
@@ -222,7 +248,7 @@ def test_bhattacharyya_eigenstate_is_exactly_zero():
     # round-off floor, and the residual of a motionless path is 0
     ch = ControlHamiltonian(h0=SIGMA_Z, hc=SIGMA_X)
     traj = propagate(ch, FREE_UNIT, basis_state(2, 0))
-    assert bhattacharyya_check(traj, ch, FREE_UNIT) == 0.0
+    assert bhattacharyya_check(traj) == 0.0
 
 
 def _central_difference_residual(traj: Trajectory) -> float:
@@ -244,7 +270,7 @@ def test_bhattacharyya_matches_central_difference_reference(rng):
         dim = int(rng.integers(2, 6))
         ch, field, psi0 = random_control_problem(rng, dim)
         traj = propagate(ch, field, psi0, samples_per_segment=2000)
-        exact = bhattacharyya_check(traj, ch, field)
+        exact = bhattacharyya_check(traj)
         assert abs(exact - _central_difference_residual(traj)) <= 1e-5
 
 
@@ -254,7 +280,7 @@ def test_bhattacharyya_random_instances(seed, dim):
     rng = np.random.default_rng(seed)
     ch, field, psi0 = random_control_problem(rng, dim)
     traj = propagate(ch, field, psi0, samples_per_segment=200)
-    assert bhattacharyya_check(traj, ch, field) <= BHATTACHARYYA_TOL
+    assert bhattacharyya_check(traj) <= BHATTACHARYYA_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +291,7 @@ def test_pfeifer_envelope_tight_at_start(rng):
     ch, field, psi0 = random_control_problem(rng, 3)
     traj = propagate(ch, field, psi0, samples_per_segment=20)
     phi = random_state(rng, 3)
-    lower, upper = pfeifer_envelope(traj, ch, field, phi)
+    lower, upper = pfeifer_envelope(traj, phi)
     start = abs(phi.overlap(psi0))
     assert lower[0] == pytest.approx(start, abs=1e-12)
     assert upper[0] == pytest.approx(start, abs=1e-12)
@@ -278,18 +304,18 @@ def test_pfeifer_envelope_stationary_state_pins_overlap():
     field = PiecewiseConstantField(((0.7, 1.3), (0.4, -0.2)))
     psi0 = basis_state(2, 0)
     traj = propagate(ch, field, psi0)
-    lower, upper = pfeifer_envelope(traj, ch, field, psi0)
+    lower, upper = pfeifer_envelope(traj, psi0)
     assert np.all(lower == 1.0)
     assert np.all(upper == 1.0)
     # the sampled overlap itself can round to 1 - eps just under the envelope
-    assert pfeifer_envelope_check(traj, ch, field, psi0) <= 1e-12
+    assert pfeifer_envelope_check(traj, psi0) <= 1e-12
 
 
 def test_pfeifer_envelope_rejects_dim_mismatch(rng):
     ch, field, psi0 = random_control_problem(rng, 3)
     traj = propagate(ch, field, psi0, samples_per_segment=10)
     with pytest.raises(ValueError):
-        pfeifer_envelope(traj, ch, field, basis_state(2, 0))
+        pfeifer_envelope(traj, basis_state(2, 0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -299,7 +325,7 @@ def test_pfeifer_envelope_contains_overlap(seed, dim):
     ch, field, psi0 = random_control_problem(rng, dim)
     traj = propagate(ch, field, psi0, samples_per_segment=40)
     phi = random_state(rng, dim)
-    assert pfeifer_envelope_check(traj, ch, field, phi) <= 1e-6
+    assert pfeifer_envelope_check(traj, phi) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +359,16 @@ def test_tqsl_star_flags_missed_target():
 def test_tqsl_star_stationary_with_displaced_endpoint_is_infinite():
     # not producible by propagation (zero spread means zero motion); built by
     # hand to pin the degenerate branch
+    ch = ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)
     traj = Trajectory(
         times=np.array([0.0, 1.0]),
         states=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
         variance_samples=np.zeros(2),
         survival=np.array([1.0, 0.0]),
         segment_index=np.array([0, 0]),
+        ch=ch,
+        field=FREE_UNIT,
+        hamiltonians=(ch.hamiltonian(0.0),),
     )
     est = tqsl_star(traj, basis_state(2, 1))
     assert math.isinf(est.time)

@@ -216,7 +216,7 @@ def test_spectral_orders_ascending_and_reconstructs(rng):
     h = random_hermitian(rng, 5)
     dec = spectral(h)
     assert all(a <= b for a, b in zip(dec.eigenvalues, dec.eigenvalues[1:]))
-    v = dec.vector_matrix()
+    v = dec.vectors
     recon = v @ np.diag(dec.eigenvalues) @ v.conj().T
     assert np.allclose(recon, h.entries, atol=1e-10)
 
@@ -258,7 +258,6 @@ def test_spectral_ties_break_to_lowest_index():
 
 def test_spectral_eigenvectors_are_the_read_only_columns(rng):
     dec = spectral(random_hermitian(rng, 6))
-    assert dec.vector_matrix() is dec.vectors
     assert len(dec.eigenvectors) == dec.dim == 6
     for j, vec in enumerate(dec.eigenvectors):
         assert np.array_equal(vec.amplitudes, dec.vectors[:, j])
