@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bounds
 from .bounds import BoundInputs, arenz_overlap_inequality_check, compute_report
 from .dynamics import (
     bhattacharyya_check,
@@ -50,7 +50,6 @@ SWEEP_CSV_HEADER = (
 )
 
 FIDELITY_TOL = 0.999
-DOMINANCE_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-12
 
 
@@ -336,7 +335,7 @@ def verify_case(
     for name in ("a", "b", "c1", "c2"):
         ok = report.inequality_flags.get(name, False)
         checks[f"dominance_{name}"] = Check(
-            report.value(name), protocol.t_opt_ideal + DOMINANCE_TOL, ok
+            report.value(name), protocol.t_opt_ideal + bounds.PASS_TOL, ok
         )
 
     closed = closed_form_bounds(problem)

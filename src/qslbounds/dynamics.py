@@ -8,16 +8,22 @@ exact on any grid.  Segment boundaries are sampled twice, once with each
 adjacent amplitude: the drive is discontinuous there, and the duplicated
 node spans a zero-width interval, so it adds nothing to the sums while
 leaving the states themselves single-valued.
+
+The propagation kernel and the checks work on a TrajectoryStack: instances
+of one dimension and one segment count, stacked along a leading axis, so
+they share one sample layout.  The single-trajectory functions run the same
+code on a stack of one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .quantum import HermitianOperator, PureState, energy_variance
+from .quantum import HermitianOperator, PureState
 
 TARGET_FIDELITY_ATOL = 1e-6
 # samples whose survival amplitude |<psi0|psi>| or orthogonal part is at or
@@ -109,11 +115,171 @@ class Trajectory:
     def state_at(self, k: int) -> PureState:
         return PureState(self.states[k])
 
+    @cached_property
+    def stack(self) -> "TrajectoryStack":
+        """This trajectory as a stack of one, viewing the same arrays."""
+        return TrajectoryStack(
+            times=self.times[None],
+            states=self.states[None],
+            variance_samples=self.variance_samples[None],
+            survival=self.survival[None],
+            segment_index=self.segment_index,
+            chs=(self.ch,),
+            fields=(self.field,),
+            hamiltonians=(self.hamiltonians,),
+            hamiltonian_entries=np.array([[h.entries for h in self.hamiltonians]]),
+        )
+
     def initial_state(self) -> PureState:
-        return self.state_at(0)
+        return self.stack.initial_states[0]
 
     def final_state(self) -> PureState:
-        return self.state_at(-1)
+        return self.stack.final_states[0]
+
+
+@dataclass(frozen=True)
+class TrajectoryStack:
+    """Trajectories of instances that share a dimension and a segment count,
+    stacked along a leading instance axis.
+
+    times, variance_samples and survival are (B, N) and states is (B, N, d);
+    all instances share segment_index (N,).  Instance b was driven by chs[b]
+    under fields[b]; hamiltonians[b][j] = H(u_j), and hamiltonian_entries
+    holds their matrices as one (B, S, d, d) array.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    variance_samples: np.ndarray
+    survival: np.ndarray
+    segment_index: np.ndarray
+    chs: Tuple[ControlHamiltonian, ...]
+    fields: Tuple[PiecewiseConstantField, ...]
+    hamiltonians: Tuple[Tuple[HermitianOperator, ...], ...]
+    hamiltonian_entries: np.ndarray
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    def __getitem__(self, k: int) -> Trajectory:
+        return Trajectory(
+            times=self.times[k],
+            states=self.states[k],
+            variance_samples=self.variance_samples[k],
+            survival=self.survival[k],
+            segment_index=self.segment_index,
+            ch=self.chs[k],
+            field=self.fields[k],
+            hamiltonians=self.hamiltonians[k],
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.states.shape[2]
+
+    # the boundary states are built and norm-checked once per stack
+    @cached_property
+    def initial_states(self) -> Tuple[PureState, ...]:
+        return tuple(PureState(s) for s in self.states[:, 0])
+
+    @cached_property
+    def final_states(self) -> Tuple[PureState, ...]:
+        return tuple(PureState(s) for s in self.states[:, -1])
+
+
+def propagate_stack(
+    chs: Sequence[ControlHamiltonian],
+    fields: Sequence[PiecewiseConstantField],
+    psi0s: Sequence[PureState],
+    samples_per_segment: int = 200,
+) -> TrajectoryStack:
+    """Evolve each psi0s[b] under fields[b] and chs[b], sampling each segment
+    uniformly.
+
+    The instances must share one dimension and one segment count.  Each
+    segment is solved with one eigendecomposition and exact phase factors,
+    so the endpoint state carries no time-stepping error.
+    """
+    chs, fields, psi0s = tuple(chs), tuple(fields), tuple(psi0s)
+    if not len(chs) == len(fields) == len(psi0s) > 0:
+        raise ValueError("need one control Hamiltonian, field and initial state per instance")
+    dim, n_seg = chs[0].dim, len(fields[0].segments)
+    for ch, field, psi0 in zip(chs, fields, psi0s):
+        if psi0.dim != ch.dim:
+            raise ValueError(f"dimension mismatch: {psi0.dim} vs {ch.dim}")
+        if ch.dim != dim or len(field.segments) != n_seg:
+            raise ValueError("stacked instances must share the dimension and the segment count")
+    if samples_per_segment < 1:
+        raise ValueError("samples_per_segment must be a positive integer")
+
+    hamiltonians = tuple(
+        tuple(ch.hamiltonian(amp) for _, amp in field.segments) for ch, field in zip(chs, fields)
+    )
+    h = np.array([[op.entries for op in ops] for ops in hamiltonians])
+    durations = np.array([[dur for dur, _ in field.segments] for field in fields])
+    n_inst, width = len(chs), samples_per_segment + 1
+
+    # each segment owns `width` samples: its start node (for j > 0 the
+    # duplicated boundary, carrying the new amplitude) and its interior
+    taus = np.linspace(0.0, durations, width, axis=-1)[..., 1:]
+    starts = np.zeros((n_inst, n_seg, 1))
+    starts[:, 1:, 0] = np.cumsum(durations, axis=-1)[:, :-1]
+    times = np.concatenate((starts, starts + taus), axis=-1).reshape(n_inst, -1)
+    seg_idx = np.repeat(np.arange(n_seg), width)
+
+    psi0 = np.array([p.amplitudes for p in psi0s])
+    states = _evolve(h, taus, psi0)
+    variance = _spreads(states, h)
+    survival = np.abs(states @ psi0.conj()[..., None])[..., 0] ** 2
+    np.clip(survival, 0.0, 1.0, out=survival)
+
+    return TrajectoryStack(
+        times=times,
+        states=states,
+        variance_samples=variance,
+        survival=survival,
+        segment_index=seg_idx,
+        chs=chs,
+        fields=fields,
+        hamiltonians=hamiltonians,
+        hamiltonian_entries=h,
+    )
+
+
+def _evolve(h: np.ndarray, taus: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """States (B, N, d) along the segment chain: per segment its start node,
+    then exp(-i*H_j*tau)|start> at each sample offset tau."""
+    n_inst, n_seg, dim = h.shape[:3]
+    eigvals, vecs = np.linalg.eigh(h)
+    # columns per instance, as the states of one trajectory are stored
+    columns = np.empty((n_inst, dim, n_seg, taus.shape[-1] + 1), dtype=complex)
+    for j in range(n_seg):
+        columns[:, :, j, 0] = psi
+        v = vecs[:, j]
+        coeff = np.swapaxes(v.conj(), -1, -2) @ psi[..., None]
+        phases = -1j * (eigvals[:, j, :, None] * taus[:, j, None, :])
+        np.exp(phases, out=phases)
+        phases *= coeff
+        block = v @ phases
+        columns[:, :, j, 1:] = block
+        psi = block[..., -1]
+    return columns.reshape(n_inst, dim, -1).swapaxes(1, 2)
+
+
+def _spreads(states: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Energy spread at every sample under its segment's Hamiltonian."""
+    n_seg = h.shape[1]
+    width = states.shape[1] // n_seg
+    variance = np.empty(states.shape[:2])
+    for j in range(n_seg):
+        cols = slice(j * width, (j + 1) * width)
+        block = np.ascontiguousarray(states[:, cols])
+        hpsi = block @ np.swapaxes(h[:, j], -1, -2)
+        # conjugating the copy in place spares one temporary per segment
+        mean = np.einsum("...ij,...ij->...i", np.conj(block, out=block), hpsi).real
+        second = np.einsum("...ij,...ij->...i", hpsi.conj(), hpsi).real
+        variance[:, cols] = np.sqrt(np.maximum(second - mean * mean, 0.0))
+    return variance
 
 
 def propagate(
@@ -122,82 +288,48 @@ def propagate(
     psi0: PureState,
     samples_per_segment: int = 200,
 ) -> Trajectory:
-    """Evolve psi0 under the field, sampling each segment uniformly.
-
-    Each segment is solved with one eigendecomposition and exact phase
-    factors, so the endpoint state carries no time-stepping error.
-    """
-    if psi0.dim != ch.dim:
-        raise ValueError(f"dimension mismatch: {psi0.dim} vs {ch.dim}")
-    if samples_per_segment < 1:
-        raise ValueError("samples_per_segment must be a positive integer")
-
-    hamiltonians = tuple(ch.hamiltonian(amp) for _, amp in field.segments)
-    times = [0.0]
-    seg_idx = [0]
-    blocks = [psi0.amplitudes[:, None]]
-
-    psi = psi0.amplitudes
-    t_start = 0.0
-    for j, ((dur, _), h) in enumerate(zip(field.segments, hamiltonians)):
-        eigvals, vecs = np.linalg.eigh(h.entries)
-        if j > 0:
-            # duplicate boundary node, this side carrying the new amplitude
-            times.append(t_start)
-            seg_idx.append(j)
-            blocks.append(psi[:, None])
-        taus = np.linspace(0.0, dur, samples_per_segment + 1)[1:]
-        coeff = vecs.conj().T @ psi
-        block = vecs @ (np.exp(-1j * np.outer(eigvals, taus)) * coeff[:, None])
-        times.extend(t_start + taus)
-        seg_idx.extend([j] * samples_per_segment)
-        blocks.append(block)
-        psi = block[:, -1]
-        t_start += dur
-
-    states = np.hstack(blocks).T
-    times_arr = np.asarray(times)
-    seg_arr = np.asarray(seg_idx, dtype=int)
-
-    variance = np.empty(times_arr.shape[0])
-    survival = np.empty(times_arr.shape[0])
-    psi0row = psi0.amplitudes
-    for j, h in enumerate(hamiltonians):
-        mask = seg_arr == j
-        block = states[mask]
-        hpsi = block @ h.entries.T
-        second = np.einsum("ij,ij->i", hpsi.conj(), hpsi).real
-        mean = np.einsum("ij,ij->i", block.conj(), hpsi).real
-        variance[mask] = np.sqrt(np.maximum(second - mean * mean, 0.0))
-    survival[:] = np.abs(states @ psi0row.conj()) ** 2
-    np.clip(survival, 0.0, 1.0, out=survival)
-
-    return Trajectory(
-        times=times_arr,
-        states=states,
-        variance_samples=variance,
-        survival=survival,
-        segment_index=seg_arr,
-        ch=ch,
-        field=field,
-        hamiltonians=hamiltonians,
-    )
+    """Evolve psi0 under the field: propagate_stack on a stack of one."""
+    return propagate_stack((ch,), (field,), (psi0,), samples_per_segment)[0]
 
 
 def _running_integral(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Cumulative integral of a piecewise-constant integrand, 0 at the start.
+    """Cumulative integral of a piecewise-constant integrand along the last
+    axis, 0 at the start.
 
-    values[k] holds on the interval ending at times[k], so the right-endpoint
-    sum is exact; a duplicated boundary node has zero width.
+    values[..., k] holds on the interval ending at times[..., k], so the
+    right-endpoint sum is exact; a duplicated boundary node has zero width.
     """
-    return np.concatenate(([0.0], np.cumsum(np.diff(times) * values[1:])))
+    steps = np.cumsum(np.diff(times, axis=-1) * values[..., 1:], axis=-1)
+    return np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1), bit for bit, with one temporary, not two."""
+    squares = x.conj()
+    squares *= x
+    return np.sqrt(np.add.reduce(squares.real, axis=-1))
+
+
+def path_lengths(stack: TrajectoryStack) -> np.ndarray:
+    """Anandan-Aharonov length 2*integral of the energy spread, per instance."""
+    if stack.times.shape[-1] < 2:
+        raise ValueError("need at least two samples to integrate")
+    return 2.0 * _running_integral(stack.times, stack.variance_samples)[:, -1]
 
 
 def path_length(traj: Trajectory) -> float:
-    """Anandan-Aharonov length 2*integral of the energy spread along the path."""
-    if traj.n_samples < 2:
-        raise ValueError("need at least two samples to integrate")
-    return 2.0 * float(_running_integral(traj.times, traj.variance_samples)[-1])
+    """path_lengths of one trajectory."""
+    return float(path_lengths(traj.stack)[0])
+
+
+def norm_drifts(stack: TrajectoryStack) -> np.ndarray:
+    """Largest deviation of the state norm from 1 along each trajectory."""
+    return np.max(np.abs(_row_norms(stack.states) - 1.0), axis=-1)
+
+
+def norm_drift(traj: Trajectory) -> float:
+    """norm_drifts of one trajectory."""
+    return float(norm_drifts(traj.stack)[0])
 
 
 def propagate_refined(
@@ -215,36 +347,66 @@ def propagate_refined(
     return propagate(ch, field, psi0, samples_per_segment)
 
 
-def bhattacharyya_check(traj: Trajectory) -> float:
-    """Max signed residual of d/dt arccos|<psi0|psi(t)>| <= deltaE(t).
+def bhattacharyya_residuals(stack: TrajectoryStack) -> np.ndarray:
+    """Max signed residual of d/dt arccos|<psi0|psi(t)>| <= deltaE(t), per
+    instance.
 
     With a = <psi0|psi> and psi_perp = psi - a*psi0 the rate is exactly
     -Im(conj(a) <psi0|H psi_perp>) / (|a| ||psi_perp||), evaluated with the
     Hamiltonian in force at each sample (boundary nodes give the one-sided
     rate of their segment).  Samples where |a| or ||psi_perp|| is at or below
     BHATTACHARYYA_FLOOR are skipped; if none remain the state never moved
-    and the residual is exactly 0.  A non-positive return value, up to
-    rounding, certifies the inequality.
+    and the residual is exactly 0.  A non-positive value, up to rounding,
+    certifies the inequality.
     """
-    psi0 = traj.states[0]
-    a = traj.states @ psi0.conj()
-    perp = traj.states - a[:, None] * psi0
+    states = stack.states
+    psi0 = states[:, 0]
+    a = (states @ psi0.conj()[..., None])[..., 0]
+    perp = states - a[..., None] * psi0[:, None, :]
     abs_a = np.abs(a)
-    perp_norm = np.linalg.norm(perp, axis=1)
+    perp_norm = _row_norms(perp)
     keep = (abs_a > BHATTACHARYYA_FLOOR) & (perp_norm > BHATTACHARYYA_FLOOR)
-    if not np.any(keep):
-        return 0.0
     # <psi0|H perp> = <H psi0|perp> per segment's Hamiltonian
-    h_psi0 = np.array([h.entries @ psi0 for h in traj.hamiltonians])
-    coupling = np.einsum("ij,ij->i", h_psi0[traj.segment_index].conj(), perp)
+    h_psi0 = (stack.hamiltonian_entries @ psi0[:, None, :, None])[..., 0]
+    coupling = np.einsum("...ij,...ij->...i", h_psi0.conj()[:, stack.segment_index], perp)
     rate = -np.imag(a.conj() * coupling)[keep] / (abs_a[keep] * perp_norm[keep])
-    return float(np.max(rate - traj.variance_samples[keep]))
+    excess = np.full(a.shape, -math.inf)
+    excess[keep] = rate - stack.variance_samples[keep]
+    return np.where(keep.any(axis=-1), excess.max(axis=-1), 0.0)
 
 
-def _anchored_variances(traj: Trajectory, chi: PureState) -> np.ndarray:
-    """deltaE of H(u(t)) in the fixed state chi, per trajectory sample."""
-    per_segment = np.array([energy_variance(chi, h) for h in traj.hamiltonians])
-    return per_segment[traj.segment_index]
+def bhattacharyya_check(traj: Trajectory) -> float:
+    """bhattacharyya_residuals of one trajectory."""
+    return float(bhattacharyya_residuals(traj.stack)[0])
+
+
+def _anchored_variances(stack: TrajectoryStack, chis: Sequence[PureState]) -> np.ndarray:
+    """deltaE of H(u(t)) in the fixed state chis[b], per trajectory sample."""
+    chi = np.array([c.amplitudes for c in chis])[:, None, :, None]
+    h_chi = stack.hamiltonian_entries @ chi
+    # 1 x d by d x 1 products round as np.vdot does
+    second = (np.swapaxes(h_chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
+    mean = (np.swapaxes(chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
+    per_segment = np.sqrt(np.maximum(second - mean * mean, 0.0))
+    return per_segment[:, stack.segment_index]
+
+
+def _pfeifer_envelopes(
+    stack: TrajectoryStack, phis: Sequence[PureState]
+) -> Tuple[np.ndarray, np.ndarray]:
+    from .bounds import sin_star  # local import, bounds depends on dynamics
+
+    for phi in phis:
+        if phi.dim != stack.dim:
+            raise ValueError(f"dimension mismatch: {phi.dim} vs {stack.dim}")
+    psi0s = stack.initial_states
+    h_phi = _running_integral(stack.times, _anchored_variances(stack, phis))
+    h_psi0 = _running_integral(stack.times, _anchored_variances(stack, psi0s))
+    envelope_angle = np.minimum(h_phi, h_psi0)
+    delta = np.array(
+        [math.asin(min(abs(phi.overlap(psi0)), 1.0)) for phi, psi0 in zip(phis, psi0s)]
+    )[:, None]
+    return sin_star(delta - envelope_angle), sin_star(delta + envelope_angle)
 
 
 def pfeifer_envelope(traj: Trajectory, phi: PureState) -> Tuple[np.ndarray, np.ndarray]:
@@ -254,24 +416,25 @@ def pfeifer_envelope(traj: Trajectory, phi: PureState) -> Tuple[np.ndarray, np.n
     at the initial state; both integrands are piecewise constant in time, so
     h(t) is exactly piecewise linear.
     """
-    from .bounds import sin_star  # local import, bounds depends on dynamics
+    lower, upper = _pfeifer_envelopes(traj.stack, (phi,))
+    return lower[0], upper[0]
 
-    if phi.dim != traj.dim:
-        raise ValueError(f"dimension mismatch: {phi.dim} vs {traj.dim}")
-    psi0 = traj.initial_state()
-    h_phi = _running_integral(traj.times, _anchored_variances(traj, phi))
-    h_psi0 = _running_integral(traj.times, _anchored_variances(traj, psi0))
-    envelope_angle = np.minimum(h_phi, h_psi0)
-    delta = math.asin(min(abs(phi.overlap(psi0)), 1.0))
-    return sin_star(delta - envelope_angle), sin_star(delta + envelope_angle)
+
+def pfeifer_envelope_residuals(
+    stack: TrajectoryStack, phis: Sequence[PureState]
+) -> np.ndarray:
+    """Largest violation of the overlap envelope of each instance against
+    phis[b]; 0 means fully contained."""
+    lower, upper = _pfeifer_envelopes(stack, phis)
+    phi_conj = np.array([phi.amplitudes for phi in phis]).conj()
+    overlaps = np.abs(stack.states @ phi_conj[..., None])[..., 0]
+    worst = np.maximum(np.max(lower - overlaps, axis=-1), np.max(overlaps - upper, axis=-1))
+    return np.maximum(worst, 0.0)
 
 
 def pfeifer_envelope_check(traj: Trajectory, phi: PureState) -> float:
-    """Largest violation of the overlap envelope; 0 means fully contained."""
-    lower, upper = pfeifer_envelope(traj, phi)
-    overlaps = np.abs(traj.states @ phi.amplitudes.conj())
-    worst = max(float(np.max(lower - overlaps)), float(np.max(overlaps - upper)))
-    return max(worst, 0.0)
+    """pfeifer_envelope_residuals of one trajectory."""
+    return float(pfeifer_envelope_residuals(traj.stack, (phi,))[0])
 
 
 @dataclass(frozen=True)
@@ -309,21 +472,3 @@ def tqsl_star(traj: Trajectory, psi_g: PureState) -> TqslEstimate:
     else:
         value = numerator / mean_spread
     return TqslEstimate(time=value, target_fidelity=fidelity, on_target=on_target)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Dump samples as CSV: t, per-component re/im, deltaE, survival."""
-    cols = []
-    for c in range(traj.dim):
-        cols.extend([f"re_c{c}", f"im_c{c}"])
-    header = "t," + ",".join(cols) + ",deltaE,survival"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for k in range(traj.n_samples):
-            row = [format(traj.times[k], ".17g")]
-            for c in range(traj.dim):
-                row.append(format(traj.states[k, c].real, ".17g"))
-                row.append(format(traj.states[k, c].imag, ".17g"))
-            row.append(format(traj.variance_samples[k], ".17g"))
-            row.append(format(traj.survival[k], ".17g"))
-            fh.write(",".join(row) + "\n")

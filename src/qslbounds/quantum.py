@@ -177,10 +177,18 @@ def hs_norm(h: HermitianOperator) -> float:
     return float(np.linalg.norm(h.entries, "fro"))
 
 
+def unitary_steps(entries: np.ndarray, dts) -> np.ndarray:
+    """Propagators exp(-i*h*dt) for a stack of Hermitian matrices (..., d, d)
+    and their time steps (...), through one stacked eigendecomposition."""
+    dts = np.asarray(dts, dtype=float)
+    bad = dts[~np.isfinite(dts)]
+    if bad.size:
+        raise ValueError(f"time step must be finite, got {float(bad[0])!r}")
+    eigvals, vecs = np.linalg.eigh(entries)
+    phases = np.exp(-1j * eigvals * dts[..., None])
+    return (vecs * phases[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
 def unitary_step(h: HermitianOperator, dt: float) -> np.ndarray:
-    """Propagator exp(-i*h*dt) computed through the eigendecomposition."""
-    if not math.isfinite(dt):
-        raise ValueError(f"time step must be finite, got {dt!r}")
-    eigvals, vecs = np.linalg.eigh(h.entries)
-    phases = np.exp(-1j * eigvals * dt)
-    return (vecs * phases) @ vecs.conj().T
+    """Propagator exp(-i*h*dt): unitary_steps on one operator."""
+    return unitary_steps(h.entries, dt)

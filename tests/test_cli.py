@@ -190,6 +190,19 @@ def test_verify_case_passes_on_optimal_protocol():
     assert "protocol: bang-off-bang" in text
 
 
+def test_verify_prints_the_dominance_tolerance_it_applies(monkeypatch):
+    from qslbounds import bounds
+
+    monkeypatch.setattr(bounds, "PASS_TOL", 0.25)
+    report = verify_case(1.0, 0.9, LambdaSpec("factor", 6.0))
+    tolerance = report.protocol.t_opt_ideal + 0.25
+    lines = [line for line in report.text().splitlines() if "dominance_" in line]
+    assert len(lines) == 4
+    for name, line in zip(("a", "b", "c1", "c2"), lines):
+        assert report.checks[f"dominance_{name}"].tolerance == tolerance
+        assert f"tol={tolerance:.1e}" in line  # 1.7e+00; 1.5e+00 unpatched
+
+
 def test_verify_case_trivial_angle():
     report = verify_case(1.0, HALF_PI, LambdaSpec("unconstrained"))
     assert report.passed

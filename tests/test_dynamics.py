@@ -1,5 +1,4 @@
 """Piecewise-constant propagation, path geometry and the trajectory checks."""
-import io
 import math
 
 import numpy as np
@@ -14,18 +13,24 @@ from qslbounds import (
     SIGMA_Z,
     Trajectory,
     arenz_overlap_inequality_check,
+    arenz_overlap_residuals,
     basis_state,
     bhattacharyya_check,
+    bhattacharyya_residuals,
     energy_variance,
     fubini_study_distance,
     ground_state,
+    norm_drift,
+    norm_drifts,
     path_length,
+    path_lengths,
     pfeifer_envelope,
     pfeifer_envelope_check,
+    pfeifer_envelope_residuals,
     propagate,
+    propagate_stack,
     tqsl_star,
     unitary_step,
-    write_trajectory_csv,
     zero_operator,
 )
 from qslbounds.property_suites import BHATTACHARYYA_TOL
@@ -110,6 +115,163 @@ def test_checks_build_no_operator(monkeypatch):
     pfeifer_envelope_check(traj, basis_state(2, 1))
     arenz_overlap_inequality_check(traj, traj.final_state())
     assert calls == [0.4, -0.7, 0.0]
+
+
+def test_boundary_states_are_built_once():
+    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=4)
+    assert traj.final_state() is traj.final_state()
+    assert traj.initial_state() is traj.initial_state()
+    assert np.array_equal(traj.final_state().amplitudes, traj.states[-1])
+
+
+def test_boundary_states_keep_the_norm_check():
+    ch = ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)
+    traj = Trajectory(
+        times=np.array([0.0, 1.0]),
+        states=np.array([[1.0, 0.0], [0.0, 1.1]], dtype=complex),
+        variance_samples=np.zeros(2),
+        survival=np.array([1.0, 0.0]),
+        segment_index=np.array([0, 0]),
+        ch=ch,
+        field=FREE_UNIT,
+        hamiltonians=(ch.hamiltonian(0.0),),
+    )
+    with pytest.raises(ValueError, match="norm"):
+        traj.final_state()
+
+
+# ---------------------------------------------------------------------------
+# stacked propagation: one kernel for a stack of same-shape instances
+
+
+def _reference_propagate(ch, field, psi0, samples_per_segment):
+    """The per-segment loop form of propagate, kept as the bit-level reference."""
+    hamiltonians = [ch.hamiltonian(amp) for _, amp in field.segments]
+    times, seg_idx, blocks = [0.0], [0], [psi0.amplitudes[:, None]]
+    psi, t_start = psi0.amplitudes, 0.0
+    for j, ((dur, _), h) in enumerate(zip(field.segments, hamiltonians)):
+        eigvals, vecs = np.linalg.eigh(h.entries)
+        if j > 0:
+            times.append(t_start)
+            seg_idx.append(j)
+            blocks.append(psi[:, None])
+        taus = np.linspace(0.0, dur, samples_per_segment + 1)[1:]
+        coeff = vecs.conj().T @ psi
+        block = vecs @ (np.exp(-1j * np.outer(eigvals, taus)) * coeff[:, None])
+        times.extend(t_start + taus)
+        seg_idx.extend([j] * samples_per_segment)
+        blocks.append(block)
+        psi = block[:, -1]
+        t_start += dur
+    states = np.hstack(blocks).T
+    seg_arr = np.asarray(seg_idx, dtype=int)
+    variance = np.empty(len(times))
+    for j, h in enumerate(hamiltonians):
+        mask = seg_arr == j
+        block = states[mask]
+        hpsi = block @ h.entries.T
+        second = np.einsum("ij,ij->i", hpsi.conj(), hpsi).real
+        mean = np.einsum("ij,ij->i", block.conj(), hpsi).real
+        variance[mask] = np.sqrt(np.maximum(second - mean * mean, 0.0))
+    survival = np.clip(np.abs(states @ psi0.amplitudes.conj()) ** 2, 0.0, 1.0)
+    return np.asarray(times), states, variance, survival, seg_arr
+
+
+TRAJECTORY_ARRAYS = ("times", "states", "variance_samples", "survival", "segment_index")
+
+
+def _harness_problems(count=300, seed=5):
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        dim = int(rng.integers(2, 9))
+        ch, field, psi0 = random_control_problem(rng, dim)
+        problems.append((ch, field, psi0, random_state(rng, dim)))
+    return problems
+
+
+def _stacks(problems):
+    groups = {}
+    for i, (ch, field, *_) in enumerate(problems):
+        groups.setdefault((ch.dim, len(field.segments)), []).append(i)
+    for idx in groups.values():
+        yield idx, tuple(zip(*(problems[i] for i in idx)))
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_stacks_reproduce_the_loop_propagation_bit_for_bit():
+    # 300 instances, d = 2..8, 1-3 segments: a grouped stack, a stack of one
+    # and the per-segment loop agree in every bit of all five arrays
+    problems = _harness_problems()
+    for samples in (1, 7, 48, 200):
+        for idx, (chs, fields, psi0s, _) in _stacks(problems):
+            stack = propagate_stack(chs, fields, psi0s, samples_per_segment=samples)
+            assert len(stack) == len(idx)
+            for k in range(len(idx)):
+                single = propagate(chs[k], fields[k], psi0s[k], samples_per_segment=samples)
+                reference = _reference_propagate(chs[k], fields[k], psi0s[k], samples)
+                for name, ref in zip(TRAJECTORY_ARRAYS, reference):
+                    assert _same_bits(getattr(stack[k], name), ref), (samples, idx[k], name)
+                    assert _same_bits(getattr(single, name), ref), (samples, idx[k], name)
+
+
+def test_stacked_checks_equal_the_single_trajectory_floats():
+    problems = _harness_problems(count=120, seed=11)
+    for samples in (7, 48):
+        for idx, (chs, fields, psi0s, phis) in _stacks(problems):
+            stack = propagate_stack(chs, fields, psi0s, samples_per_segment=samples)
+            finals = stack.final_states
+            stacked = (
+                path_lengths(stack),
+                bhattacharyya_residuals(stack),
+                pfeifer_envelope_residuals(stack, phis),
+                arenz_overlap_residuals(stack, finals),
+                norm_drifts(stack),
+            )
+            for values in stacked:
+                assert values.shape == (len(idx),)
+            for k in range(len(idx)):
+                traj = stack[k]
+                single = (
+                    path_length(traj),
+                    bhattacharyya_check(traj),
+                    pfeifer_envelope_check(traj, phis[k]),
+                    arenz_overlap_inequality_check(traj, finals[k]),
+                    norm_drift(traj),
+                )
+                assert [float(v[k]) for v in stacked] == list(single)
+
+
+def test_stack_entries_carry_their_drive(rng):
+    problems = [random_control_problem(rng, 3) for _ in range(6)]
+    problems = [p for p in problems if len(p[1].segments) == len(problems[0][1].segments)]
+    chs, fields, psi0s = zip(*problems)
+    stack = propagate_stack(chs, fields, psi0s, samples_per_segment=5)
+    for k, (ch, field, psi0) in enumerate(problems):
+        traj = stack[k]
+        assert traj.ch is ch and traj.field is field
+        assert traj.hamiltonians is stack.hamiltonians[k]
+        for j, h in enumerate(traj.hamiltonians):
+            assert np.array_equal(stack.hamiltonian_entries[k, j], h.entries)
+        assert np.array_equal(stack.initial_states[k].amplitudes, psi0.amplitudes)
+
+
+def test_propagate_stack_rejects_mixed_shapes():
+    two_segments = PiecewiseConstantField(((0.5, 0.0), (0.5, 0.0)))
+    with pytest.raises(ValueError, match="segment count"):
+        propagate_stack((RABI, RABI), (FREE_UNIT, two_segments), (basis_state(2, 0),) * 2)
+    ch3 = ControlHamiltonian(h0=zero_operator(3), hc=zero_operator(3))
+    with pytest.raises(ValueError, match="dimension"):
+        propagate_stack((RABI, ch3), (FREE_UNIT,) * 2, (basis_state(2, 0), basis_state(3, 0)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        propagate_stack((RABI,), (FREE_UNIT,), (basis_state(3, 0),))
+    with pytest.raises(ValueError, match="one control Hamiltonian"):
+        propagate_stack((RABI, RABI), (FREE_UNIT,), (basis_state(2, 0),))
+    with pytest.raises(ValueError, match="one control Hamiltonian"):
+        propagate_stack((), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -381,31 +543,3 @@ def test_tqsl_star_matches_geodesic_over_path_identity(rng):
     geodesic = fubini_study_distance(psi0, traj.final_state())
     expected = geodesic * traj.times[-1] / path_length(traj)
     assert est.time == pytest.approx(expected, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# trajectory serialization
-
-
-def test_write_trajectory_csv_layout(tmp_path):
-    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=3)
-    out = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,re_c0,im_c0,re_c1,im_c1,deltaE,survival"
-    assert len(lines) == 1 + traj.n_samples
-    first = [float(x) for x in lines[1].split(",")]
-    assert first == [0.0, 1.0, 0.0, 0.0, 0.0, 0.5 * math.pi, 1.0]
-    last = [float(x) for x in lines[-1].split(",")]
-    assert last[0] == 1.0
-    # 17 significant digits round-trip exactly
-    assert last[4] == traj.states[-1, 1].imag
-    assert last[6] == traj.survival[-1]
-
-
-def test_write_trajectory_csv_deterministic(tmp_path):
-    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=5)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trajectory_csv(traj, a)
-    write_trajectory_csv(traj, b)
-    assert a.read_bytes() == b.read_bytes()

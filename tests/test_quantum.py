@@ -18,6 +18,7 @@ from qslbounds import (
     hs_norm,
     spectral,
     unitary_step,
+    unitary_steps,
     zero_operator,
 )
 from conftest import hermitian, random_hermitian, random_state, state
@@ -318,6 +319,25 @@ def test_unitary_step_composes():
     u1 = unitary_step(h, 0.4)
     u2 = unitary_step(h, 0.6)
     assert np.allclose(u2 @ u1, unitary_step(h, 1.0), atol=1e-12)
+
+
+def test_unitary_steps_match_the_single_step_bit_for_bit(rng):
+    hs = [random_hermitian(rng, 5) for _ in range(4)]
+    dts = rng.uniform(-2.0, 2.0, size=4)
+    stacked = unitary_steps(np.array([h.entries for h in hs]), dts)
+    for h, dt, u in zip(hs, dts, stacked):
+        eigvals, vecs = np.linalg.eigh(h.entries)
+        reference = (vecs * np.exp(-1j * eigvals * float(dt))) @ vecs.conj().T
+        assert unitary_step(h, float(dt)).tobytes() == reference.tobytes()
+        assert u.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+def test_unitary_steps_reject_non_finite_time(dt):
+    with pytest.raises(ValueError, match="finite"):
+        unitary_step(SIGMA_X, dt)
+    with pytest.raises(ValueError, match="finite"):
+        unitary_steps(np.array([SIGMA_X.entries, SIGMA_Z.entries]), [0.5, dt])
 
 
 # ---------------------------------------------------------------------------
