@@ -27,7 +27,6 @@ from .quantum import (
     energy_variance,
     fubini_study_distance,
     hs_norm,
-    spectral,
     unitary_steps,
 )
 
@@ -210,7 +209,7 @@ def tmin_b_eigenstate(inputs: BoundInputs) -> float:
 
 def _eigenbasis_overlap_sum(op: HermitianOperator, psi0: PureState, psig: PureState) -> float:
     """sum_j |<psig|phi_j>| |<phi_j|psi0>| over the eigenvectors phi_j of op."""
-    vh = spectral(op).vectors.conj().T
+    vh = op.spectrum.vectors.conj().T
     return float(np.abs(vh @ psig.amplitudes) @ np.abs(vh @ psi0.amplitudes))
 
 

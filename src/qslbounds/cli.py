@@ -20,13 +20,14 @@ import numpy as np
 from . import __version__, bounds
 from .bounds import BoundInputs, arenz_overlap_inequality_check, compute_report
 from .dynamics import (
+    ControlHamiltonian,
     bhattacharyya_check,
     path_length,
     pfeifer_envelope_check,
     propagate_refined,
     tqsl_star,
 )
-from .quantum import fubini_study_distance
+from .quantum import PureState, fubini_study_distance
 from .property_suites import (
     AA_TOL,
     ARENZ_TOL,
@@ -37,6 +38,7 @@ from .property_suites import (
 from .two_level import (
     LandauZenerProblem,
     OptimalProtocol,
+    boundary_state_pairs,
     boundary_states,
     closed_form_bounds,
     gamma_from_theta,
@@ -165,20 +167,28 @@ def _trivial_row(theta: float) -> SweepRow:
     )
 
 
-def _sweep_point(cfg: SweepConfig, theta: float) -> SweepRow:
-    if theta == 0.5 * math.pi:
-        return _trivial_row(theta)
-    cap = cfg.lambda_spec.resolve(cfg.delta, theta)
-    problem = LandauZenerProblem.from_theta(cfg.delta, theta, cap)
-    protocol = optimal_protocol(problem, cfg.u0_surrogate)
-    ch = problem.control_hamiltonian()
-    psi0, psig = boundary_states(problem)
+def _point_setup(
+    cfg: SweepConfig, theta: float
+) -> Tuple[LandauZenerProblem, OptimalProtocol, ControlHamiltonian]:
+    problem = LandauZenerProblem.from_theta(
+        cfg.delta, theta, cfg.lambda_spec.resolve(cfg.delta, theta)
+    )
+    return problem, optimal_protocol(problem, cfg.u0_surrogate), problem.control_hamiltonian()
+
+
+def _sweep_point(
+    problem: LandauZenerProblem,
+    protocol: OptimalProtocol,
+    ch: ControlHamiltonian,
+    psi0: PureState,
+    psig: PureState,
+) -> SweepRow:
     traj = propagate_refined(ch, protocol.field, psi0)
     estimate = tqsl_star(traj, psig)
     t_opt = protocol.t_opt_ideal
     report = compute_report(BoundInputs(ch, psi0, psig), t_opt=t_opt)
     return SweepRow(
-        theta=theta,
+        theta=problem.theta,
         gamma=problem.gamma,
         regime=protocol.regime,
         t_opt=t_opt,
@@ -197,8 +207,16 @@ def _sweep_point(cfg: SweepConfig, theta: float) -> SweepRow:
 
 
 def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
-    thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_count)
-    return [_sweep_point(cfg, float(t)) for t in thetas]
+    """One row per theta of the grid.  The boundary states of every point come
+    from one stacked eigh; each point then propagates its own trajectory."""
+    thetas = [float(t) for t in np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_count)]
+    # theta = pi/2 gets _trivial_row, which needs no states
+    setups = {i: _point_setup(cfg, t) for i, t in enumerate(thetas) if t != 0.5 * math.pi}
+    states = dict(zip(setups, boundary_state_pairs([s[0] for s in setups.values()])))
+    return [
+        _sweep_point(*setups[i], *states[i]) if i in setups else _trivial_row(t)
+        for i, t in enumerate(thetas)
+    ]
 
 
 def _config_echo(cfg: SweepConfig) -> List[str]:

@@ -288,8 +288,12 @@ def propagate(
     psi0: PureState,
     samples_per_segment: int = 200,
 ) -> Trajectory:
-    """Evolve psi0 under the field: propagate_stack on a stack of one."""
-    return propagate_stack((ch,), (field,), (psi0,), samples_per_segment)[0]
+    """Evolve psi0 under the field: propagate_stack on a stack of one, which
+    the trajectory keeps as its stack."""
+    stack = propagate_stack((ch,), (field,), (psi0,), samples_per_segment)
+    traj = stack[0]
+    traj.__dict__["stack"] = stack  # fills the cached_property
+    return traj
 
 
 def _running_integral(times: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +89,12 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def spectrum(self) -> "SpectralDecomposition":
+        """spectral(self), computed on first use and kept: the entries are
+        read-only, so the decomposition cannot go stale."""
+        return spectral(self)
+
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -128,27 +135,47 @@ class SpectralDecomposition:
         return tuple(PureState(column) for column in self.vectors.T)
 
 
-def spectral(h: HermitianOperator) -> SpectralDecomposition:
-    eigvals, vecs = np.linalg.eigh(h.entries)
+def _phase_fixed_eigh(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and phase-fixed eigenvector columns of one
+    Hermitian matrix (d, d) or of a stack of them (n, d, d), through one eigh."""
+    eigvals, vecs = np.linalg.eigh(entries)
+    # the eigenvector columns of every matrix side by side, as one (d, n*d)
+    # matrix; a view for a single matrix
+    cols = vecs.swapaxes(0, -2)
+    flat = cols.reshape(cols.shape[0], -1)
     # Largest-magnitude entry of each column made real positive, lowest index
     # on ties; np.hypot rounds as abs() of one complex does, np.abs may not.
-    pivots = vecs[np.abs(vecs).argmax(axis=0), np.arange(h.dim)]
-    vecs = vecs * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
-    dev = np.abs(np.linalg.norm(vecs, axis=0) - 1.0)
+    pivots = flat[np.abs(flat).argmax(axis=0), np.arange(flat.shape[1])]
+    flat = flat * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
+    dev = np.abs(np.linalg.norm(flat, axis=0) - 1.0)
     if not (dev <= NORM_ATOL).all():
         raise ValueError(f"eigenvector norm deviates from 1 by {dev.max()!r} beyond {NORM_ATOL}")
+    return eigvals, flat.reshape(cols.shape).swapaxes(0, -2)
+
+
+def spectral(h: HermitianOperator) -> SpectralDecomposition:
+    eigvals, vecs = _phase_fixed_eigh(h.entries)
     eigvals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(eigenvalues=eigvals, vectors=vecs)
 
 
+def ground_states(ops: Sequence[HermitianOperator]) -> Tuple[PureState, ...]:
+    """Eigenvector of the smallest eigenvalue of each operator, through one
+    stacked eigh; rejects a degenerate ground space."""
+    dims = {op.dim for op in ops}
+    if len(dims) != 1:
+        raise ValueError(f"need operators of one dimension, got dimensions {sorted(dims)}")
+    eigvals, vecs = _phase_fixed_eigh(np.array([op.entries for op in ops]))
+    for gap in (eigvals[:, 1] - eigvals[:, 0]).tolist():
+        if not gap > DEGENERACY_ATOL:
+            raise ValueError(f"ground space degenerate within {DEGENERACY_ATOL} (gap {gap!r})")
+    return tuple(PureState(v) for v in vecs[:, :, 0])
+
+
 def ground_state(h: HermitianOperator) -> PureState:
-    """Eigenvector of the smallest eigenvalue; rejects a degenerate ground space."""
-    dec = spectral(h)
-    gap = float(dec.eigenvalues[1] - dec.eigenvalues[0])
-    if not gap > DEGENERACY_ATOL:
-        raise ValueError(f"ground space degenerate within {DEGENERACY_ATOL} (gap {gap!r})")
-    return PureState(dec.vectors[:, 0])
+    """ground_states of one operator."""
+    return ground_states((h,))[0]
 
 
 def fubini_study_distance(a: PureState, b: PureState) -> float:

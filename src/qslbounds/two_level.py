@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from .dynamics import ControlHamiltonian, PiecewiseConstantField
-from .quantum import SIGMA_X, SIGMA_Z, HermitianOperator, PureState, ground_state
+from .quantum import SIGMA_X, SIGMA_Z, HermitianOperator, PureState, ground_states
 
 _CONSISTENCY_ATOL = 1e-12
 _ASIN_CLAMP_ATOL = 1e-12
@@ -84,21 +85,38 @@ class LandauZenerProblem:
         return self.delta * self.delta / (4.0 * self.gamma)
 
     def control_hamiltonian(self) -> ControlHamiltonian:
-        return ControlHamiltonian(
-            h0=(0.5 * self.delta) * SIGMA_X, hc=SIGMA_Z, u_max=self.lambda_cap
-        )
+        return ControlHamiltonian(h0=_drift(self.delta), hc=SIGMA_Z, u_max=self.lambda_cap)
+
+
+@lru_cache(maxsize=32)
+def _drift(delta: float) -> HermitianOperator:
+    # one operator per gap, so its cached spectrum serves every problem with it
+    return (0.5 * delta) * SIGMA_X
 
 
 def _bias_hamiltonian(problem: LandauZenerProblem, bias: float) -> HermitianOperator:
     # endpoint definition, deliberately not windowed by lambda_cap
-    return bias * SIGMA_Z + (0.5 * problem.delta) * SIGMA_X
+    half_gap = 0.5 * problem.delta
+    for factor in (bias, half_gap):
+        if not math.isfinite(factor):
+            raise ValueError(f"scalar factor must be finite, got {factor!r}")
+    return HermitianOperator(bias * SIGMA_Z.entries + half_gap * SIGMA_X.entries)
+
+
+def boundary_state_pairs(
+    problems: Sequence[LandauZenerProblem],
+) -> List[Tuple[PureState, PureState]]:
+    """boundary_states of each problem, through one stacked eigh."""
+    ops = [
+        _bias_hamiltonian(p, bias) for p in problems for bias in (-p.gamma, +p.gamma)
+    ]
+    states = ground_states(ops)
+    return list(zip(states[0::2], states[1::2]))
 
 
 def boundary_states(problem: LandauZenerProblem) -> Tuple[PureState, PureState]:
     """(psi0, psig): ground states at bias -gamma and +gamma."""
-    psi0 = ground_state(_bias_hamiltonian(problem, -problem.gamma))
-    psig = ground_state(_bias_hamiltonian(problem, +problem.gamma))
-    return psi0, psig
+    return boundary_state_pairs((problem,))[0]
 
 
 @dataclass(frozen=True)

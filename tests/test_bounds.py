@@ -31,6 +31,7 @@ from qslbounds import (
     zero_operator,
 )
 import qslbounds.bounds as bounds_module
+import qslbounds.quantum as quantum_module
 from qslbounds.bounds import _eigenbasis_overlap_sum, variance_quadratic_coeffs
 from conftest import random_control_problem, random_hermitian, random_state, state
 
@@ -294,7 +295,8 @@ def test_eigenbasis_overlap_sum_matches_per_eigenvector_reference():
 
 def test_tmin_c2_unbounded_window_skips_the_drift_decomposition(monkeypatch):
     calls = []
-    monkeypatch.setattr(bounds_module, "spectral", lambda h: calls.append(h.dim) or spectral(h))
+    # the operator's cached spectrum is computed by quantum.spectral
+    monkeypatch.setattr(quantum_module, "spectral", lambda h: calls.append(h.dim) or spectral(h))
     rng = np.random.default_rng(405)
     for dim in range(2, 9):
         ch = ControlHamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim), math.inf)

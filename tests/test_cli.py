@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from qslbounds import (

@@ -33,6 +33,7 @@ from qslbounds import (
     unitary_step,
     zero_operator,
 )
+from qslbounds import dynamics
 from qslbounds.property_suites import BHATTACHARYYA_TOL
 from conftest import random_control_problem, random_state
 
@@ -122,6 +123,22 @@ def test_boundary_states_are_built_once():
     assert traj.final_state() is traj.final_state()
     assert traj.initial_state() is traj.initial_state()
     assert np.array_equal(traj.final_state().amplitudes, traj.states[-1])
+
+
+def test_propagate_hands_back_the_stack_it_built(monkeypatch):
+    built = []
+    init = dynamics.TrajectoryStack.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.TrajectoryStack, "__init__", counting_init)
+    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=4)
+    tqsl_star(traj, basis_state(2, 1))
+    path_length(traj)
+    bhattacharyya_check(traj)
+    assert len(built) == 1 and built[0] is traj.stack
 
 
 def test_boundary_states_keep_the_norm_check():

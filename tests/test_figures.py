@@ -1,0 +1,80 @@
+"""The figure sweeps against committed reference tables and against the
+single-instance chain a user would write by hand.
+
+tests/golden/ holds the output of `qslbounds sweep` for the three figure caps
+and for an unconstrained grid that ends at theta = pi/2 (a trivial row).
+"""
+import math
+from pathlib import Path
+
+import pytest
+
+from qslbounds import (
+    BoundInputs,
+    LandauZenerProblem,
+    boundary_states,
+    compute_report,
+    optimal_protocol,
+    propagate_refined,
+    tqsl_star,
+    tqsl_star_closed,
+)
+from qslbounds.cli import LambdaSpec, SweepConfig, SweepRow, emit_report, run_sweep
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FIGURE_CAPS = {
+    "fig2_unconstrained": LambdaSpec("unconstrained"),
+    "fig3a_bang_off_bang": LambdaSpec("factor", 6.0),
+    "fig3b_bang_bang": LambdaSpec("factor", 0.2),
+}
+GOLDEN_CONFIGS = {
+    **{stem: SweepConfig(lambda_spec=spec) for stem, spec in FIGURE_CAPS.items()},
+    "unconstrained_to_half_pi": SweepConfig(
+        lambda_spec=LambdaSpec("unconstrained"), theta_max=0.5 * math.pi, theta_count=7
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", list(GOLDEN_CONFIGS))
+def test_sweep_reproduces_the_golden_files(tmp_path, stem):
+    cfg = GOLDEN_CONFIGS[stem]
+    for path in emit_report(run_sweep(cfg), cfg, tmp_path / f"{stem}.csv"):
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
+def _reference_row(cfg: SweepConfig, theta: float) -> SweepRow:
+    # one point through the public single-instance calls
+    problem = LandauZenerProblem.from_theta(
+        cfg.delta, theta, cfg.lambda_spec.resolve(cfg.delta, theta)
+    )
+    protocol = optimal_protocol(problem)
+    ch = problem.control_hamiltonian()
+    psi0, psig = boundary_states(problem)
+    estimate = tqsl_star(propagate_refined(ch, protocol.field, psi0), psig)
+    report = compute_report(BoundInputs(ch, psi0, psig), t_opt=protocol.t_opt_ideal)
+    flags = report.inequality_flags
+    return SweepRow(
+        theta=theta,
+        gamma=problem.gamma,
+        regime=protocol.regime,
+        t_opt=protocol.t_opt_ideal,
+        tqsl_closed=tqsl_star_closed(problem, protocol),
+        tqsl_traj=estimate.time,
+        tmin_a=report.t_min_a,
+        tmin_b=report.t_min_b,
+        tmin_c1=report.t_min_c1,
+        tmin_c2=report.t_min_c2,
+        fidelity=estimate.target_fidelity,
+        pass_a=flags["a"],
+        pass_b=flags["b"],
+        pass_c1=flags["c1"],
+        pass_c2=flags["c2"],
+    )
+
+
+@pytest.mark.parametrize("stem", list(FIGURE_CAPS))
+def test_sweep_rows_equal_the_single_instance_chain(stem):
+    cfg = SweepConfig(lambda_spec=FIGURE_CAPS[stem], delta=1.3, theta_count=9)
+    rows = run_sweep(cfg)
+    assert rows == [_reference_row(cfg, row.theta) for row in rows]

@@ -15,6 +15,7 @@ from qslbounds import (
     energy_variance,
     fubini_study_distance,
     ground_state,
+    ground_states,
     hs_norm,
     spectral,
     unitary_step,
@@ -294,6 +295,43 @@ def test_ground_state_hand_rolled_eigenvector():
 def test_ground_state_degenerate_raises():
     with pytest.raises(ValueError):
         ground_state(zero_operator(2))
+
+
+def test_ground_states_match_the_single_form_bit_for_bit(rng):
+    for dim in range(2, 9):
+        ops = [random_hermitian(rng, dim) for _ in range(5)]
+        stacked = ground_states(ops)
+        assert len(stacked) == len(ops)
+        for op, psi in zip(ops, stacked):
+            assert np.array_equal(psi.amplitudes, ground_state(op).amplitudes)
+            assert np.array_equal(psi.amplitudes, spectral(op).vectors[:, 0])
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_ground_states_reject_a_degenerate_member(rng, dim):
+    with pytest.raises(ValueError) as single:
+        ground_state(zero_operator(dim))
+    ops = [random_hermitian(rng, dim), zero_operator(dim), random_hermitian(rng, dim)]
+    with pytest.raises(ValueError) as stacked:
+        ground_states(ops)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_ground_states_reject_mixed_dimensions(rng):
+    with pytest.raises(ValueError, match="one dimension"):
+        ground_states([random_hermitian(rng, 2), random_hermitian(rng, 3)])
+
+
+def test_spectrum_is_computed_once_and_read_only(rng):
+    for dim in (2, 7):
+        op = random_hermitian(rng, dim)
+        assert op.spectrum is op.spectrum
+        fresh = spectral(op)
+        assert np.array_equal(op.spectrum.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(op.spectrum.vectors, fresh.vectors)
+        for arr in (op.spectrum.vectors, op.spectrum.eigenvalues):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ from qslbounds import (
     LandauZenerProblem,
     OptimalProtocol,
     PiecewiseConstantField,
+    SIGMA_X,
+    SIGMA_Z,
+    boundary_state_pairs,
     boundary_states,
     closed_form_bounds,
     constrained_protocol,
@@ -30,6 +33,7 @@ from qslbounds import (
     tqsl_star_closed,
     unconstrained_protocol,
 )
+from qslbounds.two_level import _bias_hamiltonian
 
 HALF_PI = 0.5 * math.pi
 
@@ -157,6 +161,36 @@ def test_boundary_states_match_explicit_eigenvectors():
     vg = np.array([math.sin(0.5 * theta), -math.cos(0.5 * theta)], dtype=complex)
     assert abs(np.vdot(v0, psi0.amplitudes)) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(vg, psig.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_boundary_state_pairs_match_boundary_states():
+    problems = [
+        lz(theta, cap, delta)
+        for theta in (0.001, 0.3, 0.25 * math.pi, 1.5, HALF_PI)
+        for cap, delta in ((math.inf, 1.0), (0.2, 0.7), (6.0, 1.7))
+    ]
+    pairs = boundary_state_pairs(problems)
+    assert len(pairs) == len(problems)
+    for problem, pair in zip(problems, pairs):
+        for stacked, single in zip(pair, boundary_states(problem)):
+            assert np.array_equal(stacked.amplitudes, single.amplitudes)
+
+
+def test_bias_hamiltonian_equals_the_operator_arithmetic():
+    # one validated operator, with the entries the three-operator sum gave
+    p = lz(0.4, delta=1.3)
+    for bias in (-p.gamma, p.gamma):
+        expected = bias * SIGMA_Z + (0.5 * p.delta) * SIGMA_X
+        assert np.array_equal(_bias_hamiltonian(p, bias).entries, expected.entries)
+    with pytest.raises(ValueError, match="scalar factor must be finite, got -inf"):
+        _bias_hamiltonian(p, -math.inf)
+
+
+def test_problems_with_one_gap_share_the_drift_operator():
+    h0 = lz(0.3, delta=1.3).control_hamiltonian().h0
+    assert lz(1.1, cap=2.0, delta=1.3).control_hamiltonian().h0 is h0
+    assert np.array_equal(h0.entries, ((0.5 * 1.3) * SIGMA_X).entries)
+    assert lz(0.3, delta=0.7).control_hamiltonian().h0 is not h0
 
 
 def test_boundary_states_coincide_at_half_pi():
