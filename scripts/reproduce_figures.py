@@ -46,7 +46,7 @@ def main():
         )
         rows = run_sweep(cfg)
         csv_path, sidecar = emit_report(rows, cfg, out_dir / name)
-        bad = [r.theta for r in rows if not (r.pass_a and r.pass_b and r.pass_c1 and r.pass_c2)]
+        bad = [r.theta for r in rows if not r.passed]
         status = "all bounds hold" if not bad else f"BOUND VIOLATION at theta={bad}"
         print(f"{csv_path}  ({len(rows)} rows, {status})")
         print(f"{sidecar}")

@@ -101,22 +101,27 @@ def variance_quadratic_coeffs(ch: ControlHamiltonian, chi: PureState):
     return c0, c1, c2
 
 
-def max_variance_over_field(ch: ControlHamiltonian, chi: PureState) -> float:
-    """max over |u| <= u_max of deltaE(u) in the fixed state chi.
+def _max_quadratic_root(c0: float, c1: float, c2: float, u_max: float) -> float:
+    """sqrt of the max over |u| <= u_max of c0 + c1*u + c2*u^2, with c2 >= 0.
 
-    The square is quadratic in u with non-negative leading coefficient, so the
-    endpoints suffice; the clamped vertex is evaluated anyway for safety.
+    The quadratic is convex, so the endpoints suffice; the clamped vertex is
+    evaluated anyway for safety.  An unbounded window gives +inf unless the
+    quadratic is constant.
     """
-    c0, c1, c2 = variance_quadratic_coeffs(ch, chi)
-    if math.isinf(ch.u_max):
+    if math.isinf(u_max):
         if c2 > 0.0 or c1 != 0.0:
             return math.inf
-        return math.sqrt(c0)
-    candidates = [-ch.u_max, 0.0, ch.u_max]
+        return math.sqrt(max(c0, 0.0))
+    candidates = [-u_max, 0.0, u_max]
     if c2 > 0.0:
-        candidates.append(min(max(-c1 / (2.0 * c2), -ch.u_max), ch.u_max))
+        candidates.append(min(max(-c1 / (2.0 * c2), -u_max), u_max))
     best = max(c0 + c1 * u + c2 * u * u for u in candidates)
     return math.sqrt(max(best, 0.0))
+
+
+def max_variance_over_field(ch: ControlHamiltonian, chi: PureState) -> float:
+    """max over |u| <= u_max of deltaE(u) in the fixed state chi."""
+    return _max_quadratic_root(*variance_quadratic_coeffs(ch, chi), ch.u_max)
 
 
 def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
@@ -129,15 +134,7 @@ def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
     t00 = float(np.vdot(h0, h0).real)
     t0c = float(np.vdot(hc, h0).real)
     tcc = float(np.vdot(hc, hc).real)
-    if math.isinf(ch.u_max):
-        if tcc > 0.0:
-            return math.inf
-        return math.sqrt(max(t00, 0.0))
-    candidates = [-ch.u_max, 0.0, ch.u_max]
-    if tcc > 0.0:
-        candidates.append(min(max(-t0c / tcc, -ch.u_max), ch.u_max))
-    best = max(t00 + 2.0 * u * t0c + u * u * tcc for u in candidates)
-    return math.sqrt(max(best, 0.0))
+    return _max_quadratic_root(t00, 2.0 * t0c, tcc, ch.u_max)
 
 
 def tmin_a(inputs: BoundInputs) -> float:
@@ -294,12 +291,6 @@ class BoundReport:
 
     def value(self, name: str) -> float:
         return getattr(self, f"t_min_{name}")
-
-    def csv_row(self) -> str:
-        times = [self.value(n) for n in self._ORDER] + [self.t_qsl_star, self.t_opt]
-        flags = [self.inequality_flags.get(n) for n in self._ORDER]
-        cells = ["" if x is None else format(x, ".17g") for x in times]
-        return ",".join(cells + ["" if f is None else str(int(f)) for f in flags])
 
     def text_block(self) -> str:
         lines = []

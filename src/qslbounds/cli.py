@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,17 +46,21 @@ from .two_level import (
     tqsl_star_closed,
 )
 
-SWEEP_CSV_HEADER = (
-    "theta,gamma,regime,t_opt,tqsl_closed,tqsl_traj,"
-    "tmin_a,tmin_b,tmin_c1,tmin_c2,fidelity,pass_a,pass_b,pass_c1,pass_c2"
-)
-
 FIDELITY_TOL = 0.999
 CLOSED_FORM_TOL = 1e-12
+BOUND_NAMES = ("a", "b", "c1", "c2")
 
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _cell(value) -> str:
+    """One table or summary cell: a flag as 1/0, a float to 17 significant
+    digits (it round-trips exactly), anything else as str."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,9 @@ class LambdaSpec:
             return math.inf
         return float(self.value) * delta * delta / (4.0 * gamma)
 
+    def __str__(self) -> str:
+        return self.mode if self.value is None else f"{self.mode}={_fmt(self.value)}"
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -109,62 +116,35 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One theta point of a sweep.  The fields, in order, are the CSV columns;
+    their defaults are the theta = pi/2 row, where gamma = 0 makes the
+    endpoints coincide and nothing moves."""
+
     theta: float
-    gamma: float
-    regime: str
-    t_opt: float
-    tqsl_closed: float
-    tqsl_traj: float
-    tmin_a: float
-    tmin_b: float
-    tmin_c1: float
-    tmin_c2: float
-    fidelity: float
-    pass_a: bool
-    pass_b: bool
-    pass_c1: bool
-    pass_c2: bool
+    gamma: float = 0.0
+    regime: str = "trivial"
+    t_opt: float = 0.0
+    tqsl_closed: float = 0.0
+    tqsl_traj: float = 0.0
+    tmin_a: float = 0.0
+    tmin_b: float = 0.0
+    tmin_c1: float = 0.0
+    tmin_c2: float = 0.0
+    fidelity: float = 1.0
+    pass_a: bool = True
+    pass_b: bool = True
+    pass_c1: bool = True
+    pass_c2: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return self.pass_a and self.pass_b and self.pass_c1 and self.pass_c2
 
     def csv_row(self) -> str:
-        cells = [
-            _fmt(self.theta),
-            _fmt(self.gamma),
-            self.regime,
-            _fmt(self.t_opt),
-            _fmt(self.tqsl_closed),
-            _fmt(self.tqsl_traj),
-            _fmt(self.tmin_a),
-            _fmt(self.tmin_b),
-            _fmt(self.tmin_c1),
-            _fmt(self.tmin_c2),
-            _fmt(self.fidelity),
-            "1" if self.pass_a else "0",
-            "1" if self.pass_b else "0",
-            "1" if self.pass_c1 else "0",
-            "1" if self.pass_c2 else "0",
-        ]
-        return ",".join(cells)
+        return ",".join(_cell(getattr(self, f.name)) for f in fields(self))
 
 
-def _trivial_row(theta: float) -> SweepRow:
-    # theta = pi/2 means gamma = 0: the endpoints coincide and nothing moves
-    return SweepRow(
-        theta=theta,
-        gamma=0.0,
-        regime="trivial",
-        t_opt=0.0,
-        tqsl_closed=0.0,
-        tqsl_traj=0.0,
-        tmin_a=0.0,
-        tmin_b=0.0,
-        tmin_c1=0.0,
-        tmin_c2=0.0,
-        fidelity=1.0,
-        pass_a=True,
-        pass_b=True,
-        pass_c1=True,
-        pass_c2=True,
-    )
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def _point_setup(
@@ -194,15 +174,9 @@ def _sweep_point(
         t_opt=t_opt,
         tqsl_closed=tqsl_star_closed(problem, protocol),
         tqsl_traj=estimate.time,
-        tmin_a=report.t_min_a,
-        tmin_b=report.t_min_b,
-        tmin_c1=report.t_min_c1,
-        tmin_c2=report.t_min_c2,
         fidelity=estimate.target_fidelity,
-        pass_a=report.inequality_flags.get("a", False),
-        pass_b=report.inequality_flags.get("b", False),
-        pass_c1=report.inequality_flags.get("c1", False),
-        pass_c2=report.inequality_flags.get("c2", False),
+        **{f"tmin_{n}": report.value(n) for n in BOUND_NAMES},
+        **{f"pass_{n}": report.inequality_flags.get(n, False) for n in BOUND_NAMES},
     )
 
 
@@ -210,25 +184,12 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
     """One row per theta of the grid.  The boundary states of every point come
     from one stacked eigh; each point then propagates its own trajectory."""
     thetas = [float(t) for t in np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_count)]
-    # theta = pi/2 gets _trivial_row, which needs no states
+    # theta = pi/2 gets the default row, which needs no states
     setups = {i: _point_setup(cfg, t) for i, t in enumerate(thetas) if t != 0.5 * math.pi}
     states = dict(zip(setups, boundary_state_pairs([s[0] for s in setups.values()])))
     return [
-        _sweep_point(*setups[i], *states[i]) if i in setups else _trivial_row(t)
+        _sweep_point(*setups[i], *states[i]) if i in setups else SweepRow(t)
         for i, t in enumerate(thetas)
-    ]
-
-
-def _config_echo(cfg: SweepConfig) -> List[str]:
-    lam = cfg.lambda_spec
-    lam_str = lam.mode if lam.value is None else f"{lam.mode}={_fmt(lam.value)}"
-    return [
-        f"delta={_fmt(cfg.delta)}",
-        f"lambda_spec={lam_str}",
-        f"theta_min={_fmt(cfg.theta_min)}",
-        f"theta_max={_fmt(cfg.theta_max)}",
-        f"theta_count={cfg.theta_count}",
-        f"u0_surrogate={'auto' if cfg.u0_surrogate is None else _fmt(cfg.u0_surrogate)}",
     ]
 
 
@@ -245,11 +206,12 @@ def emit_report(rows: Sequence[SweepRow], cfg: SweepConfig, path) -> Tuple[Path,
     regimes = sorted({r.regime for r in rows})
     with open(sidecar, "w", encoding="utf-8") as fh:
         fh.write(f"qslbounds {__version__} sweep summary\n")
-        for line in _config_echo(cfg):
-            fh.write(line + "\n")
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            fh.write(f"{f.name}={'auto' if value is None else _cell(value)}\n")
         fh.write(f"rows={len(rows)}\n")
         fh.write(f"regimes={','.join(regimes)}\n")
-        fh.write(f"all_pass={1 if all(r.pass_a and r.pass_b and r.pass_c1 and r.pass_c2 for r in rows) else 0}\n")
+        fh.write(f"all_pass={_cell(all(r.passed for r in rows))}\n")
     return csv_path, sidecar
 
 
@@ -350,7 +312,7 @@ def verify_case(
         checks["arenz_overlap"] = Check(math.nan, ARENZ_TOL, False, note=str(exc))
 
     report = compute_report(BoundInputs(ch, psi0, psig), traj=traj, t_opt=protocol.t_opt_ideal)
-    for name in ("a", "b", "c1", "c2"):
+    for name in BOUND_NAMES:
         ok = report.inequality_flags.get(name, False)
         checks[f"dominance_{name}"] = Check(
             report.value(name), protocol.t_opt_ideal + bounds.PASS_TOL, ok

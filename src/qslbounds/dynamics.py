@@ -220,8 +220,11 @@ def propagate_stack(
     n_inst, width = len(chs), samples_per_segment + 1
 
     # each segment owns `width` samples: its start node (for j > 0 the
-    # duplicated boundary, carrying the new amplitude) and its interior
-    taus = np.linspace(0.0, durations, width, axis=-1)[..., 1:]
+    # duplicated boundary, carrying the new amplitude) and its interior.  The
+    # offsets are np.linspace(0, durations, width)[1:] in the same arithmetic,
+    # without its per-call axis handling
+    taus = np.arange(1, width) * (durations / samples_per_segment)[..., None]
+    taus[..., -1] = durations
     starts = np.zeros((n_inst, n_seg, 1))
     starts[:, 1:, 0] = np.cumsum(durations, axis=-1)[:, :-1]
     times = np.concatenate((starts, starts + taus), axis=-1).reshape(n_inst, -1)

@@ -40,6 +40,11 @@ ARENZ_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-10
 
 MAX_DIM = 8
+# the random drives: 1..MAX_SEGMENTS segments of 0.1..MAX_DURATION each, with
+# amplitudes within the window of the drawn control problems
+MAX_SEGMENTS = 3
+MAX_DURATION = 1.0
+U_MAX = 2.0
 # instances per TrajectoryStack: bounds the memory of a suite run, while the
 # fixed cost of each stacked call falls to about a tenth of its time
 STACK_SIZE = 16
@@ -55,27 +60,22 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
     return HermitianOperator(scale * 0.5 * (a + a.conj().T))
 
 
-def random_field(
-    rng: np.random.Generator,
-    u_max: float,
-    max_segments: int = 3,
-    max_duration: float = 1.0,
-) -> PiecewiseConstantField:
-    n = int(rng.integers(1, max_segments + 1))
+def random_field(rng: np.random.Generator) -> PiecewiseConstantField:
+    n = int(rng.integers(1, MAX_SEGMENTS + 1))
     segments = tuple(
-        (float(rng.uniform(0.1, max_duration)), float(rng.uniform(-u_max, u_max)))
+        (float(rng.uniform(0.1, MAX_DURATION)), float(rng.uniform(-U_MAX, U_MAX)))
         for _ in range(n)
     )
     return PiecewiseConstantField(segments)
 
 
 def random_control_problem(
-    rng: np.random.Generator, dim: int, u_max: float = 2.0
+    rng: np.random.Generator, dim: int
 ) -> Tuple[ControlHamiltonian, PiecewiseConstantField, PureState]:
     ch = ControlHamiltonian(
-        h0=random_hermitian(rng, dim), hc=random_hermitian(rng, dim), u_max=u_max
+        h0=random_hermitian(rng, dim), hc=random_hermitian(rng, dim), u_max=U_MAX
     )
-    return ch, random_field(rng, u_max), random_state(rng, dim)
+    return ch, random_field(rng), random_state(rng, dim)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from qslbounds.cli import (
     SWEEP_CSV_HEADER,
     LambdaSpec,
     SweepConfig,
+    SweepRow,
     emit_report,
     main,
     run_sweep,
@@ -129,6 +130,13 @@ def test_sweep_header_is_frozen():
         "theta,gamma,regime,t_opt,tqsl_closed,tqsl_traj,"
         "tmin_a,tmin_b,tmin_c1,tmin_c2,fidelity,pass_a,pass_b,pass_c1,pass_c2"
     )
+
+
+def test_sweep_row_defaults_are_the_trivial_row():
+    row = SweepRow(HALF_PI)
+    assert row.csv_row() == "1.5707963267948966,0,trivial,0,0,0,0,0,0,0,1,1,1,1,1"
+    assert row.passed
+    assert not SweepRow(HALF_PI, pass_c1=False).passed
 
 
 # ---------------------------------------------------------------------------

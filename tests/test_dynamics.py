@@ -207,6 +207,20 @@ def _harness_problems(count=300, seed=5):
     return problems
 
 
+def _extreme_duration_problems(count=100, seed=17):
+    # the harness draws with each segment lasting 10^k, k uniform in [-8, 8],
+    # and the first two pinned to the ends of that range
+    rng = np.random.default_rng(seed)
+    problems = []
+    for i, (ch, field, psi0, phi) in enumerate(_harness_problems(count, seed)):
+        exponents = rng.uniform(-8.0, 8.0, len(field.segments))
+        if i < 2:
+            exponents[:] = (-8.0, 8.0)[i]
+        segments = tuple((float(10.0**k), amp) for k, (_, amp) in zip(exponents, field.segments))
+        problems.append((ch, PiecewiseConstantField(segments), psi0, phi))
+    return problems
+
+
 def _stacks(problems):
     groups = {}
     for i, (ch, field, *_) in enumerate(problems):
@@ -220,9 +234,10 @@ def _same_bits(a, b) -> bool:
 
 
 def test_stacks_reproduce_the_loop_propagation_bit_for_bit():
-    # 300 instances, d = 2..8, 1-3 segments: a grouped stack, a stack of one
-    # and the per-segment loop agree in every bit of all five arrays
-    problems = _harness_problems()
+    # 400 instances, d = 2..8, 1-3 segments of 0.1..1 or 1e-8..1e8: a grouped
+    # stack, a stack of one and the per-segment loop agree in every bit of all
+    # five arrays
+    problems = _harness_problems() + _extreme_duration_problems()
     for samples in (1, 7, 48, 200):
         for idx, (chs, fields, psi0s, _) in _stacks(problems):
             stack = propagate_stack(chs, fields, psi0s, samples_per_segment=samples)

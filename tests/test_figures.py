@@ -2,7 +2,8 @@
 single-instance chain a user would write by hand.
 
 tests/golden/ holds the output of `qslbounds sweep` for the three figure caps
-and for an unconstrained grid that ends at theta = pi/2 (a trivial row).
+and for an unconstrained grid that ends at theta = pi/2 (a trivial row), and
+the output of `qslbounds verify` for one case of each regime.
 """
 import math
 from pathlib import Path
@@ -19,7 +20,7 @@ from qslbounds import (
     tqsl_star,
     tqsl_star_closed,
 )
-from qslbounds.cli import LambdaSpec, SweepConfig, SweepRow, emit_report, run_sweep
+from qslbounds.cli import LambdaSpec, SweepConfig, SweepRow, emit_report, main, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,6 +42,21 @@ def test_sweep_reproduces_the_golden_files(tmp_path, stem):
     cfg = GOLDEN_CONFIGS[stem]
     for path in emit_report(run_sweep(cfg), cfg, tmp_path / f"{stem}.csv"):
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
+VERIFY_ARGS = {
+    "verify_bang_off_bang": ["--theta", "0.9", "--lambda-factor", "6"],
+    "verify_bang_bang": ["--theta", "0.9", "--lambda-factor", "0.2"],
+    "verify_unconstrained": ["--theta", "0.3", "--unconstrained"],
+    "verify_half_pi": ["--theta", "1.5707963267948966", "--unconstrained"],
+    "verify_absolute_cap": ["--delta", "1.3", "--theta", "0.7", "--lambda", "2.5"],
+}
+
+
+@pytest.mark.parametrize("stem", list(VERIFY_ARGS))
+def test_verify_reproduces_the_golden_report(capsys, stem):
+    assert main(["verify", *VERIFY_ARGS[stem]]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{stem}.txt").read_bytes()
 
 
 def _reference_row(cfg: SweepConfig, theta: float) -> SweepRow:
