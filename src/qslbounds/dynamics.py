@@ -24,12 +24,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .quantum import HermitianOperator, PureState
-
-TARGET_FIDELITY_ATOL = 1e-6
-# samples whose survival amplitude |<psi0|psi>| or orthogonal part is at or
-# below this are skipped by the Bhattacharyya rate, which is 0/0 there
-BHATTACHARYYA_FLOOR = 1e-12
-_AMPLITUDE_RTOL = 1e-12
+from .tolerances import AMPLITUDE_RTOL, BHATTACHARYYA_FLOOR, TARGET_FIDELITY_ATOL
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,7 @@ class ControlHamiltonian:
         return self.h0.dim
 
     def hamiltonian(self, u: float) -> HermitianOperator:
-        if abs(u) > self.u_max + _AMPLITUDE_RTOL * max(1.0, self.u_max):
+        if abs(u) > self.u_max + AMPLITUDE_RTOL * max(1.0, self.u_max):
             raise ValueError(f"amplitude {u!r} exceeds u_max {self.u_max!r}")
         return HermitianOperator(self.h0.entries + u * self.hc.entries)
 

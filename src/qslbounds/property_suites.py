@@ -31,13 +31,14 @@ from .quantum import (
     fubini_study_distance,
     hs_norm,
 )
-
-BRODY_TOL = 1e-10
-AA_TOL = 1e-6
-PFEIFER_TOL = 1e-6
-BHATTACHARYYA_TOL = 1e-4
-ARENZ_TOL = 1e-9
-NORM_DRIFT_TOL = 1e-10
+from .tolerances import (
+    AA_TOL,
+    ARENZ_TOL,
+    BHATTACHARYYA_TOL,
+    BRODY_TOL,
+    NORM_DRIFT_TOL,
+    PFEIFER_TOL,
+)
 
 MAX_DIM = 8
 # the random drives: 1..MAX_SEGMENTS segments of 0.1..MAX_DURATION each, with

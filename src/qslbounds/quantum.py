@@ -14,9 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-NORM_ATOL = 1e-12
-HERMITIAN_ATOL = 1e-12
-DEGENERACY_ATOL = 1e-10
+from .tolerances import DEGENERACY_ATOL, HERMITIAN_ATOL, NORM_ATOL
 
 
 def _clamp01(x: float) -> float:

@@ -1,4 +1,5 @@
 """Sweep table emission, the single-case verifier and the argument plumbing."""
+import dataclasses
 import json
 import math
 import re
@@ -198,10 +199,18 @@ def test_verify_case_passes_on_optimal_protocol():
 
 
 def test_verify_prints_the_dominance_tolerance_it_applies(monkeypatch):
-    from qslbounds import bounds
+    from qslbounds import tolerances
 
-    monkeypatch.setattr(bounds, "PASS_TOL", 0.25)
-    report = verify_case(1.0, 0.9, LambdaSpec("factor", 6.0))
+    cap = LambdaSpec("factor", 6.0)
+    good = verify_case(1.0, 0.9, cap)
+    tmin_c1 = good.checks["dominance_c1"].value  # 0.306
+    # short of tmin_c1 by more than 1e-9 but less than 0.25
+    short = dataclasses.replace(good.protocol, t_opt_ideal=tmin_c1 - 0.1)
+    assert not verify_case(1.0, 0.9, cap, protocol=short).checks["dominance_c1"].passed
+
+    monkeypatch.setattr(tolerances, "PASS_TOL", 0.25)
+    assert verify_case(1.0, 0.9, cap, protocol=short).checks["dominance_c1"].passed
+    report = verify_case(1.0, 0.9, cap)
     tolerance = report.protocol.t_opt_ideal + 0.25
     lines = [line for line in report.text().splitlines() if "dominance_" in line]
     assert len(lines) == 4
@@ -231,7 +240,6 @@ def test_verify_case_flags_a_broken_protocol():
     broken = OptimalProtocol(
         regime=good.regime,
         field=field,
-        t_opt=field.total_duration,
         t_lambda=half,
         t_off=good.t_off,
         t_opt_ideal=field.total_duration,
@@ -362,6 +370,7 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
 
 
 MISSING = object()  # stands for a config path that does not exist
+U0_CAPPED = "u0 applies only to an uncapped drive, got lambda_cap="
 
 
 @pytest.mark.parametrize(
@@ -405,6 +414,9 @@ MISSING = object()  # stands for a config path that does not exist
         ),
         (["verify", "--theta", "0.9", "--unconstrained"], MISSING, "No such file or directory"),
         (["verify", "--theta", "0.9", "--unconstrained"], '{"theta": 0.9', "Expecting"),
+        (["verify", "--theta", "0.9", "--lambda-factor", "6", "--u0", "5"], None, U0_CAPPED),
+        (["sweep", "--lambda", "1", "--u0", "5", "--out", "{tmp}/s.csv"], None, U0_CAPPED),
+        (["verify", "--theta", "0.9"], {"lambda_factor": 6, "u0": 5}, U0_CAPPED),
     ],
     ids=[
         "theta-out-of-range",
@@ -421,6 +433,9 @@ MISSING = object()  # stands for a config path that does not exist
         "config-cap-and-two-cap-flags",
         "config-missing-file",
         "config-malformed-json",
+        "verify-u0-with-cap",
+        "sweep-u0-with-cap",
+        "config-u0-with-cap",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):

@@ -34,7 +34,7 @@ from qslbounds import (
     zero_operator,
 )
 from qslbounds import dynamics
-from qslbounds.property_suites import BHATTACHARYYA_TOL
+from qslbounds.tolerances import BHATTACHARYYA_TOL
 from conftest import random_control_problem, random_state
 
 RABI = ControlHamiltonian(h0=(0.5 * math.pi) * SIGMA_X, hc=SIGMA_Z)

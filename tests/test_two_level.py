@@ -325,19 +325,6 @@ def test_optimal_protocol_dispatch():
     assert optimal_protocol(lz(0.3, cap=1e-3)).regime == "bang-bang"
 
 
-def test_protocol_duration_invariant_enforced():
-    proto = constrained_protocol(lz(0.3, cap=1.0))
-    with pytest.raises(ValueError):
-        OptimalProtocol(
-            regime=proto.regime,
-            field=proto.field,
-            t_opt=proto.t_opt + 0.1,
-            t_lambda=proto.t_lambda,
-            t_off=proto.t_off,
-            t_opt_ideal=proto.t_opt_ideal,
-        )
-
-
 @pytest.mark.parametrize("cap_factor", [None, 6.0, 0.2])
 def test_protocol_validity_across_theta_grid(cap_factor):
     # all three regimes reach the target with fidelity >= 0.999 on the grid
@@ -435,7 +422,6 @@ def test_tqsl_closed_rejects_unknown_regime():
     fake = OptimalProtocol(
         regime="adiabatic",
         field=proto.field,
-        t_opt=proto.t_opt,
         t_lambda=proto.t_lambda,
         t_off=proto.t_off,
         t_opt_ideal=proto.t_opt_ideal,
