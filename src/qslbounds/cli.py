@@ -41,6 +41,7 @@ from .two_level import (
     OptimalProtocol,
     boundary_state_pairs,
     boundary_states,
+    check_surrogate,
     closed_form_bounds,
     gamma_from_theta,
     optimal_protocol,
@@ -267,6 +268,7 @@ def verify_case(
     optimal one (useful as a negative control)."""
     cap = lambda_spec.resolve(delta, theta)
     if theta == 0.5 * math.pi:
+        check_surrogate(cap, u0_surrogate)
         problem = LandauZenerProblem.from_theta(delta, theta, math.inf)
         inputs = BoundInputs(problem.control_hamiltonian(), *boundary_states(problem))
         report = compute_report(inputs, t_opt=0.0)

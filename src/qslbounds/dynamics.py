@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .quantum import HermitianOperator, PureState
+from .quantum import HermitianOperator, PureState, check_hermitian
 from .tolerances import AMPLITUDE_RTOL, BHATTACHARYYA_FLOOR, TARGET_FIDELITY_ATOL
 
 
@@ -45,10 +45,19 @@ class ControlHamiltonian:
     def dim(self) -> int:
         return self.h0.dim
 
+    def hamiltonians(self, amplitudes: Sequence[float]) -> np.ndarray:
+        """H(u) for every amplitude, as one read-only (S, d, d) array."""
+        u = np.array(amplitudes, dtype=float)
+        outside = u[np.abs(u) > self.u_max + AMPLITUDE_RTOL * max(1.0, self.u_max)]
+        if outside.size:
+            raise ValueError(f"amplitude {float(outside[0])!r} exceeds u_max {self.u_max!r}")
+        h = self.h0.entries + u[:, None, None] * self.hc.entries
+        check_hermitian(h)
+        h.setflags(write=False)
+        return h
+
     def hamiltonian(self, u: float) -> HermitianOperator:
-        if abs(u) > self.u_max + AMPLITUDE_RTOL * max(1.0, self.u_max):
-            raise ValueError(f"amplitude {u!r} exceeds u_max {self.u_max!r}")
-        return HermitianOperator(self.h0.entries + u * self.hc.entries)
+        return HermitianOperator(self.hamiltonians((u,))[0])
 
 
 @dataclass(frozen=True)
@@ -87,17 +96,16 @@ class Trajectory:
     states holds one row per sample; segment_index maps each sample to the
     field segment whose amplitude was in force there (boundary nodes appear
     twice, once per side).  The drive that produced the path travels with
-    it: ch, field, and hamiltonians[j] = H(u_j) for each segment j.
+    it: ch, field, and the read-only (S, d, d) array hamiltonians[j] = H(u_j).
     """
 
     times: np.ndarray
     states: np.ndarray
     variance_samples: np.ndarray
-    survival: np.ndarray
     segment_index: np.ndarray
     ch: ControlHamiltonian
     field: PiecewiseConstantField
-    hamiltonians: Tuple[HermitianOperator, ...]
+    hamiltonians: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -117,12 +125,10 @@ class Trajectory:
             times=self.times[None],
             states=self.states[None],
             variance_samples=self.variance_samples[None],
-            survival=self.survival[None],
             segment_index=self.segment_index,
             chs=(self.ch,),
             fields=(self.field,),
-            hamiltonians=(self.hamiltonians,),
-            hamiltonian_entries=np.array([[h.entries for h in self.hamiltonians]]),
+            hamiltonians=self.hamiltonians[None],
         )
 
     def initial_state(self) -> PureState:
@@ -137,21 +143,18 @@ class TrajectoryStack:
     """Trajectories of instances that share a dimension and a segment count,
     stacked along a leading instance axis.
 
-    times, variance_samples and survival are (B, N) and states is (B, N, d);
-    all instances share segment_index (N,).  Instance b was driven by chs[b]
-    under fields[b]; hamiltonians[b][j] = H(u_j), and hamiltonian_entries
-    holds their matrices as one (B, S, d, d) array.
+    times and variance_samples are (B, N) and states is (B, N, d); all
+    instances share segment_index (N,).  Instance b was driven by chs[b]
+    under fields[b], and hamiltonians[b, j] = H(u_j), one (B, S, d, d) array.
     """
 
     times: np.ndarray
     states: np.ndarray
     variance_samples: np.ndarray
-    survival: np.ndarray
     segment_index: np.ndarray
     chs: Tuple[ControlHamiltonian, ...]
     fields: Tuple[PiecewiseConstantField, ...]
-    hamiltonians: Tuple[Tuple[HermitianOperator, ...], ...]
-    hamiltonian_entries: np.ndarray
+    hamiltonians: np.ndarray
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -161,7 +164,6 @@ class TrajectoryStack:
             times=self.times[k],
             states=self.states[k],
             variance_samples=self.variance_samples[k],
-            survival=self.survival[k],
             segment_index=self.segment_index,
             ch=self.chs[k],
             field=self.fields[k],
@@ -207,10 +209,8 @@ def propagate_stack(
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be a positive integer")
 
-    hamiltonians = tuple(
-        tuple(ch.hamiltonian(amp) for _, amp in field.segments) for ch, field in zip(chs, fields)
-    )
-    h = np.array([[op.entries for op in ops] for ops in hamiltonians])
+    h = np.array([ch.hamiltonians([amp for _, amp in f.segments]) for ch, f in zip(chs, fields)])
+    h.setflags(write=False)
     durations = np.array([[dur for dur, _ in field.segments] for field in fields])
     n_inst, width = len(chs), samples_per_segment + 1
 
@@ -228,19 +228,15 @@ def propagate_stack(
     psi0 = np.array([p.amplitudes for p in psi0s])
     states = _evolve(h, taus, psi0)
     variance = _spreads(states, h)
-    survival = np.abs(states @ psi0.conj()[..., None])[..., 0] ** 2
-    np.clip(survival, 0.0, 1.0, out=survival)
 
     return TrajectoryStack(
         times=times,
         states=states,
         variance_samples=variance,
-        survival=survival,
         segment_index=seg_idx,
         chs=chs,
         fields=fields,
-        hamiltonians=hamiltonians,
-        hamiltonian_entries=h,
+        hamiltonians=h,
     )
 
 
@@ -340,12 +336,8 @@ def propagate_refined(
     psi0: PureState,
     samples_per_segment: int = 200,
 ) -> Trajectory:
-    """One propagate pass.
-
-    Every trajectory quantity is exact on any sample grid, so there is
-    nothing left to refine.  The name stays because the benchmark in
-    perfbench/ wraps it by name and reports its useful_ratio.
-    """
+    """One propagate pass: every trajectory quantity is exact on any sample
+    grid.  The name stays because perfbench/ wraps it by name for its useful_ratio."""
     return propagate(ch, field, psi0, samples_per_segment)
 
 
@@ -369,7 +361,7 @@ def bhattacharyya_residuals(stack: TrajectoryStack) -> np.ndarray:
     perp_norm = _row_norms(perp)
     keep = (abs_a > BHATTACHARYYA_FLOOR) & (perp_norm > BHATTACHARYYA_FLOOR)
     # <psi0|H perp> = <H psi0|perp> per segment's Hamiltonian
-    h_psi0 = (stack.hamiltonian_entries @ psi0[:, None, :, None])[..., 0]
+    h_psi0 = (stack.hamiltonians @ psi0[:, None, :, None])[..., 0]
     coupling = np.einsum("...ij,...ij->...i", h_psi0.conj()[:, stack.segment_index], perp)
     rate = -np.imag(a.conj() * coupling)[keep] / (abs_a[keep] * perp_norm[keep])
     excess = np.full(a.shape, -math.inf)
@@ -385,7 +377,7 @@ def bhattacharyya_check(traj: Trajectory) -> float:
 def _anchored_variances(stack: TrajectoryStack, chis: Sequence[PureState]) -> np.ndarray:
     """deltaE of H(u(t)) in the fixed state chis[b], per trajectory sample."""
     chi = np.array([c.amplitudes for c in chis])[:, None, :, None]
-    h_chi = stack.hamiltonian_entries @ chi
+    h_chi = stack.hamiltonians @ chi
     # 1 x d by d x 1 products round as np.vdot does
     second = (np.swapaxes(h_chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
     mean = (np.swapaxes(chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
@@ -459,14 +451,12 @@ def tqsl_star(traj: Trajectory, psi_g: PureState) -> TqslEstimate:
     nonzero.  A stationary trajectory asked to reach a different target has
     no finite answer and reports +inf.
     """
-    if traj.n_samples < 2:
-        raise ValueError("need at least two samples")
     duration = float(traj.times[-1])
+    mean_spread = 0.5 * float(path_lengths(traj.stack)[0]) / duration
     fidelity = traj.final_state().fidelity(psi_g)
     on_target = fidelity >= 1.0 - TARGET_FIDELITY_ATOL
     overlap = min(abs(traj.initial_state().overlap(traj.final_state())), 1.0)
     numerator = math.acos(overlap)
-    mean_spread = float(_running_integral(traj.times, traj.variance_samples)[-1]) / duration
     if numerator == 0.0:
         value = 0.0
     elif mean_spread == 0.0:

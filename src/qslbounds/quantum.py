@@ -27,6 +27,15 @@ def _reject_non_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what} at {', '.join(map(str, bad))}")
 
 
+def check_hermitian(m: np.ndarray) -> None:
+    """Reject matrices (..., d, d) that are non-finite or not Hermitian within HERMITIAN_ATOL."""
+    with np.errstate(invalid="ignore"):  # inf - inf is reported below, not warned
+        dev = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max()
+    if not dev <= HERMITIAN_ATOL:
+        _reject_non_finite(m, "operator entries")
+        raise ValueError("matrix is not Hermitian within tolerance")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of a d-level system, d >= 2."""
@@ -75,11 +84,7 @@ class HermitianOperator:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError(f"operator must be square with d >= 2, got shape {m.shape}")
-        with np.errstate(invalid="ignore"):  # inf - inf is reported below, not warned
-            dev = np.abs(m - m.conj().T).max()
-        if not dev <= HERMITIAN_ATOL:
-            _reject_non_finite(m, "operator entries")
-            raise ValueError("matrix is not Hermitian within tolerance")
+        check_hermitian(m)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

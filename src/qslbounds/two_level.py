@@ -149,10 +149,9 @@ def unconstrained_protocol(
     """
     if not math.isinf(problem.lambda_cap):
         raise ValueError("unconstrained protocol needs lambda_cap = +inf")
+    check_surrogate(problem.lambda_cap, u0)
     if u0 is None:
         u0 = DEFAULT_SURROGATE_FACTOR * problem.delta
-    if not u0 > 0.0:
-        raise ValueError(f"surrogate amplitude must be positive, got {u0!r}")
     t0 = math.pi / (4.0 * u0)
     t_free = (math.pi - 2.0 * problem.theta) / problem.delta
     segments = [(t0, +u0)]
@@ -221,18 +220,22 @@ def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
     )
 
 
+def check_surrogate(lambda_cap: float, u0: Optional[float]) -> None:
+    """The rule for a surrogate amplitude u0: it shapes only the composite, so
+    a finite cap rejects it rather than ignore it, and it must be positive."""
+    if u0 is not None and not math.isinf(lambda_cap):
+        raise ValueError(f"u0 applies only to an uncapped drive, got lambda_cap={lambda_cap!r}")
+    if u0 is not None and not u0 > 0.0:
+        raise ValueError(f"surrogate amplitude must be positive, got {u0!r}")
+
+
 def optimal_protocol(
     problem: LandauZenerProblem, u0: Optional[float] = None
 ) -> OptimalProtocol:
-    """Dispatch on the cap: unconstrained composite or Hegerfeldt's bangs.
-    The surrogate amplitude u0 shapes only the composite, so a finite cap
-    rejects it rather than ignore it."""
+    """Dispatch on the cap: unconstrained composite or Hegerfeldt's bangs."""
     if math.isinf(problem.lambda_cap):
         return unconstrained_protocol(problem, u0)
-    if u0 is not None:
-        raise ValueError(
-            f"u0 applies only to an uncapped drive, got lambda_cap={problem.lambda_cap!r}"
-        )
+    check_surrogate(problem.lambda_cap, u0)
     return constrained_protocol(problem)
 
 

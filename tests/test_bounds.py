@@ -91,7 +91,7 @@ def test_unified_attained_by_resonant_rotation():
     assert bound == pytest.approx(1.0, abs=1e-12)
     ch = ControlHamiltonian(h0=h, hc=SIGMA_Z)
     traj = propagate(ch, PiecewiseConstantField(((1.0, 0.0),)), psi0)
-    assert traj.survival[-1] == pytest.approx(0.0, abs=1e-12)
+    assert traj.final_state().fidelity(traj.initial_state()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sin_star_frozen_values():

@@ -417,6 +417,13 @@ U0_CAPPED = "u0 applies only to an uncapped drive, got lambda_cap="
         (["verify", "--theta", "0.9", "--lambda-factor", "6", "--u0", "5"], None, U0_CAPPED),
         (["sweep", "--lambda", "1", "--u0", "5", "--out", "{tmp}/s.csv"], None, U0_CAPPED),
         (["verify", "--theta", "0.9"], {"lambda_factor": 6, "u0": 5}, U0_CAPPED),
+        (["verify", "--theta", str(0.5 * math.pi), "--lambda", "1", "--u0", "5"], None, U0_CAPPED),
+        (["verify", "--theta", str(0.5 * math.pi)], {"lambda": 1, "u0": 5}, U0_CAPPED),
+        (
+            ["verify", "--theta", str(0.5 * math.pi), "--unconstrained", "--u0", "-1"],
+            None,
+            "surrogate amplitude must be positive, got -1.0",
+        ),
     ],
     ids=[
         "theta-out-of-range",
@@ -436,6 +443,9 @@ U0_CAPPED = "u0 applies only to an uncapped drive, got lambda_cap="
         "verify-u0-with-cap",
         "sweep-u0-with-cap",
         "config-u0-with-cap",
+        "verify-u0-with-cap-at-half-pi",
+        "config-u0-with-cap-at-half-pi",
+        "verify-negative-u0-at-half-pi",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qslbounds import (
     ControlHamiltonian,
+    HermitianOperator,
     PiecewiseConstantField,
     PureState,
     SIGMA_X,
@@ -98,24 +99,43 @@ def test_trajectory_records_its_drive(rng):
     traj = propagate(ch, field, psi0, samples_per_segment=7)
     assert traj.ch is ch
     assert traj.field is field
-    assert len(traj.hamiltonians) == len(field.segments)
+    assert traj.hamiltonians.shape == (len(field.segments), 4, 4)
+    assert not traj.hamiltonians.flags.writeable
     for h, (_, u) in zip(traj.hamiltonians, field.segments):
-        assert np.array_equal(h.entries, ch.hamiltonian(u).entries)
+        assert _same_bits(h, ch.hamiltonian(u).entries)
 
 
 def test_checks_build_no_operator(monkeypatch):
-    # the trajectory checks read the Hamiltonians propagate built, one per segment
-    calls = []
-    build = ControlHamiltonian.hamiltonian
+    # propagation builds the segment Hamiltonians as one array, and the checks
+    # read it: no HermitianOperator is constructed on the way
+    built = []
+    check = HermitianOperator.__post_init__
     monkeypatch.setattr(
-        ControlHamiltonian, "hamiltonian", lambda self, u: calls.append(u) or build(self, u)
+        HermitianOperator, "__post_init__", lambda self: built.append(self) or check(self)
     )
     field = PiecewiseConstantField(((0.3, 0.4), (0.2, -0.7), (0.5, 0.0)))
     traj = propagate(RABI, field, basis_state(2, 0), samples_per_segment=9)
     bhattacharyya_check(traj)
     pfeifer_envelope_check(traj, basis_state(2, 1))
     arenz_overlap_inequality_check(traj, traj.final_state())
-    assert calls == [0.4, -0.7, 0.0]
+    tqsl_star(traj, basis_state(2, 1))
+    assert built == []
+
+
+def test_stacked_builder_keeps_both_guards():
+    # hc is Hermitian within tolerance, 1e3 * hc is not
+    hc = HermitianOperator(np.array([[1.0, 5e-13j], [0.0, -1.0]]))
+    ch = ControlHamiltonian(h0=SIGMA_X, hc=hc)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        propagate(ch, PiecewiseConstantField(((1.0, 1e3),)), basis_state(2, 0))
+    # the window rule names the first amplitude outside it, here in the second instance
+    capped = ControlHamiltonian(h0=SIGMA_X, hc=SIGMA_Z, u_max=1.0)
+    fields = (
+        PiecewiseConstantField(((1.0, 0.5), (1.0, -1.0))),
+        PiecewiseConstantField(((1.0, 1.5), (1.0, -2.5))),
+    )
+    with pytest.raises(ValueError, match=r"amplitude 1\.5 exceeds u_max 1\.0"):
+        propagate_stack((capped, capped), fields, (basis_state(2, 0),) * 2)
 
 
 def test_boundary_states_are_built_once():
@@ -147,11 +167,10 @@ def test_boundary_states_keep_the_norm_check():
         times=np.array([0.0, 1.0]),
         states=np.array([[1.0, 0.0], [0.0, 1.1]], dtype=complex),
         variance_samples=np.zeros(2),
-        survival=np.array([1.0, 0.0]),
         segment_index=np.array([0, 0]),
         ch=ch,
         field=FREE_UNIT,
-        hamiltonians=(ch.hamiltonian(0.0),),
+        hamiltonians=ch.hamiltonians([0.0]),
     )
     with pytest.raises(ValueError, match="norm"):
         traj.final_state()
@@ -162,12 +181,13 @@ def test_boundary_states_keep_the_norm_check():
 
 
 def _reference_propagate(ch, field, psi0, samples_per_segment):
-    """The per-segment loop form of propagate, kept as the bit-level reference."""
-    hamiltonians = [ch.hamiltonian(amp) for _, amp in field.segments]
+    """The per-segment loop form of propagate, kept as the bit-level reference,
+    with each H(u_j) formed on its own."""
+    hamiltonians = [ch.h0.entries + amp * ch.hc.entries for _, amp in field.segments]
     times, seg_idx, blocks = [0.0], [0], [psi0.amplitudes[:, None]]
     psi, t_start = psi0.amplitudes, 0.0
     for j, ((dur, _), h) in enumerate(zip(field.segments, hamiltonians)):
-        eigvals, vecs = np.linalg.eigh(h.entries)
+        eigvals, vecs = np.linalg.eigh(h)
         if j > 0:
             times.append(t_start)
             seg_idx.append(j)
@@ -186,15 +206,14 @@ def _reference_propagate(ch, field, psi0, samples_per_segment):
     for j, h in enumerate(hamiltonians):
         mask = seg_arr == j
         block = states[mask]
-        hpsi = block @ h.entries.T
+        hpsi = block @ h.T
         second = np.einsum("ij,ij->i", hpsi.conj(), hpsi).real
         mean = np.einsum("ij,ij->i", block.conj(), hpsi).real
         variance[mask] = np.sqrt(np.maximum(second - mean * mean, 0.0))
-    survival = np.clip(np.abs(states @ psi0.amplitudes.conj()) ** 2, 0.0, 1.0)
-    return np.asarray(times), states, variance, survival, seg_arr
+    return np.asarray(times), states, variance, seg_arr, np.array(hamiltonians)
 
 
-TRAJECTORY_ARRAYS = ("times", "states", "variance_samples", "survival", "segment_index")
+TRAJECTORY_ARRAYS = ("times", "states", "variance_samples", "segment_index", "hamiltonians")
 
 
 def _harness_problems(count=300, seed=5):
@@ -285,9 +304,10 @@ def test_stack_entries_carry_their_drive(rng):
     for k, (ch, field, psi0) in enumerate(problems):
         traj = stack[k]
         assert traj.ch is ch and traj.field is field
-        assert traj.hamiltonians is stack.hamiltonians[k]
-        for j, h in enumerate(traj.hamiltonians):
-            assert np.array_equal(stack.hamiltonian_entries[k, j], h.entries)
+        assert np.shares_memory(traj.hamiltonians, stack.hamiltonians)
+        assert not stack.hamiltonians.flags.writeable
+        for j, (_, u) in enumerate(field.segments):
+            assert _same_bits(stack.hamiltonians[k, j], ch.hamiltonian(u).entries)
         assert np.array_equal(stack.initial_states[k].amplitudes, psi0.amplitudes)
 
 
@@ -316,7 +336,7 @@ def test_rabi_half_period_flips():
     final = traj.final_state().amplitudes
     assert final[1] == pytest.approx(-1.0j, abs=1e-12)
     assert abs(final[0]) < 1e-12
-    assert traj.survival[-1] == pytest.approx(0.0, abs=1e-12)
+    assert traj.final_state().fidelity(traj.initial_state()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rabi_path_length_is_geodesic():
@@ -448,7 +468,8 @@ def test_bhattacharyya_eigenstate_is_exactly_zero():
 def _central_difference_residual(traj: Trajectory) -> float:
     """Reference rate: central differences of arccos(sqrt(P)) at samples
     interior to their segment, where the drive is smooth."""
-    angle = np.arccos(np.sqrt(np.clip(traj.survival, 0.0, 1.0)))
+    survival = np.abs(traj.states @ traj.states[0].conj()) ** 2
+    angle = np.arccos(np.sqrt(np.clip(survival, 0.0, 1.0)))
     seg = traj.segment_index
     k = np.arange(1, traj.n_samples - 1)
     k = k[(seg[k - 1] == seg[k]) & (seg[k] == seg[k + 1])]
@@ -558,11 +579,10 @@ def test_tqsl_star_stationary_with_displaced_endpoint_is_infinite():
         times=np.array([0.0, 1.0]),
         states=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
         variance_samples=np.zeros(2),
-        survival=np.array([1.0, 0.0]),
         segment_index=np.array([0, 0]),
         ch=ch,
         field=FREE_UNIT,
-        hamiltonians=(ch.hamiltonian(0.0),),
+        hamiltonians=ch.hamiltonians([0.0]),
     )
     est = tqsl_star(traj, basis_state(2, 1))
     assert math.isinf(est.time)
