@@ -9,8 +9,6 @@ from .quantum import (
     SIGMA_X,
     SIGMA_Z,
     SpectralDecomposition,
-    basis_state,
-    energy_mean,
     energy_variance,
     fubini_study_distance,
     ground_state,
@@ -19,7 +17,6 @@ from .quantum import (
     spectral,
     unitary_step,
     unitary_steps,
-    zero_operator,
 )
 from .dynamics import (
     ControlHamiltonian,
@@ -47,10 +44,10 @@ from .bounds import (
     arenz_overlap_inequality_check,
     arenz_overlap_residuals,
     compute_report,
+    compute_reports,
     mandelstam_tamm_time,
     margolus_levitin_time,
     max_hs_norm_over_field,
-    max_variance_over_field,
     sin_star,
     tmin_a,
     tmin_b,
@@ -58,7 +55,6 @@ from .bounds import (
     tmin_c1,
     tmin_c2,
     unified_time,
-    variance_quadratic_coeffs,
 )
 from .two_level import (
     ClosedFormBounds,

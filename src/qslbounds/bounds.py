@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .dynamics import ControlHamiltonian, Trajectory, TrajectoryStack, tqsl_star
 from .quantum import (
     HermitianOperator,
     PureState,
+    cache_spectra,
     energy_variance,
     fubini_study_distance,
     hs_norm,
@@ -81,18 +82,18 @@ class BoundInputs:
         return fubini_study_distance(self.psi0, self.psig)
 
 
-def variance_quadratic_coeffs(ch: ControlHamiltonian, chi: PureState):
-    """Coefficients (c0, c1, c2) of deltaE^2(u) = c0 + c1*u + c2*u^2 in the
-    fixed state chi."""
-    x = chi.amplitudes
-    h0x = ch.h0.entries @ x
-    hcx = ch.hc.entries @ x
-    m0 = float(np.vdot(x, h0x).real)
-    mc = float(np.vdot(x, hcx).real)
-    c0 = max(float(np.vdot(h0x, h0x).real) - m0 * m0, 0.0)
-    c2 = max(float(np.vdot(hcx, hcx).real) - mc * mc, 0.0)
-    c1 = 2.0 * float(np.vdot(h0x, hcx).real) - 2.0 * m0 * mc
-    return c0, c1, c2
+def _quadratic_coeffs(h: np.ndarray, chi: np.ndarray) -> List[Tuple[float, float, float]]:
+    """Coefficients (c0, c1, c2) of deltaE^2(u) = c0 + c1*u + c2*u^2 in each
+    fixed state chi[k, j] (n, m, d) under (h0, hc) = h[k] (n, 2, d, d), in C order."""
+    # h x (n, 2, m, d, 1), then <x|h x> and <h x|h' x>, rounding as h @ x and np.vdot do
+    hx = h[:, :, None] @ chi[:, None, :, :, None]
+    means = (chi.conj()[:, None, :, None] @ hx).real.swapaxes(1, 2).reshape(-1, 2)
+    grams = (hx.conj().swapaxes(-1, -2)[:, :, None] @ hx[:, None]).real
+    grams = grams.reshape(len(h), 4, -1).swapaxes(1, 2).reshape(-1, 4)
+    return [
+        (max(s0 - m0 * m0, 0.0), 2.0 * cross - 2.0 * m0 * mc, max(sc - mc * mc, 0.0))
+        for (m0, mc), (s0, cross, _, sc) in zip(means.tolist(), grams.tolist())
+    ]
 
 
 def _max_quadratic_root(c0: float, c1: float, c2: float, u_max: float) -> float:
@@ -113,11 +114,6 @@ def _max_quadratic_root(c0: float, c1: float, c2: float, u_max: float) -> float:
     return math.sqrt(max(best, 0.0))
 
 
-def max_variance_over_field(ch: ControlHamiltonian, chi: PureState) -> float:
-    """max over |u| <= u_max of deltaE(u) in the fixed state chi."""
-    return _max_quadratic_root(*variance_quadratic_coeffs(ch, chi), ch.u_max)
-
-
 def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
     """max over |u| <= u_max of ||h0 + u*hc||_HS, again quadratic in u.
 
@@ -131,6 +127,34 @@ def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
     return _max_quadratic_root(t00, 2.0 * t0c, tcc, ch.u_max)
 
 
+def _states(stack: Sequence[BoundInputs]) -> np.ndarray:
+    """(n, 2, d): the amplitudes of each instance's psi0 and psig."""
+    return np.array([(x.psi0.amplitudes, x.psig.amplitudes) for x in stack])
+
+
+def _one(kernel, inputs: BoundInputs) -> float:
+    """A stacked kernel on one instance: its value, or its error raised."""
+    outcome = kernel((inputs,), _states((inputs,)))[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _distance_over(dist: float, speed: float) -> float:
+    """dist / speed: 0 for coincident endpoints or an unbounded speed, +inf if frozen."""
+    if dist == 0.0:
+        return 0.0
+    if speed == 0.0:
+        return math.inf
+    return 0.0 if math.isinf(speed) else dist / speed
+
+
+def _tmin_a_stack(stack: Sequence[BoundInputs], states: np.ndarray) -> List[float]:
+    return [
+        _distance_over(x.distance, math.sqrt(2.0) * max_hs_norm_over_field(x.ch)) for x in stack
+    ]
+
+
 def tmin_a(inputs: BoundInputs) -> float:
     """Hilbert-Schmidt norm bound: distance / (sqrt(2) * max_u ||H(u)||_HS).
 
@@ -138,15 +162,18 @@ def tmin_a(inputs: BoundInputs) -> float:
     to infinity, so the bound degenerates to 0 there; a zero Hamiltonian
     cannot move the state at all and reports +inf.
     """
-    dist = inputs.distance
-    if dist == 0.0:
-        return 0.0
-    norm_max = max_hs_norm_over_field(inputs.ch)
-    if norm_max == 0.0:
-        return math.inf
-    if math.isinf(norm_max):
-        return 0.0
-    return dist / (math.sqrt(2.0) * norm_max)
+    return _one(_tmin_a_stack, inputs)
+
+
+def _tmin_b_stack(stack: Sequence[BoundInputs], states: np.ndarray) -> List[float]:
+    pairs = np.array([(x.ch.h0.entries, x.ch.hc.entries) for x in stack])
+    coeffs = _quadratic_coeffs(pairs, states)
+    out = []
+    for x, at_psi0, at_psig in zip(stack, coeffs[0::2], coeffs[1::2]):
+        u_max = x.ch.u_max
+        spread = min(_max_quadratic_root(*at_psi0, u_max), _max_quadratic_root(*at_psig, u_max))
+        out.append(_distance_over(x.distance, 2.0 * spread))
+    return out
 
 
 def tmin_b(inputs: BoundInputs) -> float:
@@ -156,18 +183,7 @@ def tmin_b(inputs: BoundInputs) -> float:
     endpoint state and keeps the smaller of the two maxima; either anchoring
     is valid, so the smaller denominator (stronger bound) wins.
     """
-    dist = inputs.distance
-    if dist == 0.0:
-        return 0.0
-    spread = min(
-        max_variance_over_field(inputs.ch, inputs.psi0),
-        max_variance_over_field(inputs.ch, inputs.psig),
-    )
-    if spread == 0.0:
-        return math.inf
-    if math.isinf(spread):
-        return 0.0
-    return dist / (2.0 * spread)
+    return _one(_tmin_b_stack, inputs)
 
 
 def _require_eigenstate(chi: PureState, hc: HermitianOperator, name: str) -> None:
@@ -186,22 +202,41 @@ def tmin_b_eigenstate(inputs: BoundInputs) -> float:
     """
     _require_eigenstate(inputs.psi0, inputs.ch.hc, "psi0")
     _require_eigenstate(inputs.psig, inputs.ch.hc, "psig")
-    dist = inputs.distance
-    if dist == 0.0:
-        return 0.0
-    spread = min(
-        energy_variance(inputs.psi0, inputs.ch.h0),
-        energy_variance(inputs.psig, inputs.ch.h0),
-    )
-    if spread == 0.0:
-        return math.inf
-    return dist / (2.0 * spread)
+    spread = min(energy_variance(chi, inputs.ch.h0) for chi in (inputs.psi0, inputs.psig))
+    return _distance_over(inputs.distance, 2.0 * spread)
 
 
-def _eigenbasis_overlap_sum(op: HermitianOperator, psi0: PureState, psig: PureState) -> float:
-    """sum_j |<psig|phi_j>| |<phi_j|psi0>| over the eigenvectors phi_j of op."""
-    vh = op.spectrum.vectors.conj().T
-    return float(np.abs(vh @ psig.amplitudes) @ np.abs(vh @ psi0.amplitudes))
+def _eigenbasis_bounds(states: np.ndarray, ops: Sequence, scales: Sequence, out: List) -> List:
+    """Set out[k] = (1 - sum_j |<psig|phi_j>| |<phi_j|psi0>|) / scales[k], phi_j the
+    eigenvectors of ops[k] if set (a numerator in the round-off floor vanishes, a zero
+    scale gives +inf): one batched pass per distinct operator, whose error is theirs."""
+    groups: Dict[int, List[int]] = {}
+    for k, op in enumerate(ops):
+        if op is not None:
+            groups.setdefault(id(op), []).append(k)
+    for members in groups.values():
+        try:
+            vh = ops[members[0]].spectrum.vectors.conj().T
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            for k in members:
+                out[k] = exc
+            continue
+        # d x d by d x 1 products round as vh @ psi, 1 x d by d x 1 as a dot
+        weights = np.abs(vh @ (states if len(members) == len(out) else states[members])[..., None])
+        sums = (weights[:, 1].swapaxes(-1, -2) @ weights[:, 0])[:, 0, 0]
+        for k, total in zip(members, sums.tolist()):
+            numerator = max(0.0, 1.0 - total)
+            if numerator > OVERLAP_SUM_ATOL:
+                out[k] = numerator / scales[k] if scales[k] else math.inf
+    return out
+
+
+def _tmin_c1_stack(stack: Sequence[BoundInputs], states: np.ndarray) -> List:
+    norms = [x.ch.h0.norm for x in stack]
+    zero = "zero drift: the control-eigenbasis bound needs h0 != 0"
+    out = [0.0 if norm else ValueError(zero) for norm in norms]
+    ops = [x.ch.hc if norm else None for x, norm in zip(stack, norms)]
+    return _eigenbasis_bounds(states, ops, norms, out)
 
 
 def tmin_c1(inputs: BoundInputs) -> float:
@@ -209,13 +244,13 @@ def tmin_c1(inputs: BoundInputs) -> float:
     with phi_j the eigenvectors of hc.  Independent of u_max.  A numerator
     inside the overlap round-off floor counts as vanished, so coincident
     endpoints give a hard zero."""
-    drift_norm = hs_norm(inputs.ch.h0)
-    if drift_norm == 0.0:
-        raise ValueError("zero drift: the control-eigenbasis bound needs h0 != 0")
-    numerator = max(0.0, 1.0 - _eigenbasis_overlap_sum(inputs.ch.hc, inputs.psi0, inputs.psig))
-    if numerator <= OVERLAP_SUM_ATOL:
-        return 0.0
-    return numerator / drift_norm
+    return _one(_tmin_c1_stack, inputs)
+
+
+def _tmin_c2_stack(stack: Sequence[BoundInputs], states: np.ndarray) -> List:
+    ops = [None if math.isinf(x.ch.u_max) else x.ch.h0 for x in stack]
+    scales = [0.0 if op is None else x.ch.u_max * x.ch.hc.norm for x, op in zip(stack, ops)]
+    return _eigenbasis_bounds(states, ops, scales, [0.0] * len(stack))
 
 
 def tmin_c2(inputs: BoundInputs) -> float:
@@ -227,15 +262,7 @@ def tmin_c2(inputs: BoundInputs) -> float:
     round-off floor counts as vanished; otherwise a closed window would turn
     a 1e-16 residue into +inf.
     """
-    if math.isinf(inputs.ch.u_max):
-        return 0.0
-    numerator = max(0.0, 1.0 - _eigenbasis_overlap_sum(inputs.ch.h0, inputs.psi0, inputs.psig))
-    if numerator <= OVERLAP_SUM_ATOL:
-        return 0.0
-    control_norm = hs_norm(inputs.ch.hc)
-    if inputs.ch.u_max == 0.0 or control_norm == 0.0:
-        return math.inf
-    return numerator / (inputs.ch.u_max * control_norm)
+    return _one(_tmin_c2_stack, inputs)
 
 
 def arenz_overlap_residuals(stack: TrajectoryStack, psigs: Sequence[PureState]) -> np.ndarray:
@@ -300,29 +327,46 @@ class BoundReport:
         return "\n".join(lines)
 
 
+def compute_reports(
+    stack: Sequence[BoundInputs], t_opts: Optional[Sequence[Optional[float]]] = None
+) -> List[BoundReport]:
+    """compute_report of each instance of a stack of one dimension, without a
+    trajectory, flagged against t_opts[k] if given: one batched pass per bound."""
+    stack = tuple(stack)
+    t_opts = (None,) * len(stack) if t_opts is None else t_opts
+    dims = {x.ch.dim for x in stack}
+    if len(dims) != 1:
+        raise ValueError(f"need instances of one dimension, got dimensions {sorted(dims)}")
+    # every spectrum the eigenbasis bounds read, from one stacked eigh
+    cache_spectra([x.ch.hc for x in stack] + [x.ch.h0 for x in stack if math.isfinite(x.ch.u_max)])
+    states = _states(stack)
+    kernels = (_tmin_a_stack, _tmin_b_stack, _tmin_c1_stack, _tmin_c2_stack)
+    columns = [kernel(stack, states) for kernel in kernels]
+    reports = []
+    for t_opt, *outcomes in zip(t_opts, *columns, strict=True):
+        values, errors, flags = [], {}, {}
+        for name, value in zip(BOUND_NAMES, outcomes):
+            if isinstance(value, Exception):
+                errors[name], value = str(value), math.nan
+            else:
+                value = max(0.0, value)
+                if t_opt is not None:
+                    flags[name] = t_opt >= value - tolerances.PASS_TOL
+            values.append(value)
+        reports.append(BoundReport(*values, t_opt=t_opt, inequality_flags=flags, errors=errors))
+    return reports
+
+
 def compute_report(
     inputs: BoundInputs,
     traj: Optional[Trajectory] = None,
     t_opt: Optional[float] = None,
 ) -> BoundReport:
     """Evaluate every bound, tolerating per-bound failures, and flag each one
-    against t_opt when an achieved time is supplied.  PASS_TOL is read at
-    call time, so patching tolerances.PASS_TOL reaches every flag."""
-    values: Dict[str, float] = {}
-    errors: Dict[str, str] = {}
-    for name, fn in zip(BOUND_NAMES, (tmin_a, tmin_b, tmin_c1, tmin_c2)):
-        try:
-            values[name] = max(0.0, fn(inputs))
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            values[name] = math.nan
-            errors[name] = str(exc)
-    t_qsl = tqsl_star(traj, inputs.psig).time if traj is not None else None
-    flags: Dict[str, bool] = {}
-    if t_opt is not None:
-        for name, v in values.items():
-            if not math.isnan(v):
-                flags[name] = t_opt >= v - tolerances.PASS_TOL
-    return BoundReport(
-        values["a"], values["b"], values["c1"], values["c2"],
-        t_qsl_star=t_qsl, t_opt=t_opt, inequality_flags=flags, errors=errors,
-    )
+    against t_opt when an achieved time is supplied: compute_reports of one
+    instance, plus the trajectory's T*_QSL.  PASS_TOL is read at call time,
+    so patching tolerances.PASS_TOL reaches every flag."""
+    report = compute_reports((inputs,), (t_opt,))[0]
+    if traj is not None:
+        report.t_qsl_star = tqsl_star(traj, inputs.psig).time
+    return report

@@ -18,15 +18,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, tolerances
-from .bounds import BOUND_NAMES, BoundInputs, arenz_overlap_inequality_check, compute_report
+from .bounds import BOUND_NAMES, BoundInputs, compute_report, compute_reports
+from .bounds import arenz_overlap_inequality_check
 from .dynamics import (
-    ControlHamiltonian,
     bhattacharyya_check,
     path_length,
     pfeifer_envelope_check,
     propagate_refined,
+    tqsl_star,
 )
-from .quantum import PureState, fubini_study_distance
+from .quantum import fubini_study_distance
 from .property_suites import run_property_suites
 from .tolerances import (
     AA_TOL,
@@ -76,6 +77,8 @@ class LambdaSpec:
                 raise ValueError("unconstrained mode takes no value")
         elif self.value is None or not self.value > 0.0:
             raise ValueError(f"{self.mode} mode needs a positive value")
+        elif math.isinf(self.value):
+            raise ValueError(f"{self.mode} cap must be finite; pass --unconstrained for no cap")
 
     def resolve(self, delta: float, theta: float) -> float:
         if self.mode == "unconstrained":
@@ -145,49 +148,36 @@ class SweepRow:
 SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
-def _point_setup(
-    cfg: SweepConfig, theta: float
-) -> Tuple[LandauZenerProblem, OptimalProtocol, ControlHamiltonian]:
-    problem = LandauZenerProblem.from_theta(
-        cfg.delta, theta, cfg.lambda_spec.resolve(cfg.delta, theta)
-    )
-    return problem, optimal_protocol(problem, cfg.u0_surrogate), problem.control_hamiltonian()
-
-
-def _sweep_point(
-    problem: LandauZenerProblem,
-    protocol: OptimalProtocol,
-    ch: ControlHamiltonian,
-    psi0: PureState,
-    psig: PureState,
-) -> SweepRow:
-    traj = propagate_refined(ch, protocol.field, psi0)
-    t_opt = protocol.t_opt_ideal
-    report = compute_report(BoundInputs(ch, psi0, psig), traj=traj, t_opt=t_opt)
-    return SweepRow(
-        theta=problem.theta,
-        gamma=problem.gamma,
-        regime=protocol.regime,
-        t_opt=t_opt,
-        tqsl_closed=tqsl_star_closed(problem, protocol),
-        tqsl_traj=report.t_qsl_star,
-        fidelity=traj.final_state().fidelity(psig),
-        **{f"tmin_{n}": report.value(n) for n in BOUND_NAMES},
-        **{f"pass_{n}": report.inequality_flags.get(n, False) for n in BOUND_NAMES},
-    )
-
-
 def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
     """One row per theta of the grid.  The boundary states of every point come
-    from one stacked eigh; each point then propagates its own trajectory."""
+    from one stacked eigh and the bounds from one batched pass; each point
+    then propagates its own trajectory."""
     thetas = [float(t) for t in np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_count)]
     # theta = pi/2 gets the default row, which needs no states
-    setups = {i: _point_setup(cfg, t) for i, t in enumerate(thetas) if t != 0.5 * math.pi}
-    states = dict(zip(setups, boundary_state_pairs([s[0] for s in setups.values()])))
-    return [
-        _sweep_point(*setups[i], *states[i]) if i in setups else SweepRow(t)
-        for i, t in enumerate(thetas)
+    rows = [SweepRow(t) for t in thetas]
+    moving = [i for i, t in enumerate(thetas) if t != 0.5 * math.pi]
+    problems = [
+        LandauZenerProblem.from_theta(cfg.delta, t, cfg.lambda_spec.resolve(cfg.delta, t))
+        for t in (thetas[i] for i in moving)
     ]
+    protocols = [optimal_protocol(p, cfg.u0_surrogate) for p in problems]
+    pairs = boundary_state_pairs(problems)
+    stack = [BoundInputs(p.control_hamiltonian(), *pair) for p, pair in zip(problems, pairs)]
+    reports = compute_reports(stack, [p.t_opt_ideal for p in protocols])
+    for i, problem, protocol, x, report in zip(moving, problems, protocols, stack, reports):
+        estimate = tqsl_star(propagate_refined(x.ch, protocol.field, x.psi0), x.psig)
+        rows[i] = SweepRow(
+            theta=problem.theta,
+            gamma=problem.gamma,
+            regime=protocol.regime,
+            t_opt=report.t_opt,
+            tqsl_closed=tqsl_star_closed(problem, protocol),
+            tqsl_traj=estimate.time,
+            fidelity=estimate.target_fidelity,
+            **{f"tmin_{n}": report.value(n) for n in BOUND_NAMES},
+            **{f"pass_{n}": report.inequality_flags.get(n, False) for n in BOUND_NAMES},
+        )
+    return rows
 
 
 def emit_report(rows: Sequence[SweepRow], cfg: SweepConfig, path) -> Tuple[Path, Path]:
@@ -321,9 +311,11 @@ def _cap_type(mode: str):
     """argparse type of a cap flag: its value becomes a LambdaSpec."""
 
     def parse(text: str) -> LambdaSpec:
-        return LambdaSpec(mode, float(text))
+        try:
+            return LambdaSpec(mode, float(text))
+        except ValueError as exc:  # argparse would print its generic "invalid ... value"
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    parse.__name__ = f"{mode} cap"  # argparse: "invalid factor cap value: '0'"
     return parse
 
 
@@ -417,7 +409,7 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
             continue
         try:
             defaults[action.dest] = (action.type or str)(str(value))
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
     parser.set_defaults(**defaults)
 

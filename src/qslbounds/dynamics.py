@@ -115,9 +115,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.times.shape[0]
 
-    def state_at(self, k: int) -> PureState:
-        return PureState(self.states[k])
-
     @cached_property
     def stack(self) -> "TrajectoryStack":
         """This trajectory as a stack of one, viewing the same arrays."""

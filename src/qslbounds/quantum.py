@@ -66,14 +66,6 @@ class PureState:
         return _clamp01(abs(self.overlap(other)) ** 2)
 
 
-def basis_state(dim: int, index: int) -> PureState:
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return PureState(v)
-
-
 @dataclass(frozen=True)
 class HermitianOperator:
     """Hermitian matrix acting on a d-level system."""
@@ -98,10 +90,10 @@ class HermitianOperator:
         read-only, so the decomposition cannot go stale."""
         return spectral(self)
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return HermitianOperator(self.entries + other.entries)
+    @cached_property
+    def norm(self) -> float:
+        """hs_norm(self), kept like the spectrum."""
+        return hs_norm(self)
 
     def __mul__(self, scalar: float) -> "HermitianOperator":
         if isinstance(scalar, complex) and scalar.imag != 0.0:
@@ -115,10 +107,6 @@ class HermitianOperator:
 
 SIGMA_X = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 SIGMA_Z = HermitianOperator(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
-
-
-def zero_operator(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.zeros((dim, dim), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -150,30 +138,52 @@ def _phase_fixed_eigh(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # on ties; np.hypot rounds as abs() of one complex does, np.abs may not.
     pivots = flat[np.abs(flat).argmax(axis=0), np.arange(flat.shape[1])]
     flat = flat * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
-    dev = np.abs(np.linalg.norm(flat, axis=0) - 1.0)
-    if not (dev <= NORM_ATOL).all():
-        raise ValueError(f"eigenvector norm deviates from 1 by {dev.max()!r} beyond {NORM_ATOL}")
+    dev = np.abs(np.linalg.norm(flat, axis=0) - 1.0).max()
+    if not dev <= NORM_ATOL:
+        raise ValueError(f"eigenvector norm deviates from 1 by {dev!r} beyond {NORM_ATOL}")
     return eigvals, flat.reshape(cols.shape).swapaxes(0, -2)
 
 
-def spectral(h: HermitianOperator) -> SpectralDecomposition:
-    eigvals, vecs = _phase_fixed_eigh(h.entries)
+def _decomposition(eigvals: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
     eigvals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(eigenvalues=eigvals, vectors=vecs)
 
 
-def ground_states(ops: Sequence[HermitianOperator]) -> Tuple[PureState, ...]:
-    """Eigenvector of the smallest eigenvalue of each operator, through one
-    stacked eigh; rejects a degenerate ground space."""
-    dims = {op.dim for op in ops}
-    if len(dims) != 1:
-        raise ValueError(f"need operators of one dimension, got dimensions {sorted(dims)}")
-    eigvals, vecs = _phase_fixed_eigh(np.array([op.entries for op in ops]))
+def spectral(h: HermitianOperator) -> SpectralDecomposition:
+    return _decomposition(*_phase_fixed_eigh(h.entries))
+
+
+def cache_spectra(ops: Sequence[HermitianOperator]) -> None:
+    """Fill the cached spectrum of each operator (one dimension) lacking one with the
+    bits spectral gives, through one stacked eigh; if that fails, spectral raises."""
+    todo = list({id(op): op for op in ops if "spectrum" not in vars(op)}.values())
+    if not todo:
+        return
+    try:
+        eigvals, vecs = _phase_fixed_eigh(np.array([op.entries for op in todo]))
+    except (ValueError, np.linalg.LinAlgError):
+        return
+    for op, w, v in zip(todo, eigvals, vecs):
+        vars(op)["spectrum"] = _decomposition(w, v)
+
+
+def ground_states_of_stack(entries: np.ndarray) -> Tuple[PureState, ...]:
+    """Eigenvector of the smallest eigenvalue of each matrix of a validated
+    Hermitian stack (n, d, d), through one eigh; rejects a degenerate one."""
+    eigvals, vecs = _phase_fixed_eigh(entries)
     for gap in (eigvals[:, 1] - eigvals[:, 0]).tolist():
         if not gap > DEGENERACY_ATOL:
             raise ValueError(f"ground space degenerate within {DEGENERACY_ATOL} (gap {gap!r})")
     return tuple(PureState(v) for v in vecs[:, :, 0])
+
+
+def ground_states(ops: Sequence[HermitianOperator]) -> Tuple[PureState, ...]:
+    """ground_states_of_stack of the operators' entries."""
+    dims = {op.dim for op in ops}
+    if len(dims) != 1:
+        raise ValueError(f"need operators of one dimension, got dimensions {sorted(dims)}")
+    return ground_states_of_stack(np.array([op.entries for op in ops]))
 
 
 def ground_state(h: HermitianOperator) -> PureState:
@@ -184,12 +194,6 @@ def ground_state(h: HermitianOperator) -> PureState:
 def fubini_study_distance(a: PureState, b: PureState) -> float:
     """Geodesic distance 2*arccos(|<a|b>|) on the ray space."""
     return 2.0 * math.acos(_clamp01(abs(a.overlap(b))))
-
-
-def energy_mean(state: PureState, h: HermitianOperator) -> float:
-    if state.dim != h.dim:
-        raise ValueError(f"dimension mismatch: {state.dim} vs {h.dim}")
-    return float(np.vdot(state.amplitudes, h.entries @ state.amplitudes).real)
 
 
 def energy_variance(state: PureState, h: HermitianOperator) -> float:
@@ -203,8 +207,9 @@ def energy_variance(state: PureState, h: HermitianOperator) -> float:
 
 
 def hs_norm(h: HermitianOperator) -> float:
-    """Hilbert-Schmidt norm sqrt(tr(h^2))."""
-    return float(np.linalg.norm(h.entries, "fro"))
+    """Hilbert-Schmidt norm sqrt(tr(h^2)), summed as np.linalg.norm(h, "fro") does."""
+    x = h.entries.ravel()
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def unitary_steps(entries: np.ndarray, dts) -> np.ndarray:

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .dynamics import ControlHamiltonian, PiecewiseConstantField
-from .quantum import SIGMA_X, SIGMA_Z, HermitianOperator, PureState, ground_states
+from .quantum import SIGMA_X, SIGMA_Z, HermitianOperator, PureState
+from .quantum import check_hermitian, ground_states_of_stack
 from .tolerances import ASIN_CLAMP_ATOL, CONSISTENCY_ATOL
 
 REGIME_UNCONSTRAINED = "unconstrained-composite"
@@ -68,10 +71,6 @@ class LandauZenerProblem:
             )
 
     @classmethod
-    def from_gamma(cls, delta: float, gamma: float, lambda_cap: float = math.inf):
-        return cls(delta, gamma, theta_from_gamma(delta, gamma), lambda_cap)
-
-    @classmethod
     def from_theta(cls, delta: float, theta: float, lambda_cap: float = math.inf):
         return cls(delta, gamma_from_theta(delta, theta), theta, lambda_cap)
 
@@ -92,23 +91,20 @@ def _drift(delta: float) -> HermitianOperator:
     return (0.5 * delta) * SIGMA_X
 
 
-def _bias_hamiltonian(problem: LandauZenerProblem, bias: float) -> HermitianOperator:
-    # endpoint definition, deliberately not windowed by lambda_cap
-    half_gap = 0.5 * problem.delta
-    for factor in (bias, half_gap):
-        if not math.isfinite(factor):
-            raise ValueError(f"scalar factor must be finite, got {factor!r}")
-    return HermitianOperator(bias * SIGMA_Z.entries + half_gap * SIGMA_X.entries)
-
-
 def boundary_state_pairs(
     problems: Sequence[LandauZenerProblem],
 ) -> List[Tuple[PureState, PureState]]:
-    """boundary_states of each problem, through one stacked eigh."""
-    ops = [
-        _bias_hamiltonian(p, bias) for p in problems for bias in (-p.gamma, +p.gamma)
-    ]
-    states = ground_states(ops)
+    """boundary_states of each problem: its bias Hamiltonians at -gamma and
+    +gamma, all in one (2n, 2, 2) stack, validated once, through one eigh."""
+    # endpoint definition, deliberately not windowed by lambda_cap
+    factors = np.array([(b, 0.5 * p.delta) for p in problems for b in (-p.gamma, p.gamma)])
+    bad = factors[~np.isfinite(factors)]
+    if bad.size:
+        raise ValueError(f"scalar factor must be finite, got {float(bad[0])!r}")
+    bias, half_gap = factors.T[..., None, None]
+    h = bias * SIGMA_Z.entries + half_gap * SIGMA_X.entries
+    check_hermitian(h)
+    states = ground_states_of_stack(h)
     return list(zip(states[0::2], states[1::2]))
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qslbounds import HermitianOperator, PureState
+from qslbounds import HermitianOperator, LandauZenerProblem, PureState, theta_from_gamma
+from qslbounds.bounds import _max_quadratic_root, _quadratic_coeffs
 from qslbounds.property_suites import (  # noqa: F401  re-exported to the tests
     random_control_problem,
     random_field,
@@ -19,6 +20,30 @@ def state(*amps) -> PureState:
 
 def hermitian(rows) -> HermitianOperator:
     return HermitianOperator(np.asarray(rows, dtype=complex))
+
+
+def basis_state(dim: int, index: int) -> PureState:
+    return PureState(np.eye(dim, dtype=complex)[index])
+
+
+def zero_operator(dim: int) -> HermitianOperator:
+    return HermitianOperator(np.zeros((dim, dim), dtype=complex))
+
+
+def variance_quadratic_coeffs(ch, chi: PureState):
+    """The library's coefficients of deltaE^2(u) = c0 + c1*u + c2*u^2 in chi."""
+    pair = np.array([(ch.h0.entries, ch.hc.entries)])
+    return _quadratic_coeffs(pair, chi.amplitudes[None, None])[0]
+
+
+def max_variance_over_field(ch, chi: PureState) -> float:
+    """max over |u| <= u_max of deltaE(u) in chi, as tmin_b takes it."""
+    return _max_quadratic_root(*variance_quadratic_coeffs(ch, chi), ch.u_max)
+
+
+def problem_from_gamma(delta: float, gamma: float, lambda_cap: float = math.inf):
+    """The avoided-crossing problem of bias reach gamma."""
+    return LandauZenerProblem(delta, gamma, theta_from_gamma(delta, gamma), lambda_cap)
 
 
 @pytest.fixture

@@ -17,13 +17,11 @@ from qslbounds import (
     PureState,
     SIGMA_X,
     SIGMA_Z,
-    basis_state,
     boundary_states,
     closed_form_bounds,
     constrained_protocol,
     energy_variance,
     gamma_from_theta,
-    max_variance_over_field,
     optimal_protocol,
     propagate,
     run_property_suites,
@@ -35,6 +33,7 @@ from qslbounds import (
     unconstrained_protocol,
 )
 from qslbounds.cli import LambdaSpec, SweepConfig, run_sweep
+from conftest import basis_state, max_variance_over_field
 
 HALF_PI = 0.5 * math.pi
 SEED = 20260819

@@ -11,14 +11,16 @@ from qslbounds import (
     PiecewiseConstantField,
     SIGMA_X,
     SIGMA_Z,
+    LandauZenerProblem,
     arenz_overlap_inequality_check,
-    basis_state,
+    boundary_state_pairs,
     compute_report,
     energy_variance,
+    fubini_study_distance,
+    hs_norm,
     mandelstam_tamm_time,
     margolus_levitin_time,
     max_hs_norm_over_field,
-    max_variance_over_field,
     propagate,
     sin_star,
     spectral,
@@ -28,12 +30,29 @@ from qslbounds import (
     tmin_c1,
     tmin_c2,
     unified_time,
-    zero_operator,
 )
 import qslbounds.bounds as bounds_module
 import qslbounds.quantum as quantum_module
-from qslbounds.bounds import _eigenbasis_overlap_sum, variance_quadratic_coeffs
-from conftest import random_control_problem, random_hermitian, random_state, state
+from qslbounds.bounds import (
+    BOUND_NAMES,
+    _eigenbasis_bounds,
+    _max_quadratic_root,
+    compute_reports,
+)
+from qslbounds.cli import LambdaSpec
+from qslbounds.tolerances import OVERLAP_SUM_ATOL
+from conftest import (
+    HALF_PI,
+    basis_state,
+    hermitian,
+    max_variance_over_field,
+    random_control_problem,
+    random_hermitian,
+    random_state,
+    state,
+    variance_quadratic_coeffs,
+    zero_operator,
+)
 
 HALF_SX = 0.5 * SIGMA_X  # ||.||_HS = sqrt(2)/2, spread 1/2 in either basis state
 
@@ -285,12 +304,20 @@ def _overlap_sum_reference(op, psi0, psig):
 
 def test_eigenbasis_overlap_sum_matches_per_eigenvector_reference():
     rng = np.random.default_rng(404)
-    for i in range(200):
-        dim = 2 + i % 7
-        op = random_hermitian(rng, dim)
-        psi0, psig = random_state(rng, dim), random_state(rng, dim)
-        fast = _eigenbasis_overlap_sum(op, psi0, psig)
-        assert abs(fast - _overlap_sum_reference(op, psi0, psig)) <= 1e-14, (i, dim)
+    for dim in range(2, 9):
+        # every other instance shares one operator, the rest bring their own
+        shared = random_hermitian(rng, dim)
+        ops = [shared if i % 2 else random_hermitian(rng, dim) for i in range(30)]
+        stack = [
+            BoundInputs(ControlHamiltonian(op, op), random_state(rng, dim), random_state(rng, dim))
+            for op in ops
+        ]
+        # with unit scales the bound is the numerator 1 - sum itself
+        states = bounds_module._states(stack)
+        numerators = _eigenbasis_bounds(states, ops, [1.0] * len(ops), [0.0] * len(ops))
+        for i, (op, x, numerator) in enumerate(zip(ops, stack, numerators)):
+            expected = 1.0 - _overlap_sum_reference(op, x.psi0, x.psig)
+            assert abs(numerator - expected) <= 1e-14, (i, dim)
 
 
 def test_tmin_c2_unbounded_window_skips_the_drift_decomposition(monkeypatch):
@@ -498,3 +525,183 @@ def test_compute_report_includes_trajectory_time():
     report = compute_report(inputs, traj=traj, t_opt=1.0)
     assert report.t_qsl_star == pytest.approx(1.0, abs=1e-9)
     assert report.t_opt == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels against the scalar code they replaced, bit for bit
+
+
+def _ref_variance_quadratic_coeffs(ch, chi):
+    x = chi.amplitudes
+    h0x = ch.h0.entries @ x
+    hcx = ch.hc.entries @ x
+    m0 = float(np.vdot(x, h0x).real)
+    mc = float(np.vdot(x, hcx).real)
+    c0 = max(float(np.vdot(h0x, h0x).real) - m0 * m0, 0.0)
+    c2 = max(float(np.vdot(hcx, hcx).real) - mc * mc, 0.0)
+    c1 = 2.0 * float(np.vdot(h0x, hcx).real) - 2.0 * m0 * mc
+    return c0, c1, c2
+
+
+def _ref_overlap_sum(op, psi0, psig):
+    vh = op.spectrum.vectors.conj().T
+    return float(np.abs(vh @ psig.amplitudes) @ np.abs(vh @ psi0.amplitudes))
+
+
+def _ref_tmin_a(inputs):
+    dist = fubini_study_distance(inputs.psi0, inputs.psig)
+    if dist == 0.0:
+        return 0.0
+    h0, hc = inputs.ch.h0.entries, inputs.ch.hc.entries
+    t00 = float(np.vdot(h0, h0).real)
+    t0c = float(np.vdot(hc, h0).real)
+    tcc = float(np.vdot(hc, hc).real)
+    norm_max = _max_quadratic_root(t00, 2.0 * t0c, tcc, inputs.ch.u_max)
+    if norm_max == 0.0:
+        return math.inf
+    if math.isinf(norm_max):
+        return 0.0
+    return dist / (math.sqrt(2.0) * norm_max)
+
+
+def _ref_tmin_b(inputs):
+    dist = fubini_study_distance(inputs.psi0, inputs.psig)
+    if dist == 0.0:
+        return 0.0
+    spread = min(
+        _max_quadratic_root(*_ref_variance_quadratic_coeffs(inputs.ch, chi), inputs.ch.u_max)
+        for chi in (inputs.psi0, inputs.psig)
+    )
+    if spread == 0.0:
+        return math.inf
+    if math.isinf(spread):
+        return 0.0
+    return dist / (2.0 * spread)
+
+
+def _ref_tmin_c1(inputs):
+    drift_norm = hs_norm(inputs.ch.h0)
+    if drift_norm == 0.0:
+        raise ValueError("zero drift: the control-eigenbasis bound needs h0 != 0")
+    numerator = max(0.0, 1.0 - _ref_overlap_sum(inputs.ch.hc, inputs.psi0, inputs.psig))
+    if numerator <= OVERLAP_SUM_ATOL:
+        return 0.0
+    return numerator / drift_norm
+
+
+def _ref_tmin_c2(inputs):
+    if math.isinf(inputs.ch.u_max):
+        return 0.0
+    numerator = max(0.0, 1.0 - _ref_overlap_sum(inputs.ch.h0, inputs.psi0, inputs.psig))
+    if numerator <= OVERLAP_SUM_ATOL:
+        return 0.0
+    control_norm = hs_norm(inputs.ch.hc)
+    if inputs.ch.u_max == 0.0 or control_norm == 0.0:
+        return math.inf
+    return numerator / (inputs.ch.u_max * control_norm)
+
+
+REFERENCE = dict(zip(BOUND_NAMES, (_ref_tmin_a, _ref_tmin_b, _ref_tmin_c1, _ref_tmin_c2)))
+SINGLE = dict(zip(BOUND_NAMES, (tmin_a, tmin_b, tmin_c1, tmin_c2)))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_stack_matches_reference(stack):
+    reports = compute_reports(stack)
+    for k, (inputs, report) in enumerate(zip(stack, reports)):
+        for name, ref in REFERENCE.items():
+            try:
+                expected = ref(inputs)
+            except ValueError as exc:
+                assert report.errors[name] == str(exc), (k, name)
+                assert math.isnan(report.value(name))
+                continue
+            assert _bits([SINGLE[name](inputs)]) == _bits([expected]), (k, name)
+            assert _bits([report.value(name)]) == _bits([max(0.0, expected)]), (k, name)
+            assert name not in report.errors
+
+
+def test_stacked_bounds_match_the_scalar_reference_on_the_two_level_problem():
+    thetas = np.concatenate(
+        (np.linspace(1e-3, 1.5, 25), HALF_PI - np.geomspace(0.07, 1e-4, 8))
+    )
+    specs = [LambdaSpec("unconstrained")] + [
+        LambdaSpec(mode, value)
+        for mode in ("factor", "absolute")
+        for value in (1e-8, 1e-4, 0.2, 1.0, 6.0, 1e4, 1e8)
+    ]
+    for delta in (0.5, 1.3, 2.0):
+        for spec in specs:
+            problems = [
+                LandauZenerProblem.from_theta(delta, float(t), spec.resolve(delta, float(t)))
+                for t in thetas
+            ]
+            _assert_stack_matches_reference([
+                BoundInputs(p.control_hamiltonian(), *pair)
+                for p, pair in zip(problems, boundary_state_pairs(problems))
+            ])
+
+
+def test_stacked_bounds_match_the_scalar_reference_on_a_random_pool():
+    # d = 2..8, windows closed, finite and unbounded, operators fresh or
+    # shared within the stack, and one instance with coincident endpoints
+    rng = np.random.default_rng(412)
+    for dim in range(2, 9):
+        h0, hc = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        stack = []
+        for i in range(24):
+            if i % 3:
+                h0, hc = random_hermitian(rng, dim), random_hermitian(rng, dim)
+            u_max = (math.inf, 0.0, float(rng.uniform(0.5, 3.0)))[i % 3]
+            psi0 = random_state(rng, dim)
+            psig = psi0 if i == 7 else random_state(rng, dim)
+            stack.append(BoundInputs(ControlHamiltonian(h0, hc, u_max), psi0, psig))
+        _assert_stack_matches_reference(stack)
+
+
+def test_zero_drift_mid_stack_fails_alone():
+    zero_drift = BoundInputs(
+        ControlHamiltonian(zero_operator(2), SIGMA_Z, 1.0), basis_state(2, 0), basis_state(2, 1)
+    )
+    stack = [flip_inputs(0.0), zero_drift, flip_inputs(2.0)]
+    reports = compute_reports(stack, t_opts=(4.0, 4.0, 4.0))
+    assert list(reports[1].errors) == ["c1"]
+    assert "zero drift" in reports[1].errors["c1"]
+    assert math.isnan(reports[1].t_min_c1)
+    for inputs, report in zip(stack[0::2], reports[0::2]):
+        assert report == compute_report(inputs, t_opt=4.0)
+        assert report.errors == {}
+
+
+def test_a_failing_spectrum_fails_only_its_instances(monkeypatch):
+    # the stacked eigh fails as a whole, then each spectrum is taken alone
+    broken = hermitian([[0.0, 0.3], [0.3, 0.0]])
+    eigh = quantum_module._phase_fixed_eigh
+
+    def eigh_failing_on_broken(entries):
+        if any(np.array_equal(m, broken.entries) for m in np.reshape(entries, (-1, 2, 2))):
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return eigh(entries)
+
+    monkeypatch.setattr(quantum_module, "_phase_fixed_eigh", eigh_failing_on_broken)
+    ok = flip_inputs(1.0)
+    stack = [ok, BoundInputs(ControlHamiltonian(HALF_SX, broken, 1.0), ok.psi0, ok.psig), ok]
+    reports = compute_reports(stack)
+    assert reports[1].errors == {"c1": "eigh did not converge"}
+    assert reports[0] == reports[2] == compute_report(ok)
+    with pytest.raises(np.linalg.LinAlgError):
+        tmin_c1(stack[1])
+
+
+def test_compute_reports_rejects_a_mixed_stack():
+    three = BoundInputs(
+        ControlHamiltonian(zero_operator(3), zero_operator(3)), basis_state(3, 0), basis_state(3, 1)
+    )
+    for stack in ([flip_inputs(1.0), three], []):
+        with pytest.raises(ValueError, match="need instances of one dimension"):
+            compute_reports(stack)
+    with pytest.raises(ValueError, match="zip"):
+        compute_reports([flip_inputs(1.0)], (1.0, 2.0))

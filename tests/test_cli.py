@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from qslbounds import (
-    LandauZenerProblem,
+    HermitianOperator,
     OptimalProtocol,
     PiecewiseConstantField,
     constrained_protocol,
@@ -24,6 +24,8 @@ from qslbounds.cli import (
     run_sweep,
     verify_case,
 )
+from qslbounds.two_level import _drift
+from conftest import problem_from_gamma
 
 HALF_PI = 0.5 * math.pi
 
@@ -63,6 +65,9 @@ def test_lambda_spec_validation():
         LambdaSpec("factor")
     with pytest.raises(ValueError):
         LambdaSpec("absolute", 0.0)
+    for mode in ("factor", "absolute"):
+        with pytest.raises(ValueError, match="pass --unconstrained for no cap"):
+            LambdaSpec(mode, math.inf)
 
 
 def test_sweep_config_validation():
@@ -104,6 +109,23 @@ def test_unconstrained_sweep_rows():
         assert row.pass_a and row.pass_b and row.pass_c1 and row.pass_c2
     t_opts = [r.t_opt for r in rows[:-1]]
     assert all(a > b for a, b in zip(t_opts, t_opts[1:]))
+
+
+def test_sweep_builds_no_operator_per_point(monkeypatch):
+    # boundary states and bounds are batched over the whole grid, so the
+    # number of operators built does not grow with the number of points
+    built = []
+    check = HermitianOperator.__post_init__
+    monkeypatch.setattr(
+        HermitianOperator, "__post_init__", lambda self: built.append(self) or check(self)
+    )
+    counts = {}
+    for count in (7, 50):
+        _drift.cache_clear()  # each sweep builds its drift afresh
+        built.clear()
+        run_sweep(SweepConfig(lambda_spec=LambdaSpec("factor", 6.0), theta_count=count))
+        counts[count] = len(built)
+    assert counts[7] == counts[50] == 1
 
 
 def test_bang_bang_sweep_rows():
@@ -227,7 +249,7 @@ def test_verify_case_trivial_angle():
 
 
 def test_verify_case_flags_a_broken_protocol():
-    problem = LandauZenerProblem.from_gamma(1.0, 1.0, lambda_cap=1.5)
+    problem = problem_from_gamma(1.0, 1.0, lambda_cap=1.5)
     good = constrained_protocol(problem)
     half = 0.5 * good.t_lambda
     field = PiecewiseConstantField(
@@ -371,6 +393,7 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
 
 MISSING = object()  # stands for a config path that does not exist
 U0_CAPPED = "u0 applies only to an uncapped drive, got lambda_cap="
+INFINITE_CAP = "cap must be finite; pass --unconstrained for no cap"
 
 
 @pytest.mark.parametrize(
@@ -424,6 +447,9 @@ U0_CAPPED = "u0 applies only to an uncapped drive, got lambda_cap="
             None,
             "surrogate amplitude must be positive, got -1.0",
         ),
+        (["verify", "--theta", "0.9", "--lambda", "inf", "--u0", "5"], None, INFINITE_CAP),
+        (["sweep", "--lambda-factor", "inf", "--out", "{tmp}/s.csv"], None, INFINITE_CAP),
+        (["verify", "--theta", "0.9"], {"lambda": math.inf}, INFINITE_CAP),
     ],
     ids=[
         "theta-out-of-range",
@@ -446,6 +472,9 @@ U0_CAPPED = "u0 applies only to an uncapped drive, got lambda_cap="
         "verify-u0-with-cap-at-half-pi",
         "config-u0-with-cap-at-half-pi",
         "verify-negative-u0-at-half-pi",
+        "verify-infinite-absolute-cap",
+        "sweep-infinite-factor-cap",
+        "config-infinite-absolute-cap",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):

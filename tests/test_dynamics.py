@@ -15,7 +15,6 @@ from qslbounds import (
     Trajectory,
     arenz_overlap_inequality_check,
     arenz_overlap_residuals,
-    basis_state,
     bhattacharyya_check,
     bhattacharyya_residuals,
     energy_variance,
@@ -32,11 +31,10 @@ from qslbounds import (
     propagate_stack,
     tqsl_star,
     unitary_step,
-    zero_operator,
 )
 from qslbounds import dynamics
 from qslbounds.tolerances import BHATTACHARYYA_TOL
-from conftest import random_control_problem, random_state
+from conftest import basis_state, random_control_problem, random_state, zero_operator
 
 RABI = ControlHamiltonian(h0=(0.5 * math.pi) * SIGMA_X, hc=SIGMA_Z)
 FREE_UNIT = PiecewiseConstantField(((1.0, 0.0),))
@@ -357,8 +355,10 @@ def test_bang_bang_field_reaches_target():
     ) / math.sqrt(rabi_sq)
     field = PiecewiseConstantField(((t_bang, +cap), (t_bang, -cap)))
     ch = ControlHamiltonian(h0=(0.5 * delta) * SIGMA_X, hc=SIGMA_Z, u_max=cap)
-    psi0 = ground_state((-gamma) * SIGMA_Z + (0.5 * delta) * SIGMA_X)
-    psig = ground_state(gamma * SIGMA_Z + (0.5 * delta) * SIGMA_X)
+    psi0, psig = (
+        ground_state(HermitianOperator(bias * SIGMA_Z.entries + (0.5 * delta) * SIGMA_X.entries))
+        for bias in (-gamma, gamma)
+    )
     traj = propagate(ch, field, psi0)
     assert traj.final_state().fidelity(psig) >= 0.999
 
@@ -392,7 +392,7 @@ def test_trajectory_variance_matches_pointwise_recompute(rng):
     amps = [a for _, a in field.segments]
     for k in range(0, traj.n_samples, 7):
         u = amps[traj.segment_index[k]]
-        direct = energy_variance(traj.state_at(k), ch.hamiltonian(u))
+        direct = energy_variance(PureState(traj.states[k]), ch.hamiltonian(u))
         assert traj.variance_samples[k] == pytest.approx(direct, abs=1e-11)
 
 

@@ -10,8 +10,6 @@ from qslbounds import (
     PureState,
     SIGMA_X,
     SIGMA_Z,
-    basis_state,
-    energy_mean,
     energy_variance,
     fubini_study_distance,
     ground_state,
@@ -20,9 +18,9 @@ from qslbounds import (
     spectral,
     unitary_step,
     unitary_steps,
-    zero_operator,
 )
-from conftest import hermitian, random_hermitian, random_state, state
+from qslbounds.quantum import cache_spectra
+from conftest import basis_state, hermitian, random_hermitian, random_state, state, zero_operator
 
 SQRT2 = math.sqrt(2.0)
 
@@ -50,14 +48,6 @@ def test_pure_state_is_immutable():
     psi = basis_state(2, 0)
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0
-
-
-def test_basis_state_indexing():
-    psi = basis_state(3, 2)
-    assert psi.dim == 3
-    assert psi.amplitudes[2] == 1.0 + 0.0j
-    with pytest.raises(ValueError):
-        basis_state(3, 3)
 
 
 def test_hermitian_rejects_nonhermitian():
@@ -112,15 +102,15 @@ def test_hermitian_rejects_complex_scalar():
         (1.0 + 2.0j) * hermitian([[1.0, 0.0], [0.0, -1.0]])
 
 
-def test_hermitian_add_and_scale():
-    h = 2.0 * SIGMA_Z + SIGMA_X
-    expect = np.array([[2.0, 1.0], [1.0, -2.0]], dtype=complex)
-    assert np.allclose(h.entries, expect)
+def test_hermitian_scale():
+    h = 2.0 * SIGMA_Z
+    expect = np.array([[2.0, 0.0], [0.0, -2.0]], dtype=complex)
+    assert np.array_equal(h.entries, expect)
 
 
 def test_operator_dim_mismatch():
-    with pytest.raises(ValueError):
-        SIGMA_Z + hermitian(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        energy_variance(basis_state(2, 0), hermitian(np.zeros((3, 3))))
 
 
 def test_overlap_dim_mismatch():
@@ -168,11 +158,6 @@ def test_fubini_study_symmetry_and_triangle(seed, dim):
 
 # ---------------------------------------------------------------------------
 # moments
-
-
-def test_energy_mean_basis():
-    assert energy_mean(basis_state(2, 0), SIGMA_Z) == pytest.approx(1.0)
-    assert energy_mean(basis_state(2, 1), SIGMA_Z) == pytest.approx(-1.0)
 
 
 def test_energy_variance_eigenstate_vanishes():
@@ -332,6 +317,28 @@ def test_spectrum_is_computed_once_and_read_only(rng):
         for arr in (op.spectrum.vectors, op.spectrum.eigenvalues):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def test_cached_spectra_match_spectral_bit_for_bit(rng):
+    for dim in range(2, 9):
+        ops = [random_hermitian(rng, dim) for _ in range(4)]
+        kept = ops[0].spectrum
+        cache_spectra(ops + ops[1:2])  # a repeated operator is decomposed once
+        assert ops[0].spectrum is kept
+        for op in ops:
+            fresh = spectral(op)
+            assert np.array_equal(op.spectrum.eigenvalues, fresh.eigenvalues)
+            assert np.array_equal(op.spectrum.vectors, fresh.vectors)
+            with pytest.raises(ValueError):
+                op.spectrum.vectors[0, 0] = 0.0
+
+
+def test_hs_norm_sums_as_numpy_does(rng):
+    for dim in range(2, 9):
+        for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+            h = scale * random_hermitian(rng, dim)
+            assert hs_norm(h) == float(np.linalg.norm(h.entries, "fro"))
+            assert h.norm == hs_norm(h)
 
 
 # ---------------------------------------------------------------------------

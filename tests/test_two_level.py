@@ -7,6 +7,7 @@ import pytest
 from qslbounds import (
     BoundInputs,
     ControlHamiltonian,
+    HermitianOperator,
     LandauZenerProblem,
     OptimalProtocol,
     PiecewiseConstantField,
@@ -33,7 +34,7 @@ from qslbounds import (
     tqsl_star_closed,
     unconstrained_protocol,
 )
-from qslbounds.two_level import _bias_hamiltonian
+from conftest import problem_from_gamma
 
 HALF_PI = 0.5 * math.pi
 
@@ -98,7 +99,7 @@ def test_problem_requires_consistent_angles():
 
 
 def test_problem_constructors_agree():
-    a = LandauZenerProblem.from_gamma(1.0, 0.5)
+    a = problem_from_gamma(1.0, 0.5)
     b = LandauZenerProblem.from_theta(1.0, 0.25 * math.pi)
     assert a.gamma == pytest.approx(b.gamma, abs=1e-15)
     assert math.isinf(a.lambda_cap)
@@ -106,7 +107,7 @@ def test_problem_constructors_agree():
 
 def test_problem_rejects_nonpositive_cap():
     with pytest.raises(ValueError):
-        LandauZenerProblem.from_gamma(1.0, 1.0, lambda_cap=0.0)
+        problem_from_gamma(1.0, 1.0, lambda_cap=0.0)
 
 
 def test_critical_cap():
@@ -177,13 +178,16 @@ def test_boundary_state_pairs_match_boundary_states():
 
 
 def test_bias_hamiltonian_equals_the_operator_arithmetic():
-    # one validated operator, with the entries the three-operator sum gave
-    p = lz(0.4, delta=1.3)
-    for bias in (-p.gamma, p.gamma):
-        expected = bias * SIGMA_Z + (0.5 * p.delta) * SIGMA_X
-        assert np.array_equal(_bias_hamiltonian(p, bias).entries, expected.entries)
+    # the stacked bias Hamiltonians keep the bits of one operator per bias
+    problems = [lz(theta, delta=delta) for theta in np.linspace(1e-3, 1.57, 40)
+                for delta in (0.5, 1.3, 2.0)]
+    for p, pair in zip(problems, boundary_state_pairs(problems)):
+        for bias, psi in zip((-p.gamma, p.gamma), pair):
+            h = HermitianOperator(bias * SIGMA_Z.entries + (0.5 * p.delta) * SIGMA_X.entries)
+            assert np.array_equal(psi.amplitudes, ground_state(h).amplitudes)
+    unbounded = LandauZenerProblem(1.0, math.inf, 0.0, math.inf)
     with pytest.raises(ValueError, match="scalar factor must be finite, got -inf"):
-        _bias_hamiltonian(p, -math.inf)
+        boundary_state_pairs([problems[0], unbounded])
 
 
 def test_problems_with_one_gap_share_the_drift_operator():
@@ -199,14 +203,14 @@ def test_boundary_states_coincide_at_half_pi():
 
 
 def test_boundary_distance_saturates_for_large_bias():
-    psi0, psig = boundary_states(LandauZenerProblem.from_gamma(1.0, 1e6))
+    psi0, psig = boundary_states(problem_from_gamma(1.0, 1e6))
     assert fubini_study_distance(psi0, psig) == pytest.approx(math.pi, abs=1e-5)
 
 
 def test_boundary_states_ignore_the_drive_cap():
     # endpoint definition uses the bare bias Hamiltonian even when the bias
     # exceeds the admissible drive window
-    p = LandauZenerProblem.from_gamma(1.0, 5.0, lambda_cap=0.01)
+    p = problem_from_gamma(1.0, 5.0, lambda_cap=0.01)
     psi0, psig = boundary_states(p)
     assert fubini_study_distance(psi0, psig) == pytest.approx(
         math.pi - 2.0 * p.theta, abs=1e-10
@@ -270,7 +274,7 @@ def test_ideal_duration_strictly_decreasing_in_theta():
 
 
 def test_bang_off_bang_frozen_durations():
-    p = LandauZenerProblem.from_gamma(1.0, 1.0, lambda_cap=1.5)  # 6x critical
+    p = problem_from_gamma(1.0, 1.0, lambda_cap=1.5)  # 6x critical
     proto = constrained_protocol(p)
     assert proto.regime == "bang-off-bang"
     assert proto.t_lambda == pytest.approx(FIG3A_T_LAMBDA, abs=1e-15)
@@ -283,7 +287,7 @@ def test_bang_off_bang_frozen_durations():
 
 
 def test_bang_bang_frozen_durations():
-    p = LandauZenerProblem.from_gamma(1.0, 1.0, lambda_cap=0.05)  # 0.2x critical
+    p = problem_from_gamma(1.0, 1.0, lambda_cap=0.05)  # 0.2x critical
     proto = constrained_protocol(p)
     assert proto.regime == "bang-bang"
     assert proto.t_lambda == pytest.approx(FIG3B_T_LAMBDA, abs=1e-15)
@@ -297,14 +301,14 @@ def test_regime_boundary_is_continuous():
     # at the critical cap the off window closes and both branches coincide
     gamma = 1.0
     crit = 0.25
-    at = constrained_protocol(LandauZenerProblem.from_gamma(1.0, gamma, crit))
+    at = constrained_protocol(problem_from_gamma(1.0, gamma, crit))
     assert at.regime == "bang-off-bang"
     assert at.t_off == pytest.approx(0.0, abs=1e-15)
     above = constrained_protocol(
-        LandauZenerProblem.from_gamma(1.0, gamma, crit * (1.0 + 1e-9))
+        problem_from_gamma(1.0, gamma, crit * (1.0 + 1e-9))
     )
     below = constrained_protocol(
-        LandauZenerProblem.from_gamma(1.0, gamma, crit * (1.0 - 1e-9))
+        problem_from_gamma(1.0, gamma, crit * (1.0 - 1e-9))
     )
     assert above.regime == "bang-off-bang"
     assert below.regime == "bang-bang"
@@ -432,7 +436,7 @@ def test_tqsl_closed_rejects_unknown_regime():
 
 @pytest.mark.parametrize("cap_factor", [6.0, 0.2])
 def test_tqsl_trajectory_matches_closed_form_constrained(cap_factor):
-    p = LandauZenerProblem.from_gamma(1.0, 1.0, lambda_cap=cap_factor * 0.25)
+    p = problem_from_gamma(1.0, 1.0, lambda_cap=cap_factor * 0.25)
     proto = constrained_protocol(p)
     psi0, psig = boundary_states(p)
     traj = propagate_refined(p.control_hamiltonian(), proto.field, psi0)
@@ -461,7 +465,7 @@ def test_tqsl_trajectory_matches_closed_form_unconstrained():
 
 
 def test_bang_bang_spread_constant_along_trajectory():
-    p = LandauZenerProblem.from_gamma(1.0, 1.0, lambda_cap=0.05)
+    p = problem_from_gamma(1.0, 1.0, lambda_cap=0.05)
     proto = constrained_protocol(p)
     psi0, _ = boundary_states(p)
     traj = propagate(p.control_hamiltonian(), proto.field, psi0)
