@@ -42,6 +42,7 @@ from .two_level import (
     OptimalProtocol,
     boundary_state_pairs,
     boundary_states,
+    check_delta,
     check_surrogate,
     closed_form_bounds,
     gamma_from_theta,
@@ -104,8 +105,7 @@ class SweepConfig:
     u0_surrogate: Optional[float] = None
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        check_delta(self.delta)
         if not 0.0 < self.theta_min < self.theta_max <= 0.5 * math.pi:
             raise ValueError(
                 f"need 0 < theta_min < theta_max <= pi/2, got "
@@ -320,7 +320,7 @@ def _cap_type(mode: str):
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta", type=float, default=SweepConfig.delta, help="gap delta (> 0)")
+    p.add_argument("--delta", type=float, default=SweepConfig.delta, help="gap delta (> 0, finite)")
     cap = p.add_mutually_exclusive_group()
     cap.add_argument(
         "--unconstrained",

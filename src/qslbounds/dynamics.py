@@ -2,8 +2,10 @@
 
 Propagation is exact per segment (spectral exponential of the constant
 Hamiltonian), and the energy spread is conserved while the Hamiltonian is
-constant.  So every trajectory integral here has a piecewise-constant
-integrand, and the cumulative right-endpoint sum over the sample grid is
+constant.  So a trajectory stores no spread: it is one (B, S) value per
+segment, taken in each segment's start state, and the path length is
+sum_j 2*d_j*deltaE_j.  The other trajectory integrals have piecewise-constant
+integrands, and their cumulative right-endpoint sum over the sample grid is
 exact on any grid.  Segment boundaries are sampled twice, once with each
 adjacent amplitude: the drive is discontinuous there, and the duplicated
 node spans a zero-width interval, so it adds nothing to the sums while
@@ -101,7 +103,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    variance_samples: np.ndarray
     segment_index: np.ndarray
     ch: ControlHamiltonian
     field: PiecewiseConstantField
@@ -121,7 +122,6 @@ class Trajectory:
         return TrajectoryStack(
             times=self.times[None],
             states=self.states[None],
-            variance_samples=self.variance_samples[None],
             segment_index=self.segment_index,
             chs=(self.ch,),
             fields=(self.field,),
@@ -140,14 +140,15 @@ class TrajectoryStack:
     """Trajectories of instances that share a dimension and a segment count,
     stacked along a leading instance axis.
 
-    times and variance_samples are (B, N) and states is (B, N, d); all
-    instances share segment_index (N,).  Instance b was driven by chs[b]
-    under fields[b], and hamiltonians[b, j] = H(u_j), one (B, S, d, d) array.
+    times is (B, N) and states is (B, N, d); all instances share
+    segment_index (N,).  Instance b was driven by chs[b] under fields[b], and
+    hamiltonians[b, j] = H(u_j), one (B, S, d, d) array.  No spread is
+    stored: spreads derives the conserved deltaE of each segment from its
+    start state.
     """
 
     times: np.ndarray
     states: np.ndarray
-    variance_samples: np.ndarray
     segment_index: np.ndarray
     chs: Tuple[ControlHamiltonian, ...]
     fields: Tuple[PiecewiseConstantField, ...]
@@ -160,7 +161,6 @@ class TrajectoryStack:
         return Trajectory(
             times=self.times[k],
             states=self.states[k],
-            variance_samples=self.variance_samples[k],
             segment_index=self.segment_index,
             ch=self.chs[k],
             field=self.fields[k],
@@ -179,6 +179,13 @@ class TrajectoryStack:
     @cached_property
     def final_states(self) -> Tuple[PureState, ...]:
         return tuple(PureState(s) for s in self.states[:, -1])
+
+    @cached_property
+    def spreads(self) -> np.ndarray:
+        """deltaE of each segment, (B, S), in the state at its start node."""
+        width = len(self.segment_index) // self.hamiltonians.shape[1]
+        # contiguous, so the products round alike for every stack layout
+        return _segment_spreads(self.hamiltonians, np.ascontiguousarray(self.states[:, ::width]))
 
 
 def propagate_stack(
@@ -208,7 +215,7 @@ def propagate_stack(
 
     h = np.array([ch.hamiltonians([amp for _, amp in f.segments]) for ch, f in zip(chs, fields)])
     h.setflags(write=False)
-    durations = np.array([[dur for dur, _ in field.segments] for field in fields])
+    durations = _durations(fields)
     n_inst, width = len(chs), samples_per_segment + 1
 
     # each segment owns `width` samples: its start node (for j > 0 the
@@ -223,13 +230,9 @@ def propagate_stack(
     seg_idx = np.repeat(np.arange(n_seg), width)
 
     psi0 = np.array([p.amplitudes for p in psi0s])
-    states = _evolve(h, taus, psi0)
-    variance = _spreads(states, h)
-
     return TrajectoryStack(
         times=times,
-        states=states,
-        variance_samples=variance,
+        states=_evolve(h, taus, psi0),
         segment_index=seg_idx,
         chs=chs,
         fields=fields,
@@ -257,20 +260,20 @@ def _evolve(h: np.ndarray, taus: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return columns.reshape(n_inst, dim, -1).swapaxes(1, 2)
 
 
-def _spreads(states: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Energy spread at every sample under its segment's Hamiltonian."""
-    n_seg = h.shape[1]
-    width = states.shape[1] // n_seg
-    variance = np.empty(states.shape[:2])
-    for j in range(n_seg):
-        cols = slice(j * width, (j + 1) * width)
-        block = np.ascontiguousarray(states[:, cols])
-        hpsi = block @ np.swapaxes(h[:, j], -1, -2)
-        # conjugating the copy in place spares one temporary per segment
-        mean = np.einsum("...ij,...ij->...i", np.conj(block, out=block), hpsi).real
-        second = np.einsum("...ij,...ij->...i", hpsi.conj(), hpsi).real
-        variance[:, cols] = np.sqrt(np.maximum(second - mean * mean, 0.0))
-    return variance
+def _segment_spreads(h: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """deltaE of h[b, j] in the state chi[..., b, j], or in chi[..., b, 0]
+    when chi holds one state per instance: (..., B, S) values."""
+    chi = chi[..., None]
+    h_chi = h @ chi
+    # on contiguous states the 1 x d by d x 1 products round as np.vdot does
+    second = (np.swapaxes(h_chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
+    mean = (np.swapaxes(chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
+    return np.sqrt(np.maximum(second - mean * mean, 0.0))
+
+
+def _durations(fields: Sequence[PiecewiseConstantField]) -> np.ndarray:
+    """Segment durations, (B, S)."""
+    return np.array([[dur for dur, _ in field.segments] for field in fields])
 
 
 def propagate(
@@ -306,10 +309,9 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def path_lengths(stack: TrajectoryStack) -> np.ndarray:
-    """Anandan-Aharonov length 2*integral of the energy spread, per instance."""
-    if stack.times.shape[-1] < 2:
-        raise ValueError("need at least two samples to integrate")
-    return 2.0 * _running_integral(stack.times, stack.variance_samples)[:, -1]
+    """Anandan-Aharonov length 2*integral of the energy spread, per instance:
+    exactly sum_j 2*d_j*deltaE_j, the spread being conserved on each segment."""
+    return 2.0 * np.sum(_durations(stack.fields) * stack.spreads, axis=-1)
 
 
 def path_length(traj: Trajectory) -> float:
@@ -362,24 +364,13 @@ def bhattacharyya_residuals(stack: TrajectoryStack) -> np.ndarray:
     coupling = np.einsum("...ij,...ij->...i", h_psi0.conj()[:, stack.segment_index], perp)
     rate = -np.imag(a.conj() * coupling)[keep] / (abs_a[keep] * perp_norm[keep])
     excess = np.full(a.shape, -math.inf)
-    excess[keep] = rate - stack.variance_samples[keep]
+    excess[keep] = rate - stack.spreads[:, stack.segment_index][keep]
     return np.where(keep.any(axis=-1), excess.max(axis=-1), 0.0)
 
 
 def bhattacharyya_check(traj: Trajectory) -> float:
     """bhattacharyya_residuals of one trajectory."""
     return float(bhattacharyya_residuals(traj.stack)[0])
-
-
-def _anchored_variances(stack: TrajectoryStack, chis: Sequence[PureState]) -> np.ndarray:
-    """deltaE of H(u(t)) in the fixed state chis[b], per trajectory sample."""
-    chi = np.array([c.amplitudes for c in chis])[:, None, :, None]
-    h_chi = stack.hamiltonians @ chi
-    # 1 x d by d x 1 products round as np.vdot does
-    second = (np.swapaxes(h_chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
-    mean = (np.swapaxes(chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
-    per_segment = np.sqrt(np.maximum(second - mean * mean, 0.0))
-    return per_segment[:, stack.segment_index]
 
 
 def _pfeifer_envelopes(
@@ -391,9 +382,10 @@ def _pfeifer_envelopes(
         if phi.dim != stack.dim:
             raise ValueError(f"dimension mismatch: {phi.dim} vs {stack.dim}")
     psi0s = stack.initial_states
-    h_phi = _running_integral(stack.times, _anchored_variances(stack, phis))
-    h_psi0 = _running_integral(stack.times, _anchored_variances(stack, psi0s))
-    envelope_angle = np.minimum(h_phi, h_psi0)
+    # deltaE of H(u(t)) in the fixed states phis[b] and psi0s[b], accumulated
+    anchors = np.array([[c.amplitudes for c in chis] for chis in (phis, psi0s)])[:, :, None]
+    anchored = _segment_spreads(stack.hamiltonians, anchors)[..., stack.segment_index]
+    envelope_angle = np.min(_running_integral(stack.times, anchored), axis=0)
     delta = np.array(
         [math.asin(min(abs(phi.overlap(psi0)), 1.0)) for phi, psi0 in zip(phis, psi0s)]
     )[:, None]

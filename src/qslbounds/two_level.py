@@ -29,17 +29,21 @@ REGIME_BANG_BANG = "bang-bang"
 DEFAULT_SURROGATE_FACTOR = 1e4
 
 
+def check_delta(delta: float) -> None:
+    """The rule for a gap delta, wherever one enters: positive and finite."""
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+
+
 def theta_from_gamma(delta: float, gamma: float) -> float:
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    check_delta(delta)
+    if not (gamma >= 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma!r}")
     return math.atan2(delta, 2.0 * gamma)
 
 
 def gamma_from_theta(delta: float, theta: float) -> float:
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    check_delta(delta)
     if not 0.0 < theta <= 0.5 * math.pi:
         raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
     if theta == 0.5 * math.pi:
@@ -57,14 +61,10 @@ class LandauZenerProblem:
     lambda_cap: float
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
+        implied = theta_from_gamma(self.delta, self.gamma)  # validates delta and gamma
         if not self.lambda_cap > 0.0:
             raise ValueError(f"lambda_cap must be positive or +inf, got {self.lambda_cap!r}")
-        implied = theta_from_gamma(self.delta, self.gamma)
-        if abs(self.theta - implied) > CONSISTENCY_ATOL:
+        if not abs(self.theta - implied) <= CONSISTENCY_ATOL:  # a NaN theta fails too
             raise ValueError(
                 f"theta {self.theta!r} inconsistent with gamma {self.gamma!r} "
                 f"(implied {implied!r})"
@@ -96,11 +96,9 @@ def boundary_state_pairs(
 ) -> List[Tuple[PureState, PureState]]:
     """boundary_states of each problem: its bias Hamiltonians at -gamma and
     +gamma, all in one (2n, 2, 2) stack, validated once, through one eigh."""
-    # endpoint definition, deliberately not windowed by lambda_cap
+    # endpoint definition, deliberately not windowed by lambda_cap; a problem
+    # has a finite delta and gamma, so every factor is finite
     factors = np.array([(b, 0.5 * p.delta) for p in problems for b in (-p.gamma, p.gamma)])
-    bad = factors[~np.isfinite(factors)]
-    if bad.size:
-        raise ValueError(f"scalar factor must be finite, got {float(bad[0])!r}")
     bias, half_gap = factors.T[..., None, None]
     h = bias * SIGMA_Z.entries + half_gap * SIGMA_X.entries
     check_hermitian(h)

@@ -30,6 +30,17 @@ def zero_operator(dim: int) -> HermitianOperator:
     return HermitianOperator(np.zeros((dim, dim), dtype=complex))
 
 
+def sampled_spreads(traj) -> np.ndarray:
+    """deltaE at every sample of traj, from its states and the Hamiltonian in
+    force there: an independent check that the spread is conserved on each
+    segment, which the library takes once per segment."""
+    h = traj.hamiltonians[traj.segment_index]
+    hpsi = np.einsum("nij,nj->ni", h, traj.states)
+    mean = np.einsum("ni,ni->n", traj.states.conj(), hpsi).real
+    second = np.einsum("ni,ni->n", hpsi.conj(), hpsi).real
+    return np.sqrt(np.maximum(second - mean * mean, 0.0))
+
+
 def variance_quadratic_coeffs(ch, chi: PureState):
     """The library's coefficients of deltaE^2(u) = c0 + c1*u + c2*u^2 in chi."""
     pair = np.array([(ch.h0.entries, ch.hc.entries)])

@@ -33,7 +33,7 @@ from qslbounds import (
     unconstrained_protocol,
 )
 from qslbounds.cli import LambdaSpec, SweepConfig, run_sweep
-from conftest import basis_state, max_variance_over_field
+from conftest import basis_state, max_variance_over_field, sampled_spreads
 
 HALF_PI = 0.5 * math.pi
 SEED = 20260819
@@ -143,7 +143,8 @@ def test_criterion_4_bang_bang_figure():
               f"T*_QSL != t_min^B at theta={theta:.4f}")
         psi0, _ = boundary_states(p)
         traj = propagate(p.control_hamiltonian(), proto.field, psi0)
-        ripple = float(np.max(traj.variance_samples) - np.min(traj.variance_samples))
+        sampled = sampled_spreads(traj)
+        ripple = float(np.max(sampled) - np.min(sampled))
         check(failures, ripple <= 1e-9,
               f"energy spread varies by {ripple:.2e} at theta={theta:.4f}")
     finish(4, failures, time.perf_counter() - t0, 30.0)

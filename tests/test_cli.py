@@ -450,6 +450,17 @@ INFINITE_CAP = "cap must be finite; pass --unconstrained for no cap"
         (["verify", "--theta", "0.9", "--lambda", "inf", "--u0", "5"], None, INFINITE_CAP),
         (["sweep", "--lambda-factor", "inf", "--out", "{tmp}/s.csv"], None, INFINITE_CAP),
         (["verify", "--theta", "0.9"], {"lambda": math.inf}, INFINITE_CAP),
+        (
+            ["verify", "--theta", "0.9", "--delta", "inf", "--unconstrained"],
+            None,
+            "delta must be positive and finite, got inf",
+        ),
+        (
+            ["sweep", "--delta", "nan", "--unconstrained", "--out", "{tmp}/s.csv"],
+            None,
+            "delta must be positive and finite, got nan",
+        ),
+        (["verify", "--theta", "0.9"], {"lambda": 1, "delta": math.inf}, "positive and finite"),
     ],
     ids=[
         "theta-out-of-range",
@@ -475,6 +486,9 @@ INFINITE_CAP = "cap must be finite; pass --unconstrained for no cap"
         "verify-infinite-absolute-cap",
         "sweep-infinite-factor-cap",
         "config-infinite-absolute-cap",
+        "verify-infinite-delta",
+        "sweep-nan-delta",
+        "config-infinite-delta",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):

@@ -34,7 +34,13 @@ from qslbounds import (
 )
 from qslbounds import dynamics
 from qslbounds.tolerances import BHATTACHARYYA_TOL
-from conftest import basis_state, random_control_problem, random_state, zero_operator
+from conftest import (
+    basis_state,
+    random_control_problem,
+    random_state,
+    sampled_spreads,
+    zero_operator,
+)
 
 RABI = ControlHamiltonian(h0=(0.5 * math.pi) * SIGMA_X, hc=SIGMA_Z)
 FREE_UNIT = PiecewiseConstantField(((1.0, 0.0),))
@@ -164,7 +170,6 @@ def test_boundary_states_keep_the_norm_check():
     traj = Trajectory(
         times=np.array([0.0, 1.0]),
         states=np.array([[1.0, 0.0], [0.0, 1.1]], dtype=complex),
-        variance_samples=np.zeros(2),
         segment_index=np.array([0, 0]),
         ch=ch,
         field=FREE_UNIT,
@@ -180,11 +185,16 @@ def test_boundary_states_keep_the_norm_check():
 
 def _reference_propagate(ch, field, psi0, samples_per_segment):
     """The per-segment loop form of propagate, kept as the bit-level reference,
-    with each H(u_j) formed on its own."""
+    with each H(u_j) formed on its own and deltaE_j taken by np.vdot in the
+    segment's start state."""
     hamiltonians = [ch.h0.entries + amp * ch.hc.entries for _, amp in field.segments]
-    times, seg_idx, blocks = [0.0], [0], [psi0.amplitudes[:, None]]
+    times, seg_idx, blocks, spreads = [0.0], [0], [psi0.amplitudes[:, None]], []
     psi, t_start = psi0.amplitudes, 0.0
     for j, ((dur, _), h) in enumerate(zip(field.segments, hamiltonians)):
+        start = np.ascontiguousarray(psi)
+        hpsi = h @ start
+        mean = np.vdot(start, hpsi).real
+        spreads.append(math.sqrt(max(np.vdot(hpsi, hpsi).real - mean * mean, 0.0)))
         eigvals, vecs = np.linalg.eigh(h)
         if j > 0:
             times.append(t_start)
@@ -198,20 +208,11 @@ def _reference_propagate(ch, field, psi0, samples_per_segment):
         blocks.append(block)
         psi = block[:, -1]
         t_start += dur
-    states = np.hstack(blocks).T
-    seg_arr = np.asarray(seg_idx, dtype=int)
-    variance = np.empty(len(times))
-    for j, h in enumerate(hamiltonians):
-        mask = seg_arr == j
-        block = states[mask]
-        hpsi = block @ h.T
-        second = np.einsum("ij,ij->i", hpsi.conj(), hpsi).real
-        mean = np.einsum("ij,ij->i", block.conj(), hpsi).real
-        variance[mask] = np.sqrt(np.maximum(second - mean * mean, 0.0))
-    return np.asarray(times), states, variance, seg_arr, np.array(hamiltonians)
+    arrays = (np.asarray(times), np.hstack(blocks).T, np.asarray(seg_idx, dtype=int))
+    return (*arrays, np.array(hamiltonians)), np.array(spreads)
 
 
-TRAJECTORY_ARRAYS = ("times", "states", "variance_samples", "segment_index", "hamiltonians")
+TRAJECTORY_ARRAYS = ("times", "states", "segment_index", "hamiltonians")
 
 
 def _harness_problems(count=300, seed=5):
@@ -253,7 +254,7 @@ def _same_bits(a, b) -> bool:
 def test_stacks_reproduce_the_loop_propagation_bit_for_bit():
     # 400 instances, d = 2..8, 1-3 segments of 0.1..1 or 1e-8..1e8: a grouped
     # stack, a stack of one and the per-segment loop agree in every bit of all
-    # five arrays
+    # four arrays and of the per-segment spreads
     problems = _harness_problems() + _extreme_duration_problems()
     for samples in (1, 7, 48, 200):
         for idx, (chs, fields, psi0s, _) in _stacks(problems):
@@ -261,10 +262,12 @@ def test_stacks_reproduce_the_loop_propagation_bit_for_bit():
             assert len(stack) == len(idx)
             for k in range(len(idx)):
                 single = propagate(chs[k], fields[k], psi0s[k], samples_per_segment=samples)
-                reference = _reference_propagate(chs[k], fields[k], psi0s[k], samples)
-                for name, ref in zip(TRAJECTORY_ARRAYS, reference):
+                arrays, spreads = _reference_propagate(chs[k], fields[k], psi0s[k], samples)
+                for name, ref in zip(TRAJECTORY_ARRAYS, arrays, strict=True):
                     assert _same_bits(getattr(stack[k], name), ref), (samples, idx[k], name)
                     assert _same_bits(getattr(single, name), ref), (samples, idx[k], name)
+                assert _same_bits(stack.spreads[k], spreads), (samples, idx[k])
+                assert _same_bits(single.stack.spreads[0], spreads), (samples, idx[k])
 
 
 def test_stacked_checks_equal_the_single_trajectory_floats():
@@ -387,22 +390,25 @@ def test_trajectory_samples_stay_normalized(rng):
 
 
 def test_trajectory_variance_matches_pointwise_recompute(rng):
+    # the per-segment spread, taken once at the segment's start, against
+    # deltaE recomputed from the state at samples throughout the segment
     ch, field, psi0 = random_control_problem(rng, 3)
     traj = propagate(ch, field, psi0, samples_per_segment=20)
     amps = [a for _, a in field.segments]
     for k in range(0, traj.n_samples, 7):
-        u = amps[traj.segment_index[k]]
-        direct = energy_variance(PureState(traj.states[k]), ch.hamiltonian(u))
-        assert traj.variance_samples[k] == pytest.approx(direct, abs=1e-11)
+        j = traj.segment_index[k]
+        direct = energy_variance(PureState(traj.states[k]), ch.hamiltonian(amps[j]))
+        assert traj.stack.spreads[0, j] == pytest.approx(direct, abs=1e-11)
 
 
 def test_variance_constant_within_segments(rng):
-    # <H> and <H^2> are conserved under exp(-iHt), so the sampled spread must
-    # be flat between boundary nodes
+    # <H> and <H^2> are conserved under exp(-iHt), so the spread recomputed
+    # at every sample must be flat between boundary nodes
     ch, field, psi0 = random_control_problem(rng, 4)
     traj = propagate(ch, field, psi0, samples_per_segment=30)
+    sampled = sampled_spreads(traj)
     for j in range(len(field.segments)):
-        vals = traj.variance_samples[traj.segment_index == j]
+        vals = sampled[traj.segment_index == j]
         assert np.max(vals) - np.min(vals) < 1e-10
 
 
@@ -474,7 +480,7 @@ def _central_difference_residual(traj: Trajectory) -> float:
     k = np.arange(1, traj.n_samples - 1)
     k = k[(seg[k - 1] == seg[k]) & (seg[k] == seg[k + 1])]
     deriv = (angle[k + 1] - angle[k - 1]) / (traj.times[k + 1] - traj.times[k - 1])
-    return float(np.max(deriv - traj.variance_samples[k]))
+    return float(np.max(deriv - sampled_spreads(traj)[k]))
 
 
 def test_bhattacharyya_matches_central_difference_reference(rng):
@@ -578,7 +584,6 @@ def test_tqsl_star_stationary_with_displaced_endpoint_is_infinite():
     traj = Trajectory(
         times=np.array([0.0, 1.0]),
         states=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-        variance_samples=np.zeros(2),
         segment_index=np.array([0, 0]),
         ch=ch,
         field=FREE_UNIT,

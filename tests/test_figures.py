@@ -59,6 +59,13 @@ def test_verify_reproduces_the_golden_report(capsys, stem):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{stem}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("stem", ["fig3a_bang_off_bang", "fig3b_bang_bang"])
+def test_constrained_trajectory_time_meets_the_closed_form(stem):
+    # the path length is the exact per-segment sum, so only rounding is left
+    rows = run_sweep(GOLDEN_CONFIGS[stem])
+    assert max(abs(row.tqsl_traj - row.tqsl_closed) for row in rows) <= 1e-14
+
+
 def _reference_row(cfg: SweepConfig, theta: float) -> SweepRow:
     # one point through the public single-instance calls
     problem = LandauZenerProblem.from_theta(

@@ -34,7 +34,7 @@ from qslbounds import (
     tqsl_star_closed,
     unconstrained_protocol,
 )
-from conftest import problem_from_gamma
+from conftest import problem_from_gamma, sampled_spreads
 
 HALF_PI = 0.5 * math.pi
 
@@ -83,6 +83,13 @@ def test_conversion_rejects_bad_arguments():
         gamma_from_theta(1.0, 0.0)
     with pytest.raises(ValueError):
         gamma_from_theta(1.0, HALF_PI + 0.1)
+    for delta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            theta_from_gamma(delta, 1.0)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            gamma_from_theta(delta, 0.9)
+    with pytest.raises(ValueError, match="gamma must be >= 0 and finite, got inf"):
+        theta_from_gamma(1.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +115,21 @@ def test_problem_constructors_agree():
 def test_problem_rejects_nonpositive_cap():
     with pytest.raises(ValueError):
         problem_from_gamma(1.0, 1.0, lambda_cap=0.0)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((1.0, math.nan, math.nan, 1.0), "gamma must be >= 0 and finite, got nan"),
+        ((1.0, math.inf, 0.0, 1.0), "gamma must be >= 0 and finite, got inf"),
+        ((math.inf, 1.0, 0.5 * math.pi, 1.0), "delta must be positive and finite, got inf"),
+        ((math.nan, 1.0, 0.5, 1.0), "delta must be positive and finite, got nan"),
+        ((1.0, 0.5, math.nan, 1.0), "theta nan inconsistent with gamma 0.5"),
+    ],
+)
+def test_problem_rejects_non_finite_parameters(args, match):
+    with pytest.raises(ValueError, match=match):
+        LandauZenerProblem(*args)
 
 
 def test_critical_cap():
@@ -185,9 +207,6 @@ def test_bias_hamiltonian_equals_the_operator_arithmetic():
         for bias, psi in zip((-p.gamma, p.gamma), pair):
             h = HermitianOperator(bias * SIGMA_Z.entries + (0.5 * p.delta) * SIGMA_X.entries)
             assert np.array_equal(psi.amplitudes, ground_state(h).amplitudes)
-    unbounded = LandauZenerProblem(1.0, math.inf, 0.0, math.inf)
-    with pytest.raises(ValueError, match="scalar factor must be finite, got -inf"):
-        boundary_state_pairs([problems[0], unbounded])
 
 
 def test_problems_with_one_gap_share_the_drift_operator():
@@ -470,8 +489,9 @@ def test_bang_bang_spread_constant_along_trajectory():
     psi0, _ = boundary_states(p)
     traj = propagate(p.control_hamiltonian(), proto.field, psi0)
     spread = p.lambda_cap * math.sin(p.theta) + 0.5 * p.delta * math.cos(p.theta)
-    assert float(np.max(traj.variance_samples) - np.min(traj.variance_samples)) < 1e-9
-    assert traj.variance_samples[0] == pytest.approx(spread, abs=1e-12)
+    sampled = sampled_spreads(traj)
+    assert float(np.max(sampled) - np.min(sampled)) < 1e-9
+    assert traj.stack.spreads[0] == pytest.approx(spread, abs=1e-12)
 
 
 def test_bounds_dominated_by_optimum_on_grid():
