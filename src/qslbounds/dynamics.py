@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -118,15 +118,8 @@ class Trajectory:
 
     @cached_property
     def stack(self) -> "TrajectoryStack":
-        """This trajectory as a stack of one, viewing the same arrays."""
-        return TrajectoryStack(
-            times=self.times[None],
-            states=self.states[None],
-            segment_index=self.segment_index,
-            chs=(self.ch,),
-            fields=(self.field,),
-            hamiltonians=self.hamiltonians[None],
-        )
+        """This trajectory as a stack of one."""
+        return TrajectoryStack.of((self,))
 
     def initial_state(self) -> PureState:
         return self.stack.initial_states[0]
@@ -153,6 +146,24 @@ class TrajectoryStack:
     chs: Tuple[ControlHamiltonian, ...]
     fields: Tuple[PiecewiseConstantField, ...]
     hamiltonians: np.ndarray
+
+    @classmethod
+    def of(cls, trajectories: Sequence[Trajectory]) -> "TrajectoryStack":
+        """Trajectories of one dimension and one sample layout as a stack, the
+        inverse of stack[k]."""
+        trajs = tuple(trajectories)
+        if len({(t.dim, t.segment_index.tobytes()) for t in trajs}) != 1:
+            raise ValueError("need trajectories of one dimension and one sample layout")
+        h = np.stack([t.hamiltonians for t in trajs])
+        h.setflags(write=False)
+        return cls(
+            times=np.stack([t.times for t in trajs]),
+            states=np.stack([t.states for t in trajs]),
+            segment_index=trajs[0].segment_index,
+            chs=tuple(t.ch for t in trajs),
+            fields=tuple(t.field for t in trajs),
+            hamiltonians=h,
+        )
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -433,23 +444,33 @@ class TqslEstimate:
     on_target: bool
 
 
-def tqsl_star(traj: Trajectory, psi_g: PureState) -> TqslEstimate:
-    """Geodesic-over-mean-spread time arccos(|<psi0|psi(T)>|) / mean(deltaE).
+def tqsl_stars(stack: TrajectoryStack, psi_gs: Sequence[PureState]) -> List[TqslEstimate]:
+    """Geodesic-over-mean-spread time arccos(|<psi0|psi(T)>|) / mean(deltaE) of
+    each instance, with its fidelity to psi_gs[b].
 
     Equals (geodesic distance / path length) * T whenever the path length is
     nonzero.  A stationary trajectory asked to reach a different target has
-    no finite answer and reports +inf.
+    no finite answer and reports +inf.  Only the segment start nodes and the
+    endpoint are read, so two samples per segment give the same bits as any
+    finer grid.
     """
-    duration = float(traj.times[-1])
-    mean_spread = 0.5 * float(path_lengths(traj.stack)[0]) / duration
-    fidelity = traj.final_state().fidelity(psi_g)
-    on_target = fidelity >= 1.0 - TARGET_FIDELITY_ATOL
-    overlap = min(abs(traj.initial_state().overlap(traj.final_state())), 1.0)
-    numerator = math.acos(overlap)
-    if numerator == 0.0:
-        value = 0.0
-    elif mean_spread == 0.0:
-        value = math.inf
-    else:
-        value = numerator / mean_spread
-    return TqslEstimate(time=value, target_fidelity=fidelity, on_target=on_target)
+    mean_spreads = 0.5 * path_lengths(stack) / stack.times[:, -1]
+    estimates = []
+    for mean_spread, psi0, psi_t, psi_g in zip(
+        mean_spreads.tolist(), stack.initial_states, stack.final_states, psi_gs, strict=True
+    ):
+        fidelity = psi_t.fidelity(psi_g)
+        numerator = math.acos(min(abs(psi0.overlap(psi_t)), 1.0))
+        if numerator == 0.0:
+            value = 0.0
+        elif mean_spread == 0.0:
+            value = math.inf
+        else:
+            value = numerator / mean_spread
+        estimates.append(TqslEstimate(value, fidelity, fidelity >= 1.0 - TARGET_FIDELITY_ATOL))
+    return estimates
+
+
+def tqsl_star(traj: Trajectory, psi_g: PureState) -> TqslEstimate:
+    """tqsl_stars of one trajectory."""
+    return tqsl_stars(traj.stack, (psi_g,))[0]

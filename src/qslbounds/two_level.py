@@ -48,7 +48,10 @@ def gamma_from_theta(delta: float, theta: float) -> float:
         raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
     if theta == 0.5 * math.pi:
         return 0.0
-    return delta / (2.0 * math.tan(theta))
+    gamma = delta / (2.0 * math.tan(theta))
+    if math.isinf(gamma):
+        raise ValueError(f"theta {theta!r} is too small: gamma = delta/(2*tan(theta)) overflows")
+    return gamma
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,14 @@ import pytest
 
 from qslbounds import (
     HermitianOperator,
+    LandauZenerProblem,
     OptimalProtocol,
     PiecewiseConstantField,
+    boundary_states,
     constrained_protocol,
+    optimal_protocol,
+    propagate,
+    tqsl_star,
 )
 from qslbounds.cli import (
     SWEEP_CSV_HEADER,
@@ -126,6 +131,25 @@ def test_sweep_builds_no_operator_per_point(monkeypatch):
         run_sweep(SweepConfig(lambda_spec=LambdaSpec("factor", 6.0), theta_count=count))
         counts[count] = len(built)
     assert counts[7] == counts[50] == 1
+
+
+def test_mixed_regime_sweep_matches_the_per_point_trajectories():
+    # an absolute cap crosses the critical cap inside the grid, so the sweep
+    # stacks three-segment and two-segment trajectories separately; each row
+    # keeps the bits of its own 200-sample trajectory
+    cfg = SweepConfig(
+        lambda_spec=LambdaSpec("absolute", 1.0), theta_min=0.05, theta_max=1.5, theta_count=30
+    )
+    rows = run_sweep(cfg)
+    assert {r.regime for r in rows} == {"bang-off-bang", "bang-bang"}
+    for row in rows:
+        problem = LandauZenerProblem.from_theta(cfg.delta, row.theta, 1.0)
+        psi0, psig = boundary_states(problem)
+        field = optimal_protocol(problem).field
+        est = tqsl_star(propagate(problem.control_hamiltonian(), field, psi0, 200), psig)
+        assert (row.tqsl_traj.hex(), row.fidelity.hex()) == (
+            est.time.hex(), est.target_fidelity.hex()
+        ), row.theta
 
 
 def test_bang_bang_sweep_rows():
@@ -394,6 +418,7 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
 MISSING = object()  # stands for a config path that does not exist
 U0_CAPPED = "u0 applies only to an uncapped drive, got lambda_cap="
 INFINITE_CAP = "cap must be finite; pass --unconstrained for no cap"
+TINY_THETA = r"error: theta 1e-320 is too small: gamma = delta/\(2\*tan\(theta\)\) overflows$"
 
 
 @pytest.mark.parametrize(
@@ -461,6 +486,12 @@ INFINITE_CAP = "cap must be finite; pass --unconstrained for no cap"
             "delta must be positive and finite, got nan",
         ),
         (["verify", "--theta", "0.9"], {"lambda": 1, "delta": math.inf}, "positive and finite"),
+        (["verify", "--theta", "1e-320", "--unconstrained"], None, TINY_THETA),
+        (
+            ["sweep", "--theta-min", "1e-320", "--unconstrained", "--out", "{tmp}/s.csv"],
+            None,
+            TINY_THETA,
+        ),
     ],
     ids=[
         "theta-out-of-range",
@@ -489,6 +520,8 @@ INFINITE_CAP = "cap must be finite; pass --unconstrained for no cap"
         "verify-infinite-delta",
         "sweep-nan-delta",
         "config-infinite-delta",
+        "verify-theta-overflows-gamma",
+        "sweep-theta-min-overflows-gamma",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):

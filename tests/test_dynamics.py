@@ -13,6 +13,7 @@ from qslbounds import (
     SIGMA_X,
     SIGMA_Z,
     Trajectory,
+    TrajectoryStack,
     arenz_overlap_inequality_check,
     arenz_overlap_residuals,
     bhattacharyya_check,
@@ -30,10 +31,11 @@ from qslbounds import (
     propagate,
     propagate_stack,
     tqsl_star,
+    tqsl_stars,
     unitary_step,
 )
 from qslbounds import dynamics
-from qslbounds.tolerances import BHATTACHARYYA_TOL
+from qslbounds.tolerances import BHATTACHARYYA_TOL, TARGET_FIDELITY_ATOL
 from conftest import (
     basis_state,
     random_control_problem,
@@ -310,6 +312,35 @@ def test_stack_entries_carry_their_drive(rng):
         for j, (_, u) in enumerate(field.segments):
             assert _same_bits(stack.hamiltonians[k, j], ch.hamiltonian(u).entries)
         assert np.array_equal(stack.initial_states[k].amplitudes, psi0.amplitudes)
+
+
+def test_of_is_the_inverse_of_indexing():
+    problems = _harness_problems(count=120, seed=11)
+    for samples in (1, 2, 7):
+        for idx, (chs, fields, psi0s, _) in _stacks(problems):
+            stack = propagate_stack(chs, fields, psi0s, samples_per_segment=samples)
+            again = TrajectoryStack.of([stack[k] for k in range(len(stack))])
+            for name in TRAJECTORY_ARRAYS:
+                assert _same_bits(getattr(again, name), getattr(stack, name)), (samples, name)
+            assert _same_bits(again.spreads, stack.spreads)
+            assert again.chs == stack.chs and again.fields == stack.fields
+            assert not again.hamiltonians.flags.writeable
+
+
+def test_of_rejects_mixed_layouts():
+    one = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=4)
+    two_segments = PiecewiseConstantField(((0.5, 0.0), (0.5, 0.0)))
+    ch3 = ControlHamiltonian(h0=zero_operator(3), hc=zero_operator(3))
+    others = (
+        propagate(ch3, FREE_UNIT, basis_state(3, 0), samples_per_segment=4),  # dimension
+        propagate(RABI, two_segments, basis_state(2, 0), samples_per_segment=4),  # segments
+        propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=5),  # samples
+    )
+    for other in others:
+        with pytest.raises(ValueError, match="one dimension and one sample layout"):
+            TrajectoryStack.of([one, other])
+    with pytest.raises(ValueError, match="one dimension and one sample layout"):
+        TrajectoryStack.of([])
 
 
 def test_propagate_stack_rejects_mixed_shapes():
@@ -600,3 +631,64 @@ def test_tqsl_star_matches_geodesic_over_path_identity(rng):
     geodesic = fubini_study_distance(psi0, traj.final_state())
     expected = geodesic * traj.times[-1] / path_length(traj)
     assert est.time == pytest.approx(expected, abs=1e-9)
+
+
+def _reference_tqsl_star(traj, psi_g):
+    """The former single-trajectory form of tqsl_star, kept as the bit-level
+    reference: (time, fidelity, on_target)."""
+    duration = float(traj.times[-1])
+    mean_spread = 0.5 * path_length(traj) / duration
+    fidelity = traj.final_state().fidelity(psi_g)
+    overlap = min(abs(traj.initial_state().overlap(traj.final_state())), 1.0)
+    numerator = math.acos(overlap)
+    if numerator == 0.0:
+        value = 0.0
+    elif mean_spread == 0.0:
+        value = math.inf
+    else:
+        value = numerator / mean_spread
+    return value.hex(), fidelity.hex(), fidelity >= 1.0 - TARGET_FIDELITY_ATOL
+
+
+def _estimate_bits(est):
+    return est.time.hex(), est.target_fidelity.hex(), est.on_target
+
+
+def test_stacked_tqsl_equals_the_single_trajectory_floats():
+    problems = _harness_problems(count=120, seed=11)
+    assert {ch.dim for ch, *_ in problems} == set(range(2, 9))
+    for samples in (2, 7, 48):
+        for idx, (chs, fields, psi0s, phis) in _stacks(problems):
+            stack = propagate_stack(chs, fields, psi0s, samples_per_segment=samples)
+            estimates = tqsl_stars(stack, phis)
+            assert len(estimates) == len(idx)
+            for k, est in enumerate(estimates):
+                traj = stack[k]
+                expected = _reference_tqsl_star(traj, phis[k])
+                assert _estimate_bits(est) == _estimate_bits(tqsl_star(traj, phis[k])) == expected
+
+
+def test_stacked_tqsl_keeps_the_zero_and_infinite_branches():
+    # built by hand: a stationary drift-free path whose endpoint was moved
+    # (+inf), one that stays put (0), and one that moves under sigma_x
+    def hand_built(ch, end):
+        return Trajectory(
+            times=np.array([0.0, 1.0]),
+            states=np.array([[1.0, 0.0], end], dtype=complex),
+            segment_index=np.array([0, 0]),
+            ch=ch,
+            field=FREE_UNIT,
+            hamiltonians=ch.hamiltonians([0.0]),
+        )
+
+    still = ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)
+    moving = ControlHamiltonian(h0=SIGMA_X, hc=SIGMA_Z)
+    trajs = [hand_built(still, [0.0, 1.0]), hand_built(still, [1.0, 0.0]),
+             hand_built(moving, [0.0, 1.0])]
+    target = basis_state(2, 1)
+    estimates = tqsl_stars(TrajectoryStack.of(trajs), (target,) * 3)
+    assert [e.time for e in estimates] == [math.inf, 0.0, 0.5 * math.pi]
+    for traj, est in zip(trajs, estimates):
+        assert _estimate_bits(est) == _reference_tqsl_star(traj, target)
+    with pytest.raises(ValueError):
+        tqsl_stars(TrajectoryStack.of(trajs), (target,) * 2)

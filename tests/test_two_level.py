@@ -34,6 +34,7 @@ from qslbounds import (
     tqsl_star_closed,
     unconstrained_protocol,
 )
+from qslbounds.cli import LambdaSpec
 from conftest import problem_from_gamma, sampled_spreads
 
 HALF_PI = 0.5 * math.pi
@@ -90,6 +91,10 @@ def test_conversion_rejects_bad_arguments():
             gamma_from_theta(delta, 0.9)
     with pytest.raises(ValueError, match="gamma must be >= 0 and finite, got inf"):
         theta_from_gamma(1.0, math.inf)
+    # a theta so small that delta/(2*tan(theta)) overflows is rejected as a theta
+    for delta, theta in ((1.0, 1e-320), (1e300, 1e-9)):
+        with pytest.raises(ValueError, match=f"theta {theta!r} is too small"):
+            gamma_from_theta(delta, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +482,34 @@ def test_tqsl_trajectory_matches_closed_form_unconstrained():
     assert tqsl_star(traj5, psig).time == pytest.approx(
         tqsl_star_closed(p, proto5), abs=1e-4
     )
+
+
+def test_two_samples_per_segment_give_the_tqsl_star_bits_of_two_hundred():
+    # T*_QSL reads only the segment start nodes and the endpoint.  With two
+    # samples per segment the propagation's products stay matrix-matrix and
+    # round as with 200 (with one they become matrix-vector and move ulps),
+    # so the sweep's coarse grid moves no bit; a numpy that rounds otherwise
+    # fails here instead of moving the goldens
+    thetas = np.concatenate(
+        (np.linspace(1e-3, 1.5, 25), HALF_PI - np.geomspace(0.07, 1e-4, 8))
+    )
+    specs = (
+        [LambdaSpec("unconstrained")]
+        + [LambdaSpec("factor", f) for f in (6.0, 0.2, 1.0, 1e-8, 1e8)]
+        + [LambdaSpec("absolute", 1.0)]
+    )
+    for delta in (0.5, 1.3, 2.0):
+        for spec in specs:
+            for theta in thetas.tolist():
+                p = lz(theta, cap=spec.resolve(delta, theta), delta=delta)
+                ch, field = p.control_hamiltonian(), optimal_protocol(p).field
+                psi0, psig = boundary_states(p)
+                coarse, fine = (
+                    tqsl_star(propagate(ch, field, psi0, n), psig) for n in (2, 200)
+                )
+                assert (coarse.time.hex(), coarse.target_fidelity.hex()) == (
+                    fine.time.hex(), fine.target_fidelity.hex()
+                ), (delta, str(spec), theta)
 
 
 # ---------------------------------------------------------------------------
