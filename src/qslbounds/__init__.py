@@ -26,7 +26,6 @@ from .dynamics import (
     TqslEstimate,
     bhattacharyya_check,
     bhattacharyya_residuals,
-    norm_drift,
     norm_drifts,
     path_length,
     path_lengths,

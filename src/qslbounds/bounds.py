@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .quantum import (
     HermitianOperator,
     PureState,
     cache_spectra,
+    energy_covariances,
     energy_variance,
     fubini_study_distance,
     hs_norm,
@@ -80,20 +81,6 @@ class BoundInputs:
     @cached_property
     def distance(self) -> float:
         return fubini_study_distance(self.psi0, self.psig)
-
-
-def _quadratic_coeffs(h: np.ndarray, chi: np.ndarray) -> List[Tuple[float, float, float]]:
-    """Coefficients (c0, c1, c2) of deltaE^2(u) = c0 + c1*u + c2*u^2 in each
-    fixed state chi[k, j] (n, m, d) under (h0, hc) = h[k] (n, 2, d, d), in C order."""
-    # h x (n, 2, m, d, 1), then <x|h x> and <h x|h' x>, rounding as h @ x and np.vdot do
-    hx = h[:, :, None] @ chi[:, None, :, :, None]
-    means = (chi.conj()[:, None, :, None] @ hx).real.swapaxes(1, 2).reshape(-1, 2)
-    grams = (hx.conj().swapaxes(-1, -2)[:, :, None] @ hx[:, None]).real
-    grams = grams.reshape(len(h), 4, -1).swapaxes(1, 2).reshape(-1, 4)
-    return [
-        (max(s0 - m0 * m0, 0.0), 2.0 * cross - 2.0 * m0 * mc, max(sc - mc * mc, 0.0))
-        for (m0, mc), (s0, cross, _, sc) in zip(means.tolist(), grams.tolist())
-    ]
 
 
 def _max_quadratic_root(c0: float, c1: float, c2: float, u_max: float) -> float:
@@ -167,11 +154,14 @@ def tmin_a(inputs: BoundInputs) -> float:
 
 def _tmin_b_stack(stack: Sequence[BoundInputs], states: np.ndarray) -> List[float]:
     pairs = np.array([(x.ch.h0.entries, x.ch.hc.entries) for x in stack])
-    coeffs = _quadratic_coeffs(pairs, states)
+    # deltaE^2(u) = c0 + c1*u + c2*u^2 in psi0 and psig: (n, 2, 2, 2) covariances
+    covs = energy_covariances(pairs[:, None], states).tolist()
     out = []
-    for x, at_psi0, at_psig in zip(stack, coeffs[0::2], coeffs[1::2]):
-        u_max = x.ch.u_max
-        spread = min(_max_quadratic_root(*at_psi0, u_max), _max_quadratic_root(*at_psig, u_max))
+    for x, anchors in zip(stack, covs):
+        spread = min(
+            _max_quadratic_root(max(c00, 0.0), 2.0 * c01, max(c11, 0.0), x.ch.u_max)
+            for (c00, c01), (_, c11) in anchors
+        )
         out.append(_distance_over(x.distance, 2.0 * spread))
     return out
 

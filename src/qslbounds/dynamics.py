@@ -25,7 +25,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .quantum import HermitianOperator, PureState, check_hermitian
+from .quantum import HermitianOperator, PureState, check_hermitian, energy_spreads
+from .quantum import fubini_study_distance
 from .tolerances import AMPLITUDE_RTOL, BHATTACHARYYA_FLOOR, TARGET_FIDELITY_ATOL
 
 
@@ -196,7 +197,7 @@ class TrajectoryStack:
         """deltaE of each segment, (B, S), in the state at its start node."""
         width = len(self.segment_index) // self.hamiltonians.shape[1]
         # contiguous, so the products round alike for every stack layout
-        return _segment_spreads(self.hamiltonians, np.ascontiguousarray(self.states[:, ::width]))
+        return energy_spreads(self.hamiltonians, np.ascontiguousarray(self.states[:, ::width]))
 
 
 def propagate_stack(
@@ -271,17 +272,6 @@ def _evolve(h: np.ndarray, taus: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return columns.reshape(n_inst, dim, -1).swapaxes(1, 2)
 
 
-def _segment_spreads(h: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """deltaE of h[b, j] in the state chi[..., b, j], or in chi[..., b, 0]
-    when chi holds one state per instance: (..., B, S) values."""
-    chi = chi[..., None]
-    h_chi = h @ chi
-    # on contiguous states the 1 x d by d x 1 products round as np.vdot does
-    second = (np.swapaxes(h_chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
-    mean = (np.swapaxes(chi.conj(), -1, -2) @ h_chi)[..., 0, 0].real
-    return np.sqrt(np.maximum(second - mean * mean, 0.0))
-
-
 def _durations(fields: Sequence[PiecewiseConstantField]) -> np.ndarray:
     """Segment durations, (B, S)."""
     return np.array([[dur for dur, _ in field.segments] for field in fields])
@@ -333,11 +323,6 @@ def path_length(traj: Trajectory) -> float:
 def norm_drifts(stack: TrajectoryStack) -> np.ndarray:
     """Largest deviation of the state norm from 1 along each trajectory."""
     return np.max(np.abs(_row_norms(stack.states) - 1.0), axis=-1)
-
-
-def norm_drift(traj: Trajectory) -> float:
-    """norm_drifts of one trajectory."""
-    return float(norm_drifts(traj.stack)[0])
 
 
 def propagate_refined(
@@ -395,7 +380,7 @@ def _pfeifer_envelopes(
     psi0s = stack.initial_states
     # deltaE of H(u(t)) in the fixed states phis[b] and psi0s[b], accumulated
     anchors = np.array([[c.amplitudes for c in chis] for chis in (phis, psi0s)])[:, :, None]
-    anchored = _segment_spreads(stack.hamiltonians, anchors)[..., stack.segment_index]
+    anchored = energy_spreads(stack.hamiltonians, anchors)[..., stack.segment_index]
     envelope_angle = np.min(_running_integral(stack.times, anchored), axis=0)
     delta = np.array(
         [math.asin(min(abs(phi.overlap(psi0)), 1.0)) for phi, psi0 in zip(phis, psi0s)]
@@ -446,7 +431,8 @@ class TqslEstimate:
 
 def tqsl_stars(stack: TrajectoryStack, psi_gs: Sequence[PureState]) -> List[TqslEstimate]:
     """Geodesic-over-mean-spread time arccos(|<psi0|psi(T)>|) / mean(deltaE) of
-    each instance, with its fidelity to psi_gs[b].
+    each instance, the arccos being half the Fubini-Study distance, with its
+    fidelity to psi_gs[b].
 
     Equals (geodesic distance / path length) * T whenever the path length is
     nonzero.  A stationary trajectory asked to reach a different target has
@@ -460,7 +446,7 @@ def tqsl_stars(stack: TrajectoryStack, psi_gs: Sequence[PureState]) -> List[Tqsl
         mean_spreads.tolist(), stack.initial_states, stack.final_states, psi_gs, strict=True
     ):
         fidelity = psi_t.fidelity(psi_g)
-        numerator = math.acos(min(abs(psi0.overlap(psi_t)), 1.0))
+        numerator = 0.5 * fubini_study_distance(psi0, psi_t)
         if numerator == 0.0:
             value = 0.0
         elif mean_spread == 0.0:

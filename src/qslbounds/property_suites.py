@@ -56,9 +56,9 @@ def random_state(rng: np.random.Generator, dim: int) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator(scale * 0.5 * (a + a.conj().T))
+    return HermitianOperator(0.5 * (a + a.conj().T))
 
 
 def random_field(rng: np.random.Generator) -> PiecewiseConstantField:

@@ -196,14 +196,32 @@ def fubini_study_distance(a: PureState, b: PureState) -> float:
     return 2.0 * math.acos(_clamp01(abs(a.overlap(b))))
 
 
+def energy_covariances(h: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """C_ij = Re<h_i chi|h_j chi> - <h_i><h_j> for Hermitian operators h
+    (..., m, d, d) and states chi (..., d), the leading axes broadcast: (..., m, m).
+
+    The one home of deltaE: deltaE(h_i) = sqrt(C_ii), and the spread of
+    h_0 + u*h_1 is C_00 + 2*C_01*u + C_11*u^2.  On contiguous states the
+    1 x d by d x 1 products round as np.vdot does.
+    """
+    h_chi = h @ chi[..., None, :, None]  # (..., m, d, 1)
+    # <chi| and <h_i chi| as 1 x d rows against the d x 1 columns h_j chi
+    means = (chi.conj()[..., None, None, :] @ h_chi)[..., 0, 0].real
+    grams = (h_chi.conj()[..., :, None, None, :, 0] @ h_chi[..., None, :, :, :])[..., 0, 0].real
+    return grams - means[..., :, None] * means[..., None, :]
+
+
+def energy_spreads(h: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """deltaE of each operator h (..., d, d) in chi (..., d): the square root of
+    energy_covariances on one operator, clamped at zero round-off."""
+    return np.sqrt(np.maximum(energy_covariances(h[..., None, :, :], chi)[..., 0, 0], 0.0))
+
+
 def energy_variance(state: PureState, h: HermitianOperator) -> float:
-    """Standard deviation sqrt(<h^2> - <h>^2), clamped at zero round-off."""
+    """Standard deviation sqrt(<h^2> - <h>^2): energy_spreads of one operator."""
     if state.dim != h.dim:
         raise ValueError(f"dimension mismatch: {state.dim} vs {h.dim}")
-    hpsi = h.entries @ state.amplitudes
-    second = float(np.vdot(hpsi, hpsi).real)  # <h^2> for Hermitian h
-    mean = float(np.vdot(state.amplitudes, hpsi).real)
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return float(energy_spreads(h.entries, state.amplitudes))
 
 
 def hs_norm(h: HermitianOperator) -> float:

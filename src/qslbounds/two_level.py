@@ -202,6 +202,11 @@ def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
             / rabi
         )
         t_off = 0.0
+    if not 0.0 < t_lambda < math.inf:  # a NaN fails too; t_off overflows only after it
+        raise ValueError(
+            f"lambda_cap {cap!r} is too large for theta {problem.theta!r}: "
+            "the bang durations overflow or vanish"
+        )
 
     segments = [(t_lambda, +cap)]
     if t_off > 0.0:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qslbounds import HermitianOperator, LandauZenerProblem, PureState, theta_from_gamma
-from qslbounds.bounds import _max_quadratic_root, _quadratic_coeffs
+from qslbounds.bounds import _max_quadratic_root
+from qslbounds.quantum import energy_covariances
 from qslbounds.property_suites import (  # noqa: F401  re-exported to the tests
     random_control_problem,
     random_field,
@@ -42,9 +43,12 @@ def sampled_spreads(traj) -> np.ndarray:
 
 
 def variance_quadratic_coeffs(ch, chi: PureState):
-    """The library's coefficients of deltaE^2(u) = c0 + c1*u + c2*u^2 in chi."""
-    pair = np.array([(ch.h0.entries, ch.hc.entries)])
-    return _quadratic_coeffs(pair, chi.amplitudes[None, None])[0]
+    """The library's coefficients of deltaE^2(u) = c0 + c1*u + c2*u^2 in chi,
+    read from the energy covariances of (h0, hc) as tmin_b reads them."""
+    (c00, c01), (_, c11) = energy_covariances(
+        np.array([ch.h0.entries, ch.hc.entries]), chi.amplitudes
+    ).tolist()
+    return max(c00, 0.0), 2.0 * c01, max(c11, 0.0)
 
 
 def max_variance_over_field(ch, chi: PureState) -> float:

@@ -419,6 +419,9 @@ MISSING = object()  # stands for a config path that does not exist
 U0_CAPPED = "u0 applies only to an uncapped drive, got lambda_cap="
 INFINITE_CAP = "cap must be finite; pass --unconstrained for no cap"
 TINY_THETA = r"error: theta 1e-320 is too small: gamma = delta/\(2\*tan\(theta\)\) overflows$"
+HUGE_CAP = (
+    r"error: lambda_cap \S+ is too large for theta 0\.9: the bang durations overflow or vanish$"
+)
 
 
 @pytest.mark.parametrize(
@@ -492,6 +495,8 @@ TINY_THETA = r"error: theta 1e-320 is too small: gamma = delta/\(2\*tan\(theta\)
             None,
             TINY_THETA,
         ),
+        (["verify", "--theta", "0.9", "--lambda", "1e154"], None, HUGE_CAP),
+        (["verify", "--theta", "0.9", "--lambda-factor", "1e300"], None, HUGE_CAP),
     ],
     ids=[
         "theta-out-of-range",
@@ -522,6 +527,8 @@ TINY_THETA = r"error: theta 1e-320 is too small: gamma = delta/\(2\*tan\(theta\)
         "config-infinite-delta",
         "verify-theta-overflows-gamma",
         "sweep-theta-min-overflows-gamma",
+        "verify-absolute-cap-overflows-durations",
+        "verify-factor-cap-overflows-durations",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):
@@ -532,6 +539,11 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):
             cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = argv + ["--config", str(cfg_path)]
     assert re.search(match, usage_error(capsys, argv))
+
+
+def test_a_huge_cap_short_of_the_overflow_still_verifies(capsys):
+    assert main(["verify", "--theta", "0.9", "--lambda", "1e150"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from qslbounds import (
     energy_variance,
     fubini_study_distance,
     ground_state,
-    norm_drift,
     norm_drifts,
     path_length,
     path_lengths,
@@ -294,7 +293,7 @@ def test_stacked_checks_equal_the_single_trajectory_floats():
                     bhattacharyya_check(traj),
                     pfeifer_envelope_check(traj, phis[k]),
                     arenz_overlap_inequality_check(traj, finals[k]),
-                    norm_drift(traj),
+                    norm_drifts(traj.stack)[0],
                 )
                 assert [float(v[k]) for v in stacked] == list(single)
 

@@ -10,7 +10,7 @@ from qslbounds import (
     energy_variance,
     fubini_study_distance,
     hs_norm,
-    norm_drift,
+    norm_drifts,
     path_length,
     pfeifer_envelope_check,
     propagate,
@@ -77,7 +77,7 @@ def _single_residual(name, instance):
         return pfeifer_envelope_check(traj, phi)
     if name == "arenz":
         return arenz_overlap_inequality_check(traj, traj.final_state())
-    return norm_drift(traj)
+    return norm_drifts(traj.stack)[0]
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qslbounds import (
+    ControlHamiltonian,
     PureState,
     SIGMA_X,
     SIGMA_Z,
@@ -19,8 +20,9 @@ from qslbounds import (
     unitary_step,
     unitary_steps,
 )
-from qslbounds.quantum import cache_spectra
+from qslbounds.quantum import cache_spectra, energy_covariances, energy_spreads
 from conftest import basis_state, hermitian, random_hermitian, random_state, state, zero_operator
+from test_bounds import _ref_variance_quadratic_coeffs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -187,6 +189,56 @@ def test_energy_variance_matches_direct_expectation(seed, dim):
     assert energy_variance(psi, h) == pytest.approx(
         math.sqrt(max(second - mean * mean, 0.0)), abs=1e-10
     )
+
+
+# the energy-covariance kernel: bit for bit against the code it replaced
+
+
+def _former_energy_variance(state: PureState, h) -> float:
+    """energy_variance as it was written before the covariance kernel."""
+    hpsi = h.entries @ state.amplitudes
+    second = float(np.vdot(hpsi, hpsi).real)
+    mean = float(np.vdot(state.amplitudes, hpsi).real)
+    return math.sqrt(max(second - mean * mean, 0.0))
+
+
+def test_energy_variance_keeps_the_bits_of_its_former_body():
+    rng = np.random.default_rng(14)
+    for dim in range(2, 9):
+        cases = [(random_hermitian(rng, dim), random_state(rng, dim)) for _ in range(200)]
+        cases += [(zero_operator(dim), basis_state(dim, 0)), (hermitian(np.eye(dim)), cases[0][1])]
+        for h, psi in cases:
+            assert energy_variance(psi, h).hex() == _former_energy_variance(psi, h).hex()
+
+
+def test_energy_covariances_are_symmetric_and_give_the_variance_quadratic():
+    rng = np.random.default_rng(15)
+    for dim in range(2, 9):
+        for _ in range(50):
+            ch = ControlHamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim))
+            chi = random_state(rng, dim)
+            cov = energy_covariances(np.array([ch.h0.entries, ch.hc.entries]), chi.amplitudes)
+            assert cov.shape == (2, 2)
+            assert cov[0, 1].hex() == cov[1, 0].hex()
+            c0, c1, c2 = _ref_variance_quadratic_coeffs(ch, chi)
+            assert (2.0 * cov[0, 1]).hex() == c1.hex()
+            assert [max(cov[0, 0], 0.0), max(cov[1, 1], 0.0)] == [c0, c2]
+
+
+def test_stacked_energy_covariances_equal_the_single_calls():
+    # operators (n, m, d, d) against states (k, n, d), broadcast to (k, n, m, m)
+    rng = np.random.default_rng(16)
+    for dim in range(2, 9):
+        h = np.array([[random_hermitian(rng, dim).entries for _ in range(3)] for _ in range(4)])
+        chi = np.array([[random_state(rng, dim).amplitudes for _ in range(4)] for _ in range(2)])
+        stacked = energy_covariances(h, chi)
+        assert stacked.shape == (2, 4, 3, 3)
+        for k in range(2):
+            for n in range(4):
+                single = energy_covariances(h[n], chi[k, n])
+                assert stacked[k, n].tobytes() == single.tobytes()
+                spreads = energy_spreads(h[n], chi[k, n])
+                assert spreads.tobytes() == np.sqrt(np.maximum(np.diag(single), 0.0)).tobytes()
 
 
 def test_hs_norm_frozen():
@@ -394,7 +446,8 @@ def test_unitary_steps_reject_non_finite_time(dt):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
 def test_variance_below_hs_norm(seed, dim):
     rng = np.random.default_rng(seed)
-    h = random_hermitian(rng, dim, scale=float(rng.uniform(0.1, 3.0)))
+    scale = float(rng.uniform(0.1, 3.0))
+    h = scale * random_hermitian(rng, dim)
     psi = random_state(rng, dim)
     assert 2.0 * energy_variance(psi, h) <= SQRT2 * hs_norm(h) + 1e-10
 

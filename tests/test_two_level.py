@@ -1,5 +1,6 @@
 """Avoided-crossing geometry, the optimal protocols and their closed forms."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -345,6 +346,14 @@ def test_constrained_protocol_rejects_wrong_regime():
         constrained_protocol(lz(0.3))  # infinite cap
     with pytest.raises(ValueError):
         constrained_protocol(lz(HALF_PI, cap=1.0))  # gamma = 0
+
+
+@pytest.mark.parametrize("cap", [1e154, 1e200, 1e300])
+def test_constrained_protocol_rejects_a_cap_whose_durations_overflow(cap):
+    # 2*cap*(cap + gamma) overflows to a zero bang, cap*cap to a NaN one
+    match = re.escape(f"lambda_cap {cap!r} is too large for theta 0.9")
+    with pytest.raises(ValueError, match=match):
+        constrained_protocol(lz(0.9, cap=cap))
 
 
 def test_optimal_protocol_dispatch():
