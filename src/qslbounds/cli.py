@@ -251,7 +251,7 @@ class VerifyReport:
             status = "pass" if c.passed else "FAIL"
             note = f" ({c.note})" if c.note else ""
             lines.append(
-                f"check {name:<24} value={c.value:+.6e} tol={c.tolerance:.1e} {status}{note}"
+                f"check {name:<24} value={c.value:+.6e} tol={_fmt(c.tolerance)} {status}{note}"
             )
         lines.append(f"verify: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"

@@ -50,14 +50,7 @@ class ControlHamiltonian:
 
     def hamiltonians(self, amplitudes: Sequence[float]) -> np.ndarray:
         """H(u) for every amplitude, as one read-only (S, d, d) array."""
-        u = np.array(amplitudes, dtype=float)
-        outside = u[np.abs(u) > self.u_max + AMPLITUDE_RTOL * max(1.0, self.u_max)]
-        if outside.size:
-            raise ValueError(f"amplitude {float(outside[0])!r} exceeds u_max {self.u_max!r}")
-        h = self.h0.entries + u[:, None, None] * self.hc.entries
-        check_hermitian(h)
-        h.setflags(write=False)
-        return h
+        return _hamiltonians((self,), (amplitudes,))[0]
 
     def hamiltonian(self, u: float) -> HermitianOperator:
         return HermitianOperator(self.hamiltonians((u,))[0])
@@ -186,11 +179,11 @@ class TrajectoryStack:
     # the boundary states are built and norm-checked once per stack
     @cached_property
     def initial_states(self) -> Tuple[PureState, ...]:
-        return tuple(PureState(s) for s in self.states[:, 0])
+        return PureState.stack(self.states[:, 0])
 
     @cached_property
     def final_states(self) -> Tuple[PureState, ...]:
-        return tuple(PureState(s) for s in self.states[:, -1])
+        return PureState.stack(self.states[:, -1])
 
     @cached_property
     def spreads(self) -> np.ndarray:
@@ -225,8 +218,7 @@ def propagate_stack(
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be a positive integer")
 
-    h = np.array([ch.hamiltonians([amp for _, amp in f.segments]) for ch, f in zip(chs, fields)])
-    h.setflags(write=False)
+    h = _hamiltonians(chs, [[amp for _, amp in field.segments] for field in fields])
     durations = _durations(fields)
     n_inst, width = len(chs), samples_per_segment + 1
 
@@ -250,6 +242,27 @@ def propagate_stack(
         fields=fields,
         hamiltonians=h,
     )
+
+
+def _hamiltonians(chs: Sequence[ControlHamiltonian], amplitudes) -> np.ndarray:
+    """H(u) of instance b at each amplitudes[b], one read-only (B, S, d, d) array,
+    checked once per stack: every u within its window and every H Hermitian."""
+    for ch, amps in zip(chs, amplitudes):
+        reach = ch.u_max + AMPLITUDE_RTOL * max(1.0, ch.u_max)
+        for u in amps:  # a float loop: a stack of one costs no more than one instance
+            if abs(u) > reach:
+                raise ValueError(f"amplitude {float(u)!r} exceeds u_max {ch.u_max!r}")
+    h0 = np.array([ch.h0.entries for ch in chs])[:, None]
+    hc = np.array([ch.hc.entries for ch in chs])[:, None]
+    h = h0 + np.array(amplitudes, dtype=float)[..., None, None] * hc
+    try:
+        check_hermitian(h)
+    except ValueError:
+        for h_b in h:  # the message of the first bad instance, as it reads alone
+            check_hermitian(h_b)
+        raise
+    h.setflags(write=False)
+    return h
 
 
 def _evolve(h: np.ndarray, taus: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -27,9 +27,11 @@ from .dynamics import (
 from .quantum import (
     HermitianOperator,
     PureState,
-    energy_variance,
+    check_hermitian,
+    check_normalized,
+    energy_spreads,
     fubini_study_distance,
-    hs_norm,
+    norms,
 )
 from .tolerances import (
     AA_TOL,
@@ -51,49 +53,69 @@ U_MAX = 2.0
 STACK_SIZE = 16
 
 
+def _hermitians(normals: np.ndarray) -> np.ndarray:
+    """Hermitian parts (..., d, d) of normals[..., 0, :, :] + i*normals[..., 1, :, :]."""
+    a = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _unit_vectors(normals: np.ndarray) -> np.ndarray:
+    """normals[..., 0, :] + i*normals[..., 1, :] over the norm of each vector alone."""
+    v = normals[..., 0, :] + 1j * normals[..., 1, :]
+    return v / norms(v)[..., None]
+
+
+def _segment_count(rng: np.random.Generator) -> int:
+    return int(rng.integers(1, MAX_SEGMENTS + 1))
+
+
+def _segments(uniforms: np.ndarray) -> list:
+    """(duration, amplitude) rows of uniforms in [0, 1), scaled as Generator.uniform does."""
+    low = np.array([0.1, -U_MAX])
+    return (low + (np.array([MAX_DURATION, U_MAX]) - low) * uniforms).tolist()
+
+
 def random_state(rng: np.random.Generator, dim: int) -> PureState:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(v / np.linalg.norm(v))
+    return PureState(_unit_vectors(rng.standard_normal((2, dim))))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator(0.5 * (a + a.conj().T))
+    return HermitianOperator(_hermitians(rng.standard_normal((2, dim, dim))))
 
 
 def random_field(rng: np.random.Generator) -> PiecewiseConstantField:
-    n = int(rng.integers(1, MAX_SEGMENTS + 1))
-    segments = tuple(
-        (float(rng.uniform(0.1, MAX_DURATION)), float(rng.uniform(-U_MAX, U_MAX)))
-        for _ in range(n)
-    )
-    return PiecewiseConstantField(segments)
+    return PiecewiseConstantField(_segments(rng.random((_segment_count(rng), 2))))
 
 
 def random_control_problem(
     rng: np.random.Generator, dim: int
 ) -> Tuple[ControlHamiltonian, PiecewiseConstantField, PureState]:
-    ch = ControlHamiltonian(
-        h0=random_hermitian(rng, dim), hc=random_hermitian(rng, dim), u_max=U_MAX
-    )
-    return ch, random_field(rng), random_state(rng, dim)
+    """One instance of the stacked draws."""
+    _, _, (ch,), (field,), ((psi0,),) = next(_problem_stacks(rng, 1, 1, dim))
+    return ch, field, psi0
 
 
 @dataclass(frozen=True)
 class SuiteResult:
     """Worst signed residual of one suite; worst_instance is the 0-based draw
-    index, within the suite, of the instance that gave it."""
+    index, within the suite, of the instance that gave it, with its dimension
+    and its field's segment count (None without a field)."""
 
     name: str
     instances: int
     max_residual: float
     tolerance: float
     worst_instance: Optional[int] = None
+    worst_dim: Optional[int] = None
+    worst_segments: Optional[int] = None
 
     @classmethod
-    def from_residuals(cls, name: str, residuals: np.ndarray, tolerance: float) -> "SuiteResult":
+    def from_residuals(cls, name: str, residuals, tolerance: float, shapes) -> "SuiteResult":
+        """shapes[i] is instance i's (dimension, segment count), 0 for no field."""
         worst = int(np.argmax(residuals))
-        return cls(name, len(residuals), float(residuals[worst]), tolerance, worst)
+        dim, n_seg = shapes[worst].tolist()
+        residual = float(residuals[worst])
+        return cls(name, len(residuals), residual, tolerance, worst, dim, n_seg or None)
 
     @property
     def passed(self) -> bool:
@@ -123,19 +145,16 @@ class PropertyReport:
         return "\n".join(lines) + "\n"
 
 
-def _stacks(problems: Iterable[tuple]) -> Iterator[Tuple[List[int], tuple]]:
-    """Group draws, in stream order, into stacks of at most STACK_SIZE that
-    share (dimension, segment count), the shape a TrajectoryStack shares.
-
-    A stack is yielded as soon as it is full, so memory is bounded by the
-    stack size whatever the instance count.  Each comes with the draw
-    indices of its instances and its problems' columns.
-    """
-    pending: Dict[Tuple[int, int], List[Tuple[int, tuple]]] = {}
-    for i, problem in enumerate(problems):
-        ch, field = problem[0], problem[1]
-        key = (ch.dim, len(field.segments))
-        pending.setdefault(key, []).append((i, problem))
+def _stacks(draws: Iterable[tuple]) -> Iterator[Tuple[List[int], tuple]]:
+    """Group raw draws, in stream order, into stacks of at most STACK_SIZE
+    whose arrays share their shapes: for a control problem, the dimension and
+    segment count a TrajectoryStack shares.  A stack is yielded as soon as it
+    is full, so memory is bounded whatever the instance count; each comes
+    with its draw indices and its arrays, stacked along a leading axis."""
+    pending: Dict[tuple, List[Tuple[int, tuple]]] = {}
+    for i, draw in enumerate(draws):
+        key = tuple(a.shape for a in draw)
+        pending.setdefault(key, []).append((i, draw))
         if len(pending[key]) == STACK_SIZE:
             yield _columns(pending.pop(key))
     for group in pending.values():
@@ -143,36 +162,57 @@ def _stacks(problems: Iterable[tuple]) -> Iterator[Tuple[List[int], tuple]]:
 
 
 def _columns(group: List[Tuple[int, tuple]]) -> Tuple[List[int], tuple]:
-    indices, problems = zip(*group)
-    return list(indices), tuple(zip(*problems))
+    indices, draws = zip(*group)
+    return list(indices), tuple(map(np.array, zip(*draws)))
 
 
 def _brody_suite(rng: np.random.Generator, count: int) -> SuiteResult:
     # 2*deltaE <= sqrt(2)*||h||_HS for any state
-    residuals = np.empty(count)
-    for i in range(count):
-        dim = int(rng.integers(2, MAX_DIM + 1))
-        h = random_hermitian(rng, dim)
-        s = random_state(rng, dim)
-        residuals[i] = 2.0 * energy_variance(s, h) - math.sqrt(2.0) * hs_norm(h)
-    return SuiteResult.from_residuals("brody", residuals, BRODY_TOL)
+    dims = (int(rng.integers(2, MAX_DIM + 1)) for _ in range(count))
+    draws = ((rng.standard_normal((2, d, d)), rng.standard_normal((2, d))) for d in dims)
+    residuals, shapes = np.empty(count), np.zeros((count, 2), dtype=int)
+    for idx, (ops, states) in _stacks(draws):
+        h, chi = _hermitians(ops), _unit_vectors(states)
+        check_hermitian(h, 3)
+        check_normalized(chi, 2)
+        hs_norms = norms(h.reshape(len(h), -1))
+        residuals[idx] = 2.0 * energy_spreads(h, chi) - math.sqrt(2.0) * hs_norms
+        shapes[idx, 0] = h.shape[-1]
+    return SuiteResult.from_residuals("brody", residuals, BRODY_TOL, shapes)
 
 
-def _driven_draws(rng: np.random.Generator, count: int) -> Iterator[tuple]:
-    """Control problem plus the fixed state phi of the Pfeifer envelope."""
-    for _ in range(count):
-        dim = int(rng.integers(2, MAX_DIM + 1))
-        ch, field, psi0 = random_control_problem(rng, dim)
-        yield ch, field, psi0, random_state(rng, dim)
+def _problem_stacks(
+    rng: np.random.Generator, count: int, n_states: int, dim: Optional[int] = None
+) -> Iterator[tuple]:
+    """count control problems of dimension dim (else drawn) with n_states states, one
+    generator call per array, built and checked one stack at a time: yields its draw
+    indices, (dimension, segment count), chs, fields and a tuple per state column."""
+    dims = (dim or int(rng.integers(2, MAX_DIM + 1)) for _ in range(count))
+    draws = (
+        (
+            rng.standard_normal((2, 2, d, d)),
+            rng.random((_segment_count(rng), 2)),
+            rng.standard_normal((n_states, 2, d)),
+        )
+        for d in dims
+    )
+    for idx, (ops, uniforms, states) in _stacks(draws):
+        d = ops.shape[-1]
+        h = HermitianOperator.stack(_hermitians(ops).reshape(-1, d, d))
+        chs = tuple(ControlHamiltonian(h0, hc, U_MAX) for h0, hc in zip(h[0::2], h[1::2]))
+        fields = tuple(PiecewiseConstantField(segs) for segs in _segments(uniforms))
+        psis = PureState.stack(_unit_vectors(states).reshape(-1, d))
+        yield idx, (d, uniforms.shape[1]), chs, fields, [psis[k::n_states] for k in range(n_states)]
 
 
 def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult]:
     """One propagation per instance feeds the path-length, envelope, drive-area
     and norm-conservation checks; the endpoint reached defines the target, so
-    every instance is a reachability certificate.  Instances are propagated
-    and checked one (dimension, segment count) stack at a time."""
-    residuals = np.empty((4, count))
-    for idx, (chs, fields, psi0s, phis) in _stacks(_driven_draws(rng, count)):
+    every instance is a reachability certificate.  psi0 and the fixed state
+    phi of the Pfeifer envelope are drawn together.  Instances are drawn,
+    propagated and checked one (dimension, segment count) stack at a time."""
+    residuals, shapes = np.empty((4, count)), np.empty((count, 2), dtype=int)
+    for idx, shape, chs, fields, (psi0s, phis) in _problem_stacks(rng, count, 2):
         stack = propagate_stack(chs, fields, psi0s, samples_per_segment=48)
         finals = stack.final_states
         geodesic = np.array([fubini_study_distance(p, f) for p, f in zip(psi0s, finals)])
@@ -180,23 +220,22 @@ def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult
         residuals[1, idx] = pfeifer_envelope_residuals(stack, phis)
         residuals[2, idx] = arenz_overlap_residuals(stack, finals)
         residuals[3, idx] = norm_drifts(stack)
+        shapes[idx] = shape
     return [
-        SuiteResult.from_residuals("anandan_aharonov", residuals[0], AA_TOL),
-        SuiteResult.from_residuals("pfeifer", residuals[1], PFEIFER_TOL),
-        SuiteResult.from_residuals("arenz", residuals[2], ARENZ_TOL),
-        SuiteResult.from_residuals("norm_drift", residuals[3], NORM_DRIFT_TOL),
+        SuiteResult.from_residuals("anandan_aharonov", residuals[0], AA_TOL, shapes),
+        SuiteResult.from_residuals("pfeifer", residuals[1], PFEIFER_TOL, shapes),
+        SuiteResult.from_residuals("arenz", residuals[2], ARENZ_TOL, shapes),
+        SuiteResult.from_residuals("norm_drift", residuals[3], NORM_DRIFT_TOL, shapes),
     ]
 
 
 def _bhattacharyya_suite(rng: np.random.Generator, count: int) -> SuiteResult:
-    draws = (
-        random_control_problem(rng, int(rng.integers(2, MAX_DIM + 1))) for _ in range(count)
-    )
-    residuals = np.empty(count)
-    for idx, (chs, fields, psi0s) in _stacks(draws):
+    residuals, shapes = np.empty(count), np.empty((count, 2), dtype=int)
+    for idx, shape, chs, fields, (psi0s,) in _problem_stacks(rng, count, 1):
         stack = propagate_stack(chs, fields, psi0s, samples_per_segment=200)
         residuals[idx] = bhattacharyya_residuals(stack)
-    return SuiteResult.from_residuals("bhattacharyya", residuals, BHATTACHARYYA_TOL)
+        shapes[idx] = shape
+    return SuiteResult.from_residuals("bhattacharyya", residuals, BHATTACHARYYA_TOL, shapes)
 
 
 def run_property_suites(seed: int, instance_count: int) -> PropertyReport:

@@ -8,9 +8,9 @@ so that repeated runs give bit-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,13 +27,61 @@ def _reject_non_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what} at {', '.join(map(str, bad))}")
 
 
-def check_hermitian(m: np.ndarray) -> None:
-    """Reject matrices (..., d, d) that are non-finite or not Hermitian within HERMITIAN_ATOL."""
+def check_hermitian(m: np.ndarray, ndim: Optional[int] = None) -> None:
+    """Reject matrices (..., d, d) that are non-finite or not Hermitian within
+    HERMITIAN_ATOL; given ndim, also an array of another rank or of matrices
+    that are not square with d >= 2."""
+    if ndim is not None and (m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] < 2):
+        raise ValueError(f"operator must be square with d >= 2, got shape {m.shape[ndim - 2:]}")
     with np.errstate(invalid="ignore"):  # inf - inf is reported below, not warned
         dev = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max()
     if not dev <= HERMITIAN_ATOL:
         _reject_non_finite(m, "operator entries")
         raise ValueError("matrix is not Hermitian within tolerance")
+
+
+def norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector (..., d), rounded as np.linalg.norm of
+    that vector alone: one strided dot per part, as it takes them."""
+    re, im = x.real, x.imag
+    if x.ndim == 1:
+        return np.sqrt(re.dot(re) + im.dot(im))
+    re, im = re[..., None, :], im[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
+def check_normalized(amps: np.ndarray, ndim: int = 1) -> None:
+    """Reject amplitudes (d,), or with ndim 2 a stack (n, d), that are not
+    vectors with d >= 2, are non-finite or have a norm off 1 beyond NORM_ATOL."""
+    if amps.ndim != ndim or amps.shape[-1] < 2:
+        raise ValueError(f"state must be a vector with d >= 2, got shape {amps.shape[ndim - 1:]}")
+    n = norms(amps)
+    dev = np.abs(n - 1.0)
+    if not (dev if ndim == 1 else dev.max()) <= NORM_ATOL:  # a scalar's max costs 1 us
+        _reject_non_finite(amps, "state amplitudes")
+        worst = float(n.flat[dev.argmax()])
+        raise ValueError(f"state norm {worst!r} deviates from 1 beyond {NORM_ATOL}")
+
+
+def _stack(cls, rows, check: Callable[[np.ndarray, int], None], ndim: int) -> tuple:
+    """The rows of one array as instances of cls: read-only views, checked once
+    over the stack.  If the check fails, the single constructor of the first
+    bad row raises its own message, naming the row."""
+    try:
+        a = np.array(rows, dtype=complex)
+        check(a, ndim)
+    except ValueError:
+        for k, row in enumerate(rows):
+            try:
+                cls(row)
+            except ValueError as exc:
+                raise ValueError(f"row {k}: {exc}") from None
+        raise
+    a.setflags(write=False)
+    name, views = fields(cls)[0].name, tuple(object.__new__(cls) for _ in a)
+    for view, row in zip(views, a):
+        object.__setattr__(view, name, row)
+    return views
 
 
 @dataclass(frozen=True)
@@ -44,14 +92,14 @@ class PureState:
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.shape[0] < 2:
-            raise ValueError(f"state must be a vector with d >= 2, got shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_ATOL:
-            _reject_non_finite(amps, "state amplitudes")
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
+        check_normalized(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def stack(cls, amplitudes) -> Tuple["PureState", ...]:
+        """A state per row of amplitudes (n, d), as read-only row views."""
+        return _stack(cls, amplitudes, check_normalized, 2)
 
     @property
     def dim(self) -> int:
@@ -74,11 +122,14 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-            raise ValueError(f"operator must be square with d >= 2, got shape {m.shape}")
-        check_hermitian(m)
+        check_hermitian(m, 2)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+
+    @classmethod
+    def stack(cls, entries) -> Tuple["HermitianOperator", ...]:
+        """An operator per matrix of entries (n, d, d), as read-only views."""
+        return _stack(cls, entries, check_hermitian, 3)
 
     @property
     def dim(self) -> int:
@@ -123,7 +174,7 @@ class SpectralDecomposition:
     @property
     def eigenvectors(self) -> Tuple[PureState, ...]:
         """The columns of ``vectors`` as states, built on request."""
-        return tuple(PureState(column) for column in self.vectors.T)
+        return PureState.stack(self.vectors.T)
 
 
 def _phase_fixed_eigh(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -175,7 +226,7 @@ def ground_states_of_stack(entries: np.ndarray) -> Tuple[PureState, ...]:
     for gap in (eigvals[:, 1] - eigvals[:, 0]).tolist():
         if not gap > DEGENERACY_ATOL:
             raise ValueError(f"ground space degenerate within {DEGENERACY_ATOL} (gap {gap!r})")
-    return tuple(PureState(v) for v in vecs[:, :, 0])
+    return PureState.stack(vecs[:, :, 0])
 
 
 def ground_states(ops: Sequence[HermitianOperator]) -> Tuple[PureState, ...]:
@@ -226,8 +277,7 @@ def energy_variance(state: PureState, h: HermitianOperator) -> float:
 
 def hs_norm(h: HermitianOperator) -> float:
     """Hilbert-Schmidt norm sqrt(tr(h^2)), summed as np.linalg.norm(h, "fro") does."""
-    x = h.entries.ravel()
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return float(norms(h.entries.ravel()))
 
 
 def unitary_steps(entries: np.ndarray, dts) -> np.ndarray:

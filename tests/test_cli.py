@@ -262,7 +262,8 @@ def test_verify_prints_the_dominance_tolerance_it_applies(monkeypatch):
     assert len(lines) == 4
     for name, line in zip(("a", "b", "c1", "c2"), lines):
         assert report.checks[f"dominance_{name}"].tolerance == tolerance
-        assert f"tol={tolerance:.1e}" in line  # 1.7e+00; 1.5e+00 unpatched
+        (printed,) = [field[4:] for field in line.split() if field.startswith("tol=")]
+        assert float(printed) == tolerance  # round-trips: t_opt_ideal + PASS_TOL exactly
 
 
 def test_verify_case_trivial_angle():

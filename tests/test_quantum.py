@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qslbounds import (
     ControlHamiltonian,
+    HermitianOperator,
     PureState,
     SIGMA_X,
     SIGMA_Z,
@@ -20,7 +21,7 @@ from qslbounds import (
     unitary_step,
     unitary_steps,
 )
-from qslbounds.quantum import cache_spectra, energy_covariances, energy_spreads
+from qslbounds.quantum import cache_spectra, energy_covariances, energy_spreads, norms
 from conftest import basis_state, hermitian, random_hermitian, random_state, state, zero_operator
 from test_bounds import _ref_variance_quadratic_coeffs
 
@@ -118,6 +119,89 @@ def test_operator_dim_mismatch():
 def test_overlap_dim_mismatch():
     with pytest.raises(ValueError):
         basis_state(2, 0).overlap(basis_state(3, 0))
+
+
+# ---------------------------------------------------------------------------
+# stacked construction
+
+
+def _single_message(cls, row) -> str:
+    with pytest.raises(ValueError) as exc:
+        cls(row)
+    return str(exc.value)
+
+
+def _bad_state_rows(rng):
+    rows = [random_state(rng, 3).amplitudes for _ in range(4)]
+    unnormalized, non_finite = rows[2] * (1.0 + 1e-10), rows[2].copy()
+    non_finite[1] = NAN
+    return rows, {
+        "norm": unnormalized,
+        "non-finite": non_finite,
+        "shape": rows[2][:1],
+        "matrix": np.eye(3, dtype=complex),
+    }
+
+
+def _bad_operator_rows(rng):
+    rows = [random_hermitian(rng, 3).entries for _ in range(4)]
+    skew, non_finite = rows[2].copy(), rows[2].copy()
+    skew[0, 1] += 1e-9
+    non_finite[1, 1] = INF
+    return rows, {
+        "hermitian": skew,
+        "non-finite": non_finite,
+        "shape": rows[2][:, :2],
+        "vector": rows[2][0],
+    }
+
+
+@pytest.mark.parametrize(
+    "cls, bad_rows",
+    [(PureState, _bad_state_rows), (HermitianOperator, _bad_operator_rows)],
+    ids=["state", "operator"],
+)
+def test_a_stack_names_its_bad_row_with_the_single_message(rng, cls, bad_rows):
+    rows, bad = bad_rows(rng)
+    for kind, row in bad.items():
+        stack = rows[:2] + [row] + rows[3:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # non-finite rows must not warn on the way
+            with pytest.raises(ValueError) as exc:
+                cls.stack(stack if kind in ("shape", "vector", "matrix") else np.array(stack))
+        assert str(exc.value) == f"row 2: {_single_message(cls, row)}", kind
+
+
+def test_a_stack_of_the_wrong_shape_names_its_first_row():
+    with pytest.raises(ValueError, match=r"^row 0: operator must be square .* \(2, 3\)$"):
+        HermitianOperator.stack(np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError, match=r"^row 0: state must be a vector .* \(2, 2\)$"):
+        PureState.stack(np.eye(2)[None].repeat(3, axis=0))
+
+
+@pytest.mark.parametrize(
+    "cls, draw", [(PureState, random_state), (HermitianOperator, random_hermitian)]
+)
+def test_stacked_rows_are_read_only_and_equal_the_single_constructor(rng, cls, draw):
+    field = "amplitudes" if cls is PureState else "entries"
+    for dim in range(2, 9):
+        rows = np.array([getattr(draw(rng, dim), field) for _ in range(5)])
+        stacked = cls.stack(rows)
+        (one,) = cls.stack(rows[:1])
+        assert len(stacked) == 5 and all(type(x) is cls for x in stacked)
+        for x, row in zip(stacked + (one,), list(rows) + [rows[0]]):
+            value, single = getattr(x, field), getattr(cls(row), field)
+            assert value.dtype == single.dtype and value.shape == single.shape
+            assert value.tobytes() == single.tobytes()
+            with pytest.raises(ValueError):
+                value[0] = 0.0
+        assert rows.flags.writeable  # the caller's array is copied, not frozen
+
+
+def test_norms_round_as_the_single_vector_norm(rng):
+    for dim in (2, 3, 5, 8, 64):
+        v = rng.standard_normal((200, dim)) + 1j * rng.standard_normal((200, dim))
+        assert [float(x) for x in norms(v)] == [float(np.linalg.norm(row)) for row in v]
 
 
 # ---------------------------------------------------------------------------
