@@ -10,20 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import tolerances
+from . import quantum, tolerances
 from .dynamics import ControlHamiltonian, Trajectory, TrajectoryStack, tqsl_star
 from .quantum import (
     HermitianOperator,
     PureState,
-    cache_spectra,
     energy_covariances,
     energy_variance,
     fubini_study_distance,
-    hs_norm,
+    norms,
     unitary_steps,
 )
 from .tolerances import EIGENSTATE_ATOL, OVERLAP_SUM_ATOL, TARGET_FIDELITY_ATOL
@@ -114,14 +113,16 @@ def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
     return _max_quadratic_root(t00, 2.0 * t0c, tcc, ch.u_max)
 
 
-def _states(stack: Sequence[BoundInputs]) -> np.ndarray:
-    """(n, 2, d): the amplitudes of each instance's psi0 and psig."""
-    return np.array([(x.psi0.amplitudes, x.psig.amplitudes) for x in stack])
+def _arrays(stack: Sequence[BoundInputs]) -> Tuple[np.ndarray, np.ndarray]:
+    """The amplitudes of each instance's psi0 and psig (n, 2, d) and the entries
+    of its h0 and hc (n, 2, d, d), each built once for every kernel of a stack."""
+    states = np.array([(x.psi0.amplitudes, x.psig.amplitudes) for x in stack])
+    return states, np.array([(x.ch.h0.entries, x.ch.hc.entries) for x in stack])
 
 
 def _one(kernel, inputs: BoundInputs) -> float:
     """A stacked kernel on one instance: its value, or its error raised."""
-    outcome = kernel((inputs,), _states((inputs,)))[0]
+    outcome = kernel((inputs,), *_arrays((inputs,)))[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -136,7 +137,7 @@ def _distance_over(dist: float, speed: float) -> float:
     return 0.0 if math.isinf(speed) else dist / speed
 
 
-def _tmin_a_stack(stack: Sequence[BoundInputs], states: np.ndarray) -> List[float]:
+def _tmin_a_stack(stack: Sequence[BoundInputs], states, pairs) -> List[float]:
     return [
         _distance_over(x.distance, math.sqrt(2.0) * max_hs_norm_over_field(x.ch)) for x in stack
     ]
@@ -152,8 +153,7 @@ def tmin_a(inputs: BoundInputs) -> float:
     return _one(_tmin_a_stack, inputs)
 
 
-def _tmin_b_stack(stack: Sequence[BoundInputs], states: np.ndarray) -> List[float]:
-    pairs = np.array([(x.ch.h0.entries, x.ch.hc.entries) for x in stack])
+def _tmin_b_stack(stack: Sequence[BoundInputs], states, pairs) -> List[float]:
     # deltaE^2(u) = c0 + c1*u + c2*u^2 in psi0 and psig: (n, 2, 2, 2) covariances
     covs = energy_covariances(pairs[:, None], states).tolist()
     out = []
@@ -196,37 +196,46 @@ def tmin_b_eigenstate(inputs: BoundInputs) -> float:
     return _distance_over(inputs.distance, 2.0 * spread)
 
 
-def _eigenbasis_bounds(states: np.ndarray, ops: Sequence, scales: Sequence, out: List) -> List:
-    """Set out[k] = (1 - sum_j |<psig|phi_j>| |<phi_j|psi0>|) / scales[k], phi_j the
-    eigenvectors of ops[k] if set (a numerator in the round-off floor vanishes, a zero
-    scale gives +inf): one batched pass per distinct operator, whose error is theirs."""
-    groups: Dict[int, List[int]] = {}
-    for k, op in enumerate(ops):
-        if op is not None:
-            groups.setdefault(id(op), []).append(k)
-    for members in groups.values():
-        try:
-            vh = ops[members[0]].spectrum.vectors.conj().T
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            for k in members:
-                out[k] = exc
-            continue
-        # d x d by d x 1 products round as vh @ psi, 1 x d by d x 1 as a dot
-        weights = np.abs(vh @ (states if len(members) == len(out) else states[members])[..., None])
-        sums = (weights[:, 1].swapaxes(-1, -2) @ weights[:, 0])[:, 0, 0]
-        for k, total in zip(members, sums.tolist()):
-            numerator = max(0.0, 1.0 - total)
-            if numerator > OVERLAP_SUM_ATOL:
-                out[k] = numerator / scales[k] if scales[k] else math.inf
-    return out
-
-
-def _tmin_c1_stack(stack: Sequence[BoundInputs], states: np.ndarray) -> List:
-    norms = [x.ch.h0.norm for x in stack]
+def _tmin_c_stack(stack: Sequence[BoundInputs], states, pairs) -> Tuple[List, List]:
+    """The tmin_c1 and tmin_c2 columns: (1 - sum_j |<psig|phi_j>| |<phi_j|psi0>|) / scale,
+    phi_j the eigenvectors of hc over ||h0||_HS (c1, where h0 != 0) or of h0 over
+    u_max * ||hc||_HS (c2, where u_max is finite; 0 elsewhere).  A numerator in the
+    round-off floor vanishes, a zero scale gives +inf.  Every eigenbasis comes from
+    one stacked eigh; if that fails, each matrix is decomposed alone and its error
+    fails only the values it decides."""
+    n = len(stack)
+    hs = norms(pairs.reshape(n, 2, -1)).tolist()
     zero = "zero drift: the control-eigenbasis bound needs h0 != 0"
-    out = [0.0 if norm else ValueError(zero) for norm in norms]
-    ops = [x.ch.hc if norm else None for x, norm in zip(stack, norms)]
-    return _eigenbasis_bounds(states, ops, norms, out)
+    columns = ([0.0 if h0 else ValueError(zero) for h0, _ in hs], [0.0] * n)
+    # (column, instance, operator of the pair, scale) of each value an eigenbasis decides
+    todo = [(0, k, 1, h0) for k, (h0, _) in enumerate(hs) if h0] + [
+        (1, k, 0, x.ch.u_max * hc)
+        for k, (x, (_, hc)) in enumerate(zip(stack, hs))
+        if math.isfinite(x.ch.u_max)
+    ]
+    if not todo:
+        return columns
+    cols, ks, sides, scales = zip(*todo)
+    mats, failed = pairs[ks, sides], {}
+    try:
+        vecs = quantum._phase_fixed_eigh(mats)[1]
+    except (ValueError, np.linalg.LinAlgError):
+        vecs = np.zeros_like(mats)
+        for j, m in enumerate(mats):
+            try:
+                vecs[j] = quantum._phase_fixed_eigh(m)[1]
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                failed[j] = exc
+    # d x d by d x 1 products round as vh @ psi, 1 x d by d x 1 as a dot
+    weights = np.abs(vecs.conj().swapaxes(-1, -2)[:, None] @ states[ks, :, :, None])
+    sums = (weights[:, 1].swapaxes(-1, -2) @ weights[:, 0])[:, 0, 0]
+    for j, (col, k, scale, total) in enumerate(zip(cols, ks, scales, sums.tolist())):
+        numerator = max(0.0, 1.0 - total)
+        if j in failed:
+            columns[col][k] = failed[j]
+        elif numerator > OVERLAP_SUM_ATOL:
+            columns[col][k] = numerator / scale if scale else math.inf
+    return columns
 
 
 def tmin_c1(inputs: BoundInputs) -> float:
@@ -234,13 +243,7 @@ def tmin_c1(inputs: BoundInputs) -> float:
     with phi_j the eigenvectors of hc.  Independent of u_max.  A numerator
     inside the overlap round-off floor counts as vanished, so coincident
     endpoints give a hard zero."""
-    return _one(_tmin_c1_stack, inputs)
-
-
-def _tmin_c2_stack(stack: Sequence[BoundInputs], states: np.ndarray) -> List:
-    ops = [None if math.isinf(x.ch.u_max) else x.ch.h0 for x in stack]
-    scales = [0.0 if op is None else x.ch.u_max * x.ch.hc.norm for x, op in zip(stack, ops)]
-    return _eigenbasis_bounds(states, ops, scales, [0.0] * len(stack))
+    return _one(lambda *args: _tmin_c_stack(*args)[0], inputs)
 
 
 def tmin_c2(inputs: BoundInputs) -> float:
@@ -252,7 +255,7 @@ def tmin_c2(inputs: BoundInputs) -> float:
     round-off floor counts as vanished; otherwise a closed window would turn
     a 1e-16 residue into +inf.
     """
-    return _one(_tmin_c2_stack, inputs)
+    return _one(lambda *args: _tmin_c_stack(*args)[1], inputs)
 
 
 def arenz_overlap_residuals(stack: TrajectoryStack, psigs: Sequence[PureState]) -> np.ndarray:
@@ -276,7 +279,7 @@ def arenz_overlap_residuals(stack: TrajectoryStack, psigs: Sequence[PureState]) 
     # 1 x d by d x 1 products round as np.vdot does, np.hypot as abs() does
     amp = (psig_conj[:, None, :] @ (u_ctrl @ psi0[..., None]))[:, 0, 0]
     lhs = 1.0 - np.hypot(amp.real, amp.imag)
-    drift = np.array([hs_norm(ch.h0) for ch in stack.chs])
+    drift = norms(np.array([ch.h0.entries for ch in stack.chs]).reshape(len(stack.chs), -1))
     return lhs - drift * stack.times[:, -1]
 
 
@@ -327,11 +330,9 @@ def compute_reports(
     dims = {x.ch.dim for x in stack}
     if len(dims) != 1:
         raise ValueError(f"need instances of one dimension, got dimensions {sorted(dims)}")
-    # every spectrum the eigenbasis bounds read, from one stacked eigh
-    cache_spectra([x.ch.hc for x in stack] + [x.ch.h0 for x in stack if math.isfinite(x.ch.u_max)])
-    states = _states(stack)
-    kernels = (_tmin_a_stack, _tmin_b_stack, _tmin_c1_stack, _tmin_c2_stack)
-    columns = [kernel(stack, states) for kernel in kernels]
+    arrays = _arrays(stack)
+    columns = (_tmin_a_stack(stack, *arrays), _tmin_b_stack(stack, *arrays))
+    columns += _tmin_c_stack(stack, *arrays)
     reports = []
     for t_opt, *outcomes in zip(t_opts, *columns, strict=True):
         values, errors, flags = [], {}, {}

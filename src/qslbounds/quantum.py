@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,17 +134,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @cached_property
-    def spectrum(self) -> "SpectralDecomposition":
-        """spectral(self), computed on first use and kept: the entries are
-        read-only, so the decomposition cannot go stale."""
-        return spectral(self)
-
-    @cached_property
-    def norm(self) -> float:
-        """hs_norm(self), kept like the spectrum."""
-        return hs_norm(self)
-
     def __mul__(self, scalar: float) -> "HermitianOperator":
         if isinstance(scalar, complex) and scalar.imag != 0.0:
             raise ValueError("only real scalars keep the operator Hermitian")
@@ -203,20 +191,6 @@ def _decomposition(eigvals: np.ndarray, vecs: np.ndarray) -> SpectralDecompositi
 
 def spectral(h: HermitianOperator) -> SpectralDecomposition:
     return _decomposition(*_phase_fixed_eigh(h.entries))
-
-
-def cache_spectra(ops: Sequence[HermitianOperator]) -> None:
-    """Fill the cached spectrum of each operator (one dimension) lacking one with the
-    bits spectral gives, through one stacked eigh; if that fails, spectral raises."""
-    todo = list({id(op): op for op in ops if "spectrum" not in vars(op)}.values())
-    if not todo:
-        return
-    try:
-        eigvals, vecs = _phase_fixed_eigh(np.array([op.entries for op in todo]))
-    except (ValueError, np.linalg.LinAlgError):
-        return
-    for op, w, v in zip(todo, eigvals, vecs):
-        vars(op)["spectrum"] = _decomposition(w, v)
 
 
 def ground_states_of_stack(entries: np.ndarray) -> Tuple[PureState, ...]:

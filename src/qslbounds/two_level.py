@@ -11,6 +11,7 @@ bang-off-bang above critical, bang-bang below.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -27,6 +28,20 @@ REGIME_BANG_OFF_BANG = "bang-off-bang"
 REGIME_BANG_BANG = "bang-bang"
 
 DEFAULT_SURROGATE_FACTOR = 1e4
+
+# H = u*sigma_z + (delta/2)*sigma_x squares to (u^2 + delta^2/4) times the identity
+# and its squared Hilbert-Schmidt norm is twice that, so the energy kernel and the
+# norms can take an energy hypot(u, delta/2) up to sqrt(float max / 2), no more
+MAX_ENERGY = math.sqrt(0.5 * sys.float_info.max)
+
+
+def check_energy(delta: float, u: float = 0.0) -> None:
+    """The rule for a drive amplitude u on a gap delta: hypot(u, delta/2) <= MAX_ENERGY."""
+    if not math.hypot(u, 0.5 * delta) <= MAX_ENERGY:
+        raise ValueError(
+            f"delta {delta!r} with drive amplitude {u!r} is too large: "
+            "the energy hypot(u, delta/2) overflows when squared"
+        )
 
 
 def check_delta(delta: float) -> None:
@@ -65,6 +80,7 @@ class LandauZenerProblem:
 
     def __post_init__(self):
         implied = theta_from_gamma(self.delta, self.gamma)  # validates delta and gamma
+        check_energy(self.delta)
         if not self.lambda_cap > 0.0:
             raise ValueError(f"lambda_cap must be positive or +inf, got {self.lambda_cap!r}")
         if not abs(self.theta - implied) <= CONSISTENCY_ATOL:  # a NaN theta fails too
@@ -90,7 +106,7 @@ class LandauZenerProblem:
 
 @lru_cache(maxsize=32)
 def _drift(delta: float) -> HermitianOperator:
-    # one operator per gap, so its cached spectrum serves every problem with it
+    # one operator per gap, not one per problem: a sweep builds a single drift
     return (0.5 * delta) * SIGMA_X
 
 
@@ -149,6 +165,7 @@ def unconstrained_protocol(
     check_surrogate(problem.lambda_cap, u0)
     if u0 is None:
         u0 = DEFAULT_SURROGATE_FACTOR * problem.delta
+    check_energy(problem.delta, u0)
     t0 = math.pi / (4.0 * u0)
     t_free = (math.pi - 2.0 * problem.theta) / problem.delta
     segments = [(t0, +u0)]

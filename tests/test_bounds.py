@@ -35,8 +35,8 @@ import qslbounds.bounds as bounds_module
 import qslbounds.quantum as quantum_module
 from qslbounds.bounds import (
     BOUND_NAMES,
-    _eigenbasis_bounds,
     _max_quadratic_root,
+    _tmin_c_stack,
     compute_reports,
 )
 from qslbounds.cli import LambdaSpec
@@ -305,33 +305,41 @@ def _overlap_sum_reference(op, psi0, psig):
 def test_eigenbasis_overlap_sum_matches_per_eigenvector_reference():
     rng = np.random.default_rng(404)
     for dim in range(2, 9):
-        # every other instance shares one operator, the rest bring their own
-        shared = random_hermitian(rng, dim)
-        ops = [shared if i % 2 else random_hermitian(rng, dim) for i in range(30)]
+        ops = [random_hermitian(rng, dim) for _ in range(30)]
         stack = [
-            BoundInputs(ControlHamiltonian(op, op), random_state(rng, dim), random_state(rng, dim))
+            BoundInputs(
+                ControlHamiltonian(op, op, 1.0), random_state(rng, dim), random_state(rng, dim)
+            )
             for op in ops
         ]
-        # with unit scales the bound is the numerator 1 - sum itself
-        states = bounds_module._states(stack)
-        numerators = _eigenbasis_bounds(states, ops, [1.0] * len(ops), [0.0] * len(ops))
-        for i, (op, x, numerator) in enumerate(zip(ops, stack, numerators)):
+        # c1 and c2 both read op's eigenbasis, scaled by ||op||_HS
+        c1, c2 = _tmin_c_stack(stack, *bounds_module._arrays(stack))
+        for i, (op, x) in enumerate(zip(ops, stack)):
             expected = 1.0 - _overlap_sum_reference(op, x.psi0, x.psig)
-            assert abs(numerator - expected) <= 1e-14, (i, dim)
+            for value in (c1[i], c2[i]):
+                assert abs(value * hs_norm(op) - expected) <= 1e-14, (i, dim)
 
 
 def test_tmin_c2_unbounded_window_skips_the_drift_decomposition(monkeypatch):
-    calls = []
-    # the operator's cached spectrum is computed by quantum.spectral
-    monkeypatch.setattr(quantum_module, "spectral", lambda h: calls.append(h.dim) or spectral(h))
+    decomposed = []
+    eigh = quantum_module._phase_fixed_eigh
+    monkeypatch.setattr(
+        quantum_module,
+        "_phase_fixed_eigh",
+        lambda m: decomposed.extend(np.reshape(m, (-1,) + m.shape[-2:])) or eigh(m),
+    )
+
+    def reached(op):
+        return any(np.array_equal(m, op.entries) for m in decomposed)
+
     rng = np.random.default_rng(405)
     for dim in range(2, 9):
         ch = ControlHamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim), math.inf)
         inputs = BoundInputs(ch, random_state(rng, dim), random_state(rng, dim))
         assert tmin_c2(inputs) == 0.0
-    assert calls == []
+        assert not reached(ch.h0)
     tmin_c2(BoundInputs(ControlHamiltonian(ch.h0, ch.hc, 1.0), inputs.psi0, inputs.psig))
-    assert calls == [8]
+    assert reached(ch.h0)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +552,7 @@ def _ref_variance_quadratic_coeffs(ch, chi):
 
 
 def _ref_overlap_sum(op, psi0, psig):
-    vh = op.spectrum.vectors.conj().T
+    vh = spectral(op).vectors.conj().T
     return float(np.abs(vh @ psig.amplitudes) @ np.abs(vh @ psi0.amplitudes))
 
 
@@ -694,6 +702,16 @@ def test_a_failing_spectrum_fails_only_its_instances(monkeypatch):
     assert reports[0] == reports[2] == compute_report(ok)
     with pytest.raises(np.linalg.LinAlgError):
         tmin_c1(stack[1])
+    # a drift whose eigh fails fails only its c2, and only under a finite window
+    for u_max, errors in ((1.0, {"c2": "eigh did not converge"}), (math.inf, {})):
+        failing_drift = BoundInputs(ControlHamiltonian(broken, SIGMA_Z, u_max), ok.psi0, ok.psig)
+        reports = compute_reports([ok, failing_drift, ok])
+        assert reports[1].errors == errors
+        assert reports[1].t_min_c1 == tmin_c1(failing_drift) > 0.0
+        assert reports[0] == reports[2] == compute_report(ok)
+    assert reports[1].t_min_c2 == tmin_c2(failing_drift) == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        tmin_c2(BoundInputs(ControlHamiltonian(broken, SIGMA_Z, 1.0), ok.psi0, ok.psig))
 
 
 def test_compute_reports_rejects_a_mixed_stack():

@@ -420,6 +420,7 @@ MISSING = object()  # stands for a config path that does not exist
 U0_CAPPED = "u0 applies only to an uncapped drive, got lambda_cap="
 INFINITE_CAP = "cap must be finite; pass --unconstrained for no cap"
 TINY_THETA = r"error: theta 1e-320 is too small: gamma = delta/\(2\*tan\(theta\)\) overflows$"
+HUGE_ENERGY = r"is too large: the energy hypot\(u, delta/2\) overflows when squared$"
 HUGE_CAP = (
     r"error: lambda_cap \S+ is too large for theta 0\.9: the bang durations overflow or vanish$"
 )
@@ -498,6 +499,8 @@ HUGE_CAP = (
         ),
         (["verify", "--theta", "0.9", "--lambda", "1e154"], None, HUGE_CAP),
         (["verify", "--theta", "0.9", "--lambda-factor", "1e300"], None, HUGE_CAP),
+        (["verify", "--theta", "0.9", "--delta", "1e300", "--unconstrained"], None, HUGE_ENERGY),
+        (["verify", "--theta", "0.9", "--unconstrained", "--u0", "1e160"], None, HUGE_ENERGY),
     ],
     ids=[
         "theta-out-of-range",
@@ -530,6 +533,8 @@ HUGE_CAP = (
         "sweep-theta-min-overflows-gamma",
         "verify-absolute-cap-overflows-durations",
         "verify-factor-cap-overflows-durations",
+        "verify-delta-overflows-energy",
+        "verify-kick-overflows-energy",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):

@@ -21,7 +21,7 @@ from qslbounds import (
     unitary_step,
     unitary_steps,
 )
-from qslbounds.quantum import cache_spectra, energy_covariances, energy_spreads, norms
+from qslbounds.quantum import energy_covariances, energy_spreads, norms
 from conftest import basis_state, hermitian, random_hermitian, random_state, state, zero_operator
 from test_bounds import _ref_variance_quadratic_coeffs
 
@@ -443,38 +443,11 @@ def test_ground_states_reject_mixed_dimensions(rng):
         ground_states([random_hermitian(rng, 2), random_hermitian(rng, 3)])
 
 
-def test_spectrum_is_computed_once_and_read_only(rng):
-    for dim in (2, 7):
-        op = random_hermitian(rng, dim)
-        assert op.spectrum is op.spectrum
-        fresh = spectral(op)
-        assert np.array_equal(op.spectrum.eigenvalues, fresh.eigenvalues)
-        assert np.array_equal(op.spectrum.vectors, fresh.vectors)
-        for arr in (op.spectrum.vectors, op.spectrum.eigenvalues):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-
-
-def test_cached_spectra_match_spectral_bit_for_bit(rng):
-    for dim in range(2, 9):
-        ops = [random_hermitian(rng, dim) for _ in range(4)]
-        kept = ops[0].spectrum
-        cache_spectra(ops + ops[1:2])  # a repeated operator is decomposed once
-        assert ops[0].spectrum is kept
-        for op in ops:
-            fresh = spectral(op)
-            assert np.array_equal(op.spectrum.eigenvalues, fresh.eigenvalues)
-            assert np.array_equal(op.spectrum.vectors, fresh.vectors)
-            with pytest.raises(ValueError):
-                op.spectrum.vectors[0, 0] = 0.0
-
-
 def test_hs_norm_sums_as_numpy_does(rng):
     for dim in range(2, 9):
         for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
             h = scale * random_hermitian(rng, dim)
             assert hs_norm(h) == float(np.linalg.norm(h.entries, "fro"))
-            assert h.norm == hs_norm(h)
 
 
 # ---------------------------------------------------------------------------

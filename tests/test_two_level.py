@@ -35,7 +35,9 @@ from qslbounds import (
     tqsl_star_closed,
     unconstrained_protocol,
 )
+from qslbounds.bounds import BOUND_NAMES, compute_report
 from qslbounds.cli import LambdaSpec
+from qslbounds.two_level import MAX_ENERGY
 from conftest import problem_from_gamma, sampled_spreads
 
 HALF_PI = 0.5 * math.pi
@@ -354,6 +356,21 @@ def test_constrained_protocol_rejects_a_cap_whose_durations_overflow(cap):
     match = re.escape(f"lambda_cap {cap!r} is too large for theta 0.9")
     with pytest.raises(ValueError, match=match):
         constrained_protocol(lz(0.9, cap=cap))
+
+
+def test_the_energy_limit_is_the_largest_whose_norms_square():
+    # at the limit every bound is taken without an overflow warning (which
+    # pytest turns into an error); past it the gap or the kick is refused
+    problem = lz(0.9, delta=2.0 * MAX_ENERGY)
+    report = compute_report(BoundInputs(problem.control_hamiltonian(), *boundary_states(problem)))
+    assert report.errors == {}
+    assert all(math.isfinite(report.value(name)) for name in BOUND_NAMES)
+    unconstrained_protocol(lz(0.9), u0=0.5 * MAX_ENERGY)
+    above = math.nextafter(MAX_ENERGY, math.inf)
+    with pytest.raises(ValueError, match="overflows when squared"):
+        lz(0.9, delta=2.0 * above)
+    with pytest.raises(ValueError, match="overflows when squared"):
+        unconstrained_protocol(lz(0.9), u0=above)
 
 
 def test_optimal_protocol_dispatch():
