@@ -143,10 +143,15 @@ class SweepRow:
         return self.pass_a and self.pass_b and self.pass_c1 and self.pass_c2
 
     def csv_row(self) -> str:
-        return ",".join(_cell(getattr(self, f.name)) for f in fields(self))
+        return _SWEEP_ROW.format(*[getattr(self, name) for name in _SWEEP_COLUMNS])
 
 
-SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+_SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+SWEEP_CSV_HEADER = ",".join(_SWEEP_COLUMNS)
+# each column rendered as _cell renders a value of its field's type, in one format call
+_SWEEP_ROW = ",".join(
+    {"bool": "{:d}", "float": "{:.17g}", "str": "{}"}[f.type] for f in fields(SweepRow)
+)
 
 
 def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
@@ -174,18 +179,13 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
         group = [k for k, t in enumerate(trajs) if t.n_samples == n]
         group_stack = TrajectoryStack.of([trajs[k] for k in group])
         estimates.update(zip(group, tqsl_stars(group_stack, [stack[k].psig for k in group])))
-    for k, (i, problem, protocol, report) in enumerate(zip(moving, problems, protocols, reports)):
-        estimate = estimates[k]
-        rows[i] = SweepRow(
-            theta=problem.theta,
-            gamma=problem.gamma,
-            regime=protocol.regime,
-            t_opt=report.t_opt,
-            tqsl_closed=tqsl_star_closed(problem, protocol),
-            tqsl_traj=estimate.time,
-            fidelity=estimate.target_fidelity,
-            **{f"tmin_{n}": report.value(n) for n in BOUND_NAMES},
-            **{f"pass_{n}": report.inequality_flags.get(n, False) for n in BOUND_NAMES},
+    for k, (i, problem, protocol, r) in enumerate(zip(moving, problems, protocols, reports)):
+        estimate, flags = estimates[k], r.inequality_flags
+        rows[i] = SweepRow(  # the columns in order
+            problem.theta, problem.gamma, protocol.regime, r.t_opt,
+            tqsl_star_closed(problem, protocol), estimate.time,
+            r.t_min_a, r.t_min_b, r.t_min_c1, r.t_min_c2, estimate.target_fidelity,
+            *[flags.get(n, False) for n in BOUND_NAMES],
         )
     return rows
 
@@ -195,20 +195,17 @@ def emit_report(rows: Sequence[SweepRow], cfg: SweepConfig, path) -> Tuple[Path,
     if not rows:
         raise ValueError("refusing to write an empty table")
     csv_path = Path(path)
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv_row() + "\n")
+    table = [SWEEP_CSV_HEADER] + [row.csv_row() for row in rows]
+    csv_path.write_text("\n".join(table) + "\n", encoding="utf-8")
     sidecar = csv_path.with_suffix(".summary.txt")
-    regimes = sorted({r.regime for r in rows})
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(f"qslbounds {__version__} sweep summary\n")
-        for f in fields(cfg):
-            value = getattr(cfg, f.name)
-            fh.write(f"{f.name}={'auto' if value is None else _cell(value)}\n")
-        fh.write(f"rows={len(rows)}\n")
-        fh.write(f"regimes={','.join(regimes)}\n")
-        fh.write(f"all_pass={_cell(all(r.passed for r in rows))}\n")
+    summary = [f"qslbounds {__version__} sweep summary"]
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        summary.append(f"{f.name}={'auto' if value is None else _cell(value)}")
+    summary.append(f"rows={len(rows)}")
+    summary.append(f"regimes={','.join(sorted({r.regime for r in rows}))}")
+    summary.append(f"all_pass={_cell(all(r.passed for r in rows))}")
+    sidecar.write_text("\n".join(summary) + "\n", encoding="utf-8")
     return csv_path, sidecar
 
 

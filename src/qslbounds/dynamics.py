@@ -25,8 +25,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .quantum import HermitianOperator, PureState, check_hermitian, energy_spreads
-from .quantum import fubini_study_distance
+from .quantum import HermitianOperator, PureState, abs_overlaps, check_hermitian
+from .quantum import check_normalized, energy_spreads
 from .tolerances import AMPLITUDE_RTOL, BHATTACHARYYA_FLOOR, TARGET_FIDELITY_ATOL
 
 
@@ -50,7 +50,7 @@ class ControlHamiltonian:
 
     def hamiltonians(self, amplitudes: Sequence[float]) -> np.ndarray:
         """H(u) for every amplitude, as one read-only (S, d, d) array."""
-        return _hamiltonians((self,), (amplitudes,))[0]
+        return _hamiltonians((self,), np.array([amplitudes], dtype=float))[0]
 
     def hamiltonian(self, u: float) -> HermitianOperator:
         return HermitianOperator(self.hamiltonians((u,))[0])
@@ -218,8 +218,9 @@ def propagate_stack(
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be a positive integer")
 
-    h = _hamiltonians(chs, [[amp for _, amp in field.segments] for field in fields])
-    durations = _durations(fields)
+    segments = np.array([field.segments for field in fields])  # (B, S, 2), read once
+    durations = segments[..., 0]
+    h = _hamiltonians(chs, segments[..., 1])
     n_inst, width = len(chs), samples_per_segment + 1
 
     # each segment owns `width` samples: its start node (for j > 0 the
@@ -228,33 +229,32 @@ def propagate_stack(
     # without its per-call axis handling
     taus = np.arange(1, width) * (durations / samples_per_segment)[..., None]
     taus[..., -1] = durations
-    starts = np.zeros((n_inst, n_seg, 1))
-    starts[:, 1:, 0] = np.cumsum(durations, axis=-1)[:, :-1]
-    times = np.concatenate((starts, starts + taus), axis=-1).reshape(n_inst, -1)
-    seg_idx = np.repeat(np.arange(n_seg), width)
+    times = np.zeros((n_inst, n_seg, width))
+    np.add.accumulate(durations[:, :-1], axis=-1, out=times[:, 1:, 0])
+    np.add(times[..., :1], taus, out=times[..., 1:])
 
     psi0 = np.array([p.amplitudes for p in psi0s])
     return TrajectoryStack(
-        times=times,
+        times=times.reshape(n_inst, -1),
         states=_evolve(h, taus, psi0),
-        segment_index=seg_idx,
+        segment_index=np.arange(n_seg * width) // width,
         chs=chs,
         fields=fields,
         hamiltonians=h,
     )
 
 
-def _hamiltonians(chs: Sequence[ControlHamiltonian], amplitudes) -> np.ndarray:
-    """H(u) of instance b at each amplitudes[b], one read-only (B, S, d, d) array,
+def _hamiltonians(chs: Sequence[ControlHamiltonian], amplitudes: np.ndarray) -> np.ndarray:
+    """H(u) of instance b at each amplitudes[b, j], one read-only (B, S, d, d) array,
     checked once per stack: every u within its window and every H Hermitian."""
-    for ch, amps in zip(chs, amplitudes):
+    for ch, amps in zip(chs, amplitudes.tolist()):
         reach = ch.u_max + AMPLITUDE_RTOL * max(1.0, ch.u_max)
         for u in amps:  # a float loop: a stack of one costs no more than one instance
             if abs(u) > reach:
-                raise ValueError(f"amplitude {float(u)!r} exceeds u_max {ch.u_max!r}")
+                raise ValueError(f"amplitude {u!r} exceeds u_max {ch.u_max!r}")
     h0 = np.array([ch.h0.entries for ch in chs])[:, None]
     hc = np.array([ch.hc.entries for ch in chs])[:, None]
-    h = h0 + np.array(amplitudes, dtype=float)[..., None, None] * hc
+    h = h0 + amplitudes[..., None, None] * hc
     try:
         check_hermitian(h)
     except ValueError:
@@ -267,27 +267,34 @@ def _hamiltonians(chs: Sequence[ControlHamiltonian], amplitudes) -> np.ndarray:
 
 def _evolve(h: np.ndarray, taus: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """States (B, N, d) along the segment chain: per segment its start node,
-    then exp(-i*H_j*tau)|start> at each sample offset tau."""
+    then exp(-i*H_j*tau)|start> at each sample offset tau.
+
+    The eigenbases, their bras and the phase table exp(-i*lambda*tau) of every
+    segment come from one eigh and one exp per stack; the loop over segments
+    keeps only the two products that read the running state."""
     n_inst, n_seg, dim = h.shape[:3]
     eigvals, vecs = np.linalg.eigh(h)
+    bras = vecs.conj().swapaxes(-1, -2)
+    phases = -1j * (eigvals[..., None] * taus[:, :, None, :])
+    np.exp(phases, out=phases)
     # columns per instance, as the states of one trajectory are stored
     columns = np.empty((n_inst, dim, n_seg, taus.shape[-1] + 1), dtype=complex)
     for j in range(n_seg):
         columns[:, :, j, 0] = psi
-        v = vecs[:, j]
-        coeff = np.swapaxes(v.conj(), -1, -2) @ psi[..., None]
-        phases = -1j * (eigvals[:, j, :, None] * taus[:, j, None, :])
-        np.exp(phases, out=phases)
-        phases *= coeff
-        block = v @ phases
+        block = vecs[:, j] @ (phases[:, j] * (bras[:, j] @ psi[..., None]))
         columns[:, :, j, 1:] = block
         psi = block[..., -1]
     return columns.reshape(n_inst, dim, -1).swapaxes(1, 2)
 
 
-def _durations(fields: Sequence[PiecewiseConstantField]) -> np.ndarray:
-    """Segment durations, (B, S)."""
-    return np.array([[dur for dur, _ in field.segments] for field in fields])
+def _state_rows(states: Sequence[PureState], stack: TrajectoryStack) -> np.ndarray:
+    """The amplitudes of one state per instance of the stack, (B, d)."""
+    if len(states) != len(stack):
+        raise ValueError(f"need one state per instance: got {len(states)} for {len(stack)}")
+    for state in states:
+        if state.dim != stack.dim:
+            raise ValueError(f"dimension mismatch: {state.dim} vs {stack.dim}")
+    return np.array([state.amplitudes for state in states])
 
 
 def propagate(
@@ -325,7 +332,8 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 def path_lengths(stack: TrajectoryStack) -> np.ndarray:
     """Anandan-Aharonov length 2*integral of the energy spread, per instance:
     exactly sum_j 2*d_j*deltaE_j, the spread being conserved on each segment."""
-    return 2.0 * np.sum(_durations(stack.fields) * stack.spreads, axis=-1)
+    durations = np.array([field.segments for field in stack.fields])[..., 0]
+    return 2.0 * np.sum(durations * stack.spreads, axis=-1)
 
 
 def path_length(traj: Trajectory) -> float:
@@ -382,22 +390,15 @@ def bhattacharyya_check(traj: Trajectory) -> float:
     return float(bhattacharyya_residuals(traj.stack)[0])
 
 
-def _pfeifer_envelopes(
-    stack: TrajectoryStack, phis: Sequence[PureState]
-) -> Tuple[np.ndarray, np.ndarray]:
+def _pfeifer_envelopes(stack: TrajectoryStack, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     from .bounds import sin_star  # local import, bounds depends on dynamics
 
-    for phi in phis:
-        if phi.dim != stack.dim:
-            raise ValueError(f"dimension mismatch: {phi.dim} vs {stack.dim}")
-    psi0s = stack.initial_states
-    # deltaE of H(u(t)) in the fixed states phis[b] and psi0s[b], accumulated
-    anchors = np.array([[c.amplitudes for c in chis] for chis in (phis, psi0s)])[:, :, None]
-    anchored = energy_spreads(stack.hamiltonians, anchors)[..., stack.segment_index]
+    psi0 = np.array([s.amplitudes for s in stack.initial_states])
+    # deltaE of H(u(t)) in the fixed states phi[b] and psi0[b], accumulated
+    anchored = energy_spreads(stack.hamiltonians, np.stack((phi, psi0))[:, :, None])
+    anchored = anchored[..., stack.segment_index]
     envelope_angle = np.min(_running_integral(stack.times, anchored), axis=0)
-    delta = np.array(
-        [math.asin(min(abs(phi.overlap(psi0)), 1.0)) for phi, psi0 in zip(phis, psi0s)]
-    )[:, None]
+    delta = np.array([math.asin(min(m, 1.0)) for m in abs_overlaps(phi, psi0)])[:, None]
     return sin_star(delta - envelope_angle), sin_star(delta + envelope_angle)
 
 
@@ -408,7 +409,7 @@ def pfeifer_envelope(traj: Trajectory, phi: PureState) -> Tuple[np.ndarray, np.n
     at the initial state; both integrands are piecewise constant in time, so
     h(t) is exactly piecewise linear.
     """
-    lower, upper = _pfeifer_envelopes(traj.stack, (phi,))
+    lower, upper = _pfeifer_envelopes(traj.stack, _state_rows((phi,), traj.stack))
     return lower[0], upper[0]
 
 
@@ -417,9 +418,9 @@ def pfeifer_envelope_residuals(
 ) -> np.ndarray:
     """Largest violation of the overlap envelope of each instance against
     phis[b]; 0 means fully contained."""
-    lower, upper = _pfeifer_envelopes(stack, phis)
-    phi_conj = np.array([phi.amplitudes for phi in phis]).conj()
-    overlaps = np.abs(stack.states @ phi_conj[..., None])[..., 0]
+    phi = _state_rows(phis, stack)
+    lower, upper = _pfeifer_envelopes(stack, phi)
+    overlaps = np.abs(stack.states @ phi.conj()[..., None])[..., 0]
     worst = np.maximum(np.max(lower - overlaps, axis=-1), np.max(overlaps - upper, axis=-1))
     return np.maximum(worst, 0.0)
 
@@ -453,13 +454,16 @@ def tqsl_stars(stack: TrajectoryStack, psi_gs: Sequence[PureState]) -> List[Tqsl
     endpoint are read, so two samples per segment give the same bits as any
     finer grid.
     """
+    ends = stack.states[:, [0, -1]]  # psi0 and psi(T) of each instance, (B, 2, d)
+    targets = _state_rows(psi_gs, stack)
+    check_normalized(ends.reshape(-1, stack.dim), 2)
     mean_spreads = 0.5 * path_lengths(stack) / stack.times[:, -1]
+    # |<psi0|psi(T)>| for the geodesic and |<psi(T)|psi_g>| for the fidelity
+    moduli = abs_overlaps(ends, np.stack((ends[:, 1], targets), axis=1))
     estimates = []
-    for mean_spread, psi0, psi_t, psi_g in zip(
-        mean_spreads.tolist(), stack.initial_states, stack.final_states, psi_gs, strict=True
-    ):
-        fidelity = psi_t.fidelity(psi_g)
-        numerator = 0.5 * fubini_study_distance(psi0, psi_t)
+    for mean_spread, (geodesic, reached) in zip(mean_spreads.tolist(), moduli):
+        fidelity = min(reached**2, 1.0)
+        numerator = math.acos(min(geodesic, 1.0))
         if numerator == 0.0:
             value = 0.0
         elif mean_spread == 0.0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .bounds import arenz_overlap_residuals
 from .dynamics import (
     ControlHamiltonian,
     PiecewiseConstantField,
+    TrajectoryStack,
     bhattacharyya_residuals,
     norm_drifts,
     path_lengths,
@@ -27,10 +28,10 @@ from .dynamics import (
 from .quantum import (
     HermitianOperator,
     PureState,
+    abs_overlaps,
     check_hermitian,
     check_normalized,
     energy_spreads,
-    fubini_study_distance,
     norms,
 )
 from .tolerances import (
@@ -205,6 +206,16 @@ def _problem_stacks(
         yield idx, (d, uniforms.shape[1]), chs, fields, [psis[k::n_states] for k in range(n_states)]
 
 
+def _trajectory_residuals(stack: TrajectoryStack, phis: Sequence[PureState]) -> np.ndarray:
+    """(4, B): the Anandan-Aharonov, Pfeifer, Arenz and norm residuals of each instance,
+    the endpoint reached being the Arenz target."""
+    finals = stack.final_states
+    ends = np.array([[s.amplitudes for s in column] for column in (stack.initial_states, finals)])
+    geodesic = np.array([2.0 * math.acos(min(m, 1.0)) for m in abs_overlaps(*ends)])
+    checks = (pfeifer_envelope_residuals(stack, phis), arenz_overlap_residuals(stack, finals))
+    return np.stack((geodesic - path_lengths(stack), *checks, norm_drifts(stack)))
+
+
 def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult]:
     """One propagation per instance feeds the path-length, envelope, drive-area
     and norm-conservation checks; the endpoint reached defines the target, so
@@ -214,12 +225,7 @@ def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult
     residuals, shapes = np.empty((4, count)), np.empty((count, 2), dtype=int)
     for idx, shape, chs, fields, (psi0s, phis) in _problem_stacks(rng, count, 2):
         stack = propagate_stack(chs, fields, psi0s, samples_per_segment=48)
-        finals = stack.final_states
-        geodesic = np.array([fubini_study_distance(p, f) for p, f in zip(psi0s, finals)])
-        residuals[0, idx] = geodesic - path_lengths(stack)
-        residuals[1, idx] = pfeifer_envelope_residuals(stack, phis)
-        residuals[2, idx] = arenz_overlap_residuals(stack, finals)
-        residuals[3, idx] = norm_drifts(stack)
+        residuals[:, idx] = _trajectory_residuals(stack, phis)
         shapes[idx] = shape
     return [
         SuiteResult.from_residuals("anandan_aharonov", residuals[0], AA_TOL, shapes),

@@ -49,6 +49,14 @@ def norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
+def abs_overlaps(a: np.ndarray, b: np.ndarray) -> list:
+    """|<a_k|b_k>| of each pair of vectors (..., d) as nested lists of floats, for a
+    contiguous b rounded as abs(np.vdot(a_k, b_k)) (a strided b may not be): one
+    1 x d by d x 1 product per pair, and np.hypot, which rounds as abs() does."""
+    z = (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return np.hypot(z.real, z.imag).tolist()
+
+
 def check_normalized(amps: np.ndarray, ndim: int = 1) -> None:
     """Reject amplitudes (d,), or with ndim 2 a stack (n, d), that are not
     vectors with d >= 2, are non-finite or have a norm off 1 beyond NORM_ATOL."""
@@ -183,14 +191,11 @@ def _phase_fixed_eigh(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return eigvals, flat.reshape(cols.shape).swapaxes(0, -2)
 
 
-def _decomposition(eigvals: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
+def spectral(h: HermitianOperator) -> SpectralDecomposition:
+    eigvals, vecs = _phase_fixed_eigh(h.entries)
     eigvals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(eigenvalues=eigvals, vectors=vecs)
-
-
-def spectral(h: HermitianOperator) -> SpectralDecomposition:
-    return _decomposition(*_phase_fixed_eigh(h.entries))
 
 
 def ground_states_of_stack(entries: np.ndarray) -> Tuple[PureState, ...]:

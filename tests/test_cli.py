@@ -24,6 +24,7 @@ from qslbounds.cli import (
     LambdaSpec,
     SweepConfig,
     SweepRow,
+    _cell,
     emit_report,
     main,
     run_sweep,
@@ -170,6 +171,16 @@ def test_csv_row_shape():
     assert float(cells[0]) == row.theta  # 17-digit cells round-trip exactly
     assert cells[2] == "bang-bang"
     assert cells[11:] == ["1", "1", "1", "1"]
+
+
+def test_csv_row_renders_every_cell_as_cell_does():
+    # one format call per row renders every type of column as _cell does,
+    # the summary's renderer
+    rows = run_sweep(bang_bang_config(theta_count=3))
+    rows.append(SweepRow(HALF_PI, tqsl_traj=math.inf, tmin_b=math.nan, pass_c1=False))
+    for row in rows:
+        expected = [_cell(getattr(row, f.name)) for f in dataclasses.fields(SweepRow)]
+        assert row.csv_row() == ",".join(expected)
 
 
 def test_sweep_header_is_frozen():

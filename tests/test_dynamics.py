@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qslbounds import (
     ControlHamiltonian,
     HermitianOperator,
+    LandauZenerProblem,
     PiecewiseConstantField,
     PureState,
     SIGMA_X,
@@ -18,10 +19,13 @@ from qslbounds import (
     arenz_overlap_residuals,
     bhattacharyya_check,
     bhattacharyya_residuals,
+    boundary_state_pairs,
     energy_variance,
     fubini_study_distance,
     ground_state,
+    hs_norm,
     norm_drifts,
+    optimal_protocol,
     path_length,
     path_lengths,
     pfeifer_envelope,
@@ -29,11 +33,14 @@ from qslbounds import (
     pfeifer_envelope_residuals,
     propagate,
     propagate_stack,
+    sin_star,
     tqsl_star,
     tqsl_stars,
     unitary_step,
 )
 from qslbounds import dynamics
+from qslbounds.cli import LambdaSpec, SweepConfig
+from qslbounds.property_suites import _trajectory_residuals
 from qslbounds.tolerances import BHATTACHARYYA_TOL, TARGET_FIDELITY_ATOL
 from conftest import (
     basis_state,
@@ -269,6 +276,87 @@ def test_stacks_reproduce_the_loop_propagation_bit_for_bit():
                     assert _same_bits(getattr(single, name), ref), (samples, idx[k], name)
                 assert _same_bits(stack.spreads[k], spreads), (samples, idx[k])
                 assert _same_bits(single.stack.spreads[0], spreads), (samples, idx[k])
+
+
+# the sweep's caps: the three figures', then absolute and factor caps at the
+# ends of the supported range
+SWEEP_CAPS = (
+    LambdaSpec("unconstrained"),
+    LambdaSpec("factor", 6.0),
+    LambdaSpec("factor", 0.2),
+    LambdaSpec("absolute", 1e-8),
+    LambdaSpec("absolute", 1e8),
+    LambdaSpec("factor", 1e-8),
+    LambdaSpec("factor", 1e8),
+)
+
+
+@pytest.mark.parametrize("spec", SWEEP_CAPS, ids=str)
+def test_sweep_points_propagate_as_the_loop_reference_bit_for_bit(spec):
+    # every point of a 50-point sweep, with its own optimal protocol and
+    # boundary state, at the 2 samples per segment the sweep propagates
+    cfg = SweepConfig(lambda_spec=spec)
+    thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_count).tolist()
+    problems = [
+        LandauZenerProblem.from_theta(cfg.delta, t, spec.resolve(cfg.delta, t)) for t in thetas
+    ]
+    for problem, (psi0, _) in zip(problems, boundary_state_pairs(problems), strict=True):
+        ch, field = problem.control_hamiltonian(), optimal_protocol(problem).field
+        traj = propagate(ch, field, psi0, samples_per_segment=2)
+        arrays, spreads = _reference_propagate(ch, field, psi0, 2)
+        for name, ref in zip(TRAJECTORY_ARRAYS, arrays, strict=True):
+            assert _same_bits(getattr(traj, name), ref), (problem.theta, name)
+        assert _same_bits(traj.stack.spreads[0], spreads), problem.theta
+
+
+def _reference_residuals(traj, phi):
+    """The Anandan-Aharonov, Pfeifer and Arenz residuals of one trajectory,
+    the Arenz target being its endpoint, from per-instance scalar calls:
+    overlaps by np.vdot, spreads by energy_variance and the drive's unitary
+    by unitary_step."""
+    psi0, final = traj.initial_state(), traj.final_state()
+    geodesic = 2.0 * math.acos(min(abs(complex(np.vdot(psi0.amplitudes, final.amplitudes))), 1.0))
+    segment_spreads = [
+        [energy_variance(chi, HermitianOperator(h)) for h in traj.hamiltonians]
+        for chi in (phi, psi0)
+    ]
+    anchored = np.array(segment_spreads)[:, traj.segment_index]
+    angle = np.min(dynamics._running_integral(traj.times, anchored), axis=0)
+    delta = math.asin(min(abs(phi.overlap(psi0)), 1.0))
+    overlaps = np.abs(traj.states @ phi.amplitudes.conj()[:, None])[:, 0]
+    lower, upper = sin_star(delta - angle), sin_star(delta + angle)
+    outside = max(np.max(lower - overlaps), np.max(overlaps - upper))
+    kicked = unitary_step(traj.ch.hc, traj.field.amplitude_integral()) @ psi0.amplitudes[:, None]
+    reached = abs(complex(np.vdot(final.amplitudes, kicked)))
+    arenz = 1.0 - reached - hs_norm(traj.ch.h0) * float(traj.times[-1])
+    return geodesic - path_length(traj), max(float(outside), 0.0), arenz
+
+
+def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
+    # the per-instance arrays behind proptest's anandan_aharonov, pfeifer and
+    # arenz lines, on 400 instances, d = 2..8, segments of 0.1..1 or 1e-8..1e8
+    problems = _harness_problems() + _extreme_duration_problems()
+    for idx, (chs, fields, psi0s, phis) in _stacks(problems):
+        stack = propagate_stack(chs, fields, psi0s, samples_per_segment=48)
+        residuals = _trajectory_residuals(stack, phis)
+        assert residuals.shape == (4, len(idx))
+        for k in range(len(idx)):
+            expected = _reference_residuals(stack[k], phis[k])
+            got = residuals[:3, k].tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in expected], idx[k]
+
+
+def test_per_instance_states_must_match_the_stack_count():
+    problems = _harness_problems(count=40, seed=11)
+    chs, fields, psi0s, _ = next(p for i, p in _stacks(problems) if len(i) >= 3)
+    stack = propagate_stack(chs, fields, psi0s, samples_per_segment=7)
+    finals = stack.final_states
+    checks = (arenz_overlap_residuals, pfeifer_envelope_residuals, tqsl_stars)
+    for check in checks:
+        for states in (finals[:1], finals + finals[:1]):
+            message = rf"^need one state per instance: got {len(states)} for {len(stack)}$"
+            with pytest.raises(ValueError, match=message):
+                check(stack, states)
 
 
 def test_stacked_checks_equal_the_single_trajectory_floats():
