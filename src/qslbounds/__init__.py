@@ -60,7 +60,7 @@ from .two_level import (
     ClosedFormBounds,
     LandauZenerProblem,
     OptimalProtocol,
-    boundary_state_pairs,
+    boundary_state_arrays,
     boundary_states,
     closed_form_bounds,
     constrained_protocol,

@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import quantum, tolerances
-from .dynamics import ControlHamiltonian, Trajectory, TrajectoryStack, _state_rows, tqsl_star
+from .dynamics import ControlHamiltonian, Trajectory, TrajectoryStack, _state_array, tqsl_star
+from .dynamics import _distance_over
 from .quantum import (
     HermitianOperator,
     PureState,
@@ -127,15 +128,6 @@ def _one(kernel, inputs: BoundInputs) -> float:
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def _distance_over(dist: float, speed: float) -> float:
-    """dist / speed: 0 for coincident endpoints or an unbounded speed, +inf if frozen."""
-    if dist == 0.0:
-        return 0.0
-    if speed == 0.0:
-        return math.inf
-    return 0.0 if math.isinf(speed) else dist / speed
 
 
 def _tmin_a_stack(stack: Sequence[BoundInputs], states, pairs) -> List[float]:
@@ -259,16 +251,16 @@ def tmin_c2(inputs: BoundInputs) -> float:
     return _one(lambda *args: _tmin_c_stack(*args)[1], inputs)
 
 
-def arenz_overlap_residuals(stack: TrajectoryStack, psigs: Sequence[PureState]) -> np.ndarray:
+def arenz_overlap_residuals(stack: TrajectoryStack, psigs: np.ndarray) -> np.ndarray:
     """Signed residual of 1 - |<psig|exp(-i*alpha(T)*hc)|psi0>| <= ||h0||_HS * T,
-    per instance of the stack against its target psigs[b].
+    per instance of the stack against its target psigs[b], one row of a (B, d) array.
 
     alpha(T) is the area of the drive that produced the trajectory; the
     trajectory must actually have reached psig for the comparison to mean
     anything, so a missed target is an error.
     """
-    psig = _state_rows(psigs, stack)
-    finals = np.array([s.amplitudes for s in stack.final_states])
+    psig = _state_array(psigs, len(stack), stack.dim)
+    psi0, finals = stack.ends
     for modulus in abs_overlaps(finals, psig):
         fidelity = min(modulus**2, 1.0)
         if not fidelity >= 1.0 - TARGET_FIDELITY_ATOL:
@@ -277,7 +269,6 @@ def arenz_overlap_residuals(stack: TrajectoryStack, psigs: Sequence[PureState]) 
         np.array([ch.hc.entries for ch in stack.chs]),
         [field.amplitude_integral() for field in stack.fields],
     )
-    psi0 = np.array([s.amplitudes for s in stack.initial_states])
     # 1 x d by d x 1 products round as np.vdot does, np.hypot as abs() does
     amp = (psig.conj()[:, None, :] @ (u_ctrl @ psi0[..., None]))[:, 0, 0]
     lhs = 1.0 - np.hypot(amp.real, amp.imag)
@@ -287,7 +278,7 @@ def arenz_overlap_residuals(stack: TrajectoryStack, psigs: Sequence[PureState]) 
 
 def arenz_overlap_inequality_check(traj: Trajectory, psig: PureState) -> float:
     """arenz_overlap_residuals of one trajectory."""
-    return float(arenz_overlap_residuals(traj.stack, (psig,))[0])
+    return float(arenz_overlap_residuals(traj.stack, psig.amplitudes)[0])
 
 
 @dataclass

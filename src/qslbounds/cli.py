@@ -28,7 +28,7 @@ from .dynamics import (
     propagate_refined,
     tqsl_stars,
 )
-from .quantum import fubini_study_distance
+from .quantum import PureState, fubini_study_distance
 from .property_suites import run_property_suites
 from .tolerances import (
     AA_TOL,
@@ -41,7 +41,7 @@ from .tolerances import (
 from .two_level import (
     LandauZenerProblem,
     OptimalProtocol,
-    boundary_state_pairs,
+    boundary_state_arrays,
     boundary_states,
     check_delta,
     check_surrogate,
@@ -170,7 +170,8 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
         for t in (thetas[i] for i in moving)
     ]
     protocols = [optimal_protocol(p, cfg.u0_surrogate) for p in problems]
-    pairs = boundary_state_pairs(problems)
+    ends = boundary_state_arrays(problems)  # psi0 and psig of every point, (2, n, 2)
+    pairs = zip(*map(PureState.stack, ends))
     stack = [BoundInputs(p.control_hamiltonian(), *pair) for p, pair in zip(problems, pairs)]
     reports = compute_reports(stack, [p.t_opt_ideal for p in protocols])
     trajs = [propagate_refined(x.ch, p.field, x.psi0, 2) for x, p in zip(stack, protocols)]
@@ -178,7 +179,7 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
     for n in {t.n_samples for t in trajs}:  # one stack per segment count
         group = [k for k, t in enumerate(trajs) if t.n_samples == n]
         group_stack = TrajectoryStack.of([trajs[k] for k in group])
-        estimates.update(zip(group, tqsl_stars(group_stack, [stack[k].psig for k in group])))
+        estimates.update(zip(group, tqsl_stars(group_stack, ends[1, group])))
     for k, (i, problem, protocol, r) in enumerate(zip(moving, problems, protocols, reports)):
         estimate, flags = estimates[k], r.inequality_flags
         rows[i] = SweepRow(  # the columns in order

@@ -115,11 +115,15 @@ class Trajectory:
         """This trajectory as a stack of one."""
         return TrajectoryStack.of((self,))
 
+    @cached_property
+    def _boundary_states(self) -> Tuple[PureState, PureState]:
+        return PureState.stack(self.stack.ends[:, 0])
+
     def initial_state(self) -> PureState:
-        return self.stack.initial_states[0]
+        return self._boundary_states[0]
 
     def final_state(self) -> PureState:
-        return self.stack.final_states[0]
+        return self._boundary_states[1]
 
 
 @dataclass(frozen=True)
@@ -176,45 +180,47 @@ class TrajectoryStack:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    # the boundary states are built and norm-checked once per stack
     @cached_property
-    def initial_states(self) -> Tuple[PureState, ...]:
-        return PureState.stack(self.states[:, 0])
-
-    @cached_property
-    def final_states(self) -> Tuple[PureState, ...]:
-        return PureState.stack(self.states[:, -1])
+    def ends(self) -> np.ndarray:
+        """psi0 and psi(T) of every instance as one fresh, contiguous, read-only
+        (2, B, d) array, norm-checked once per stack."""
+        ends = np.stack((self.states[:, 0], self.states[:, -1]))
+        check_normalized(ends.reshape(-1, self.dim), 2)
+        ends.setflags(write=False)
+        return ends
 
     @cached_property
     def spreads(self) -> np.ndarray:
         """deltaE of each segment, (B, S), in the state at its start node."""
         width = len(self.segment_index) // self.hamiltonians.shape[1]
-        # contiguous, so the products round alike for every stack layout
-        return energy_spreads(self.hamiltonians, np.ascontiguousarray(self.states[:, ::width]))
+        return energy_spreads(self.hamiltonians, self.states[:, ::width])
 
 
 def propagate_stack(
     chs: Sequence[ControlHamiltonian],
     fields: Sequence[PiecewiseConstantField],
-    psi0s: Sequence[PureState],
+    psi0s: np.ndarray,
     samples_per_segment: int = 200,
 ) -> TrajectoryStack:
-    """Evolve each psi0s[b] under fields[b] and chs[b], sampling each segment
-    uniformly.
+    """Evolve each initial state psi0s[b], one row of a (B, d) array, under
+    fields[b] and chs[b], sampling each segment uniformly.
 
     The instances must share one dimension and one segment count.  Each
     segment is solved with one eigendecomposition and exact phase factors,
     so the endpoint state carries no time-stepping error.
     """
-    chs, fields, psi0s = tuple(chs), tuple(fields), tuple(psi0s)
-    if not len(chs) == len(fields) == len(psi0s) > 0:
-        raise ValueError("need one control Hamiltonian, field and initial state per instance")
+    chs, fields = tuple(chs), tuple(fields)
+    if not len(chs) == len(fields) > 0:
+        raise ValueError("need one control Hamiltonian and field per instance")
+    return _propagate(chs, fields, _state_array(psi0s, len(chs), chs[0].dim), samples_per_segment)
+
+
+def _propagate(chs: tuple, fields: tuple, psi0: np.ndarray, samples_per_segment) -> TrajectoryStack:
+    """propagate_stack from checked states psi0 (B, d).  propagate enters here: its
+    PureState is checked already, and a second norm check adds a tenth to a sweep point."""
     dim, n_seg = chs[0].dim, len(fields[0].segments)
-    for ch, field, psi0 in zip(chs, fields, psi0s):
-        if psi0.dim != ch.dim:
-            raise ValueError(f"dimension mismatch: {psi0.dim} vs {ch.dim}")
-        if ch.dim != dim or len(field.segments) != n_seg:
-            raise ValueError("stacked instances must share the dimension and the segment count")
+    if {(ch.dim, len(field.segments)) for ch, field in zip(chs, fields)} != {(dim, n_seg)}:
+        raise ValueError("stacked instances must share the dimension and the segment count")
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be a positive integer")
 
@@ -233,7 +239,6 @@ def propagate_stack(
     np.add.accumulate(durations[:, :-1], axis=-1, out=times[:, 1:, 0])
     np.add(times[..., :1], taus, out=times[..., 1:])
 
-    psi0 = np.array([p.amplitudes for p in psi0s])
     return TrajectoryStack(
         times=times.reshape(n_inst, -1),
         states=_evolve(h, taus, psi0),
@@ -287,14 +292,16 @@ def _evolve(h: np.ndarray, taus: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return columns.reshape(n_inst, dim, -1).swapaxes(1, 2)
 
 
-def _state_rows(states: Sequence[PureState], stack: TrajectoryStack) -> np.ndarray:
-    """The amplitudes of one state per instance of the stack, (B, d)."""
-    if len(states) != len(stack):
-        raise ValueError(f"need one state per instance: got {len(states)} for {len(stack)}")
-    for state in states:
-        if state.dim != stack.dim:
-            raise ValueError(f"dimension mismatch: {state.dim} vs {stack.dim}")
-    return np.array([state.amplitudes for state in states])
+def _state_array(states, count: int, dim: int) -> np.ndarray:
+    """One state per instance, states (count, dim) or for one instance (dim,), as
+    a fresh contiguous complex (count, dim) array: count, dimension and norms checked."""
+    rows = np.array(states, dtype=complex, ndmin=2)
+    if len(rows) != count:
+        raise ValueError(f"need one state per instance: got {len(rows)} for {count}")
+    if rows.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: {rows.shape[-1]} vs {dim}")
+    check_normalized(rows, 2)
+    return rows
 
 
 def propagate(
@@ -305,7 +312,9 @@ def propagate(
 ) -> Trajectory:
     """Evolve psi0 under the field: propagate_stack on a stack of one, which
     the trajectory keeps as its stack."""
-    stack = propagate_stack((ch,), (field,), (psi0,), samples_per_segment)
+    if psi0.dim != ch.dim:
+        raise ValueError(f"dimension mismatch: {psi0.dim} vs {ch.dim}")
+    stack = _propagate((ch,), (field,), psi0.amplitudes[None], samples_per_segment)
     traj = stack[0]
     traj.__dict__["stack"] = stack  # fills the cached_property
     return traj
@@ -393,7 +402,7 @@ def bhattacharyya_check(traj: Trajectory) -> float:
 def _pfeifer_envelopes(stack: TrajectoryStack, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     from .bounds import sin_star  # local import, bounds depends on dynamics
 
-    psi0 = np.array([s.amplitudes for s in stack.initial_states])
+    psi0 = stack.ends[0]
     # deltaE of H(u(t)) in the fixed states phi[b] and psi0[b], accumulated
     anchored = energy_spreads(stack.hamiltonians, np.stack((phi, psi0))[:, :, None])
     anchored = anchored[..., stack.segment_index]
@@ -409,16 +418,14 @@ def pfeifer_envelope(traj: Trajectory, phi: PureState) -> Tuple[np.ndarray, np.n
     at the initial state; both integrands are piecewise constant in time, so
     h(t) is exactly piecewise linear.
     """
-    lower, upper = _pfeifer_envelopes(traj.stack, _state_rows((phi,), traj.stack))
+    lower, upper = _pfeifer_envelopes(traj.stack, _state_array(phi.amplitudes, 1, traj.dim))
     return lower[0], upper[0]
 
 
-def pfeifer_envelope_residuals(
-    stack: TrajectoryStack, phis: Sequence[PureState]
-) -> np.ndarray:
+def pfeifer_envelope_residuals(stack: TrajectoryStack, phis: np.ndarray) -> np.ndarray:
     """Largest violation of the overlap envelope of each instance against
-    phis[b]; 0 means fully contained."""
-    phi = _state_rows(phis, stack)
+    phis[b], one row of a (B, d) array; 0 means fully contained."""
+    phi = _state_array(phis, len(stack), stack.dim)
     lower, upper = _pfeifer_envelopes(stack, phi)
     overlaps = np.abs(stack.states @ phi.conj()[..., None])[..., 0]
     worst = np.maximum(np.max(lower - overlaps, axis=-1), np.max(overlaps - upper, axis=-1))
@@ -427,7 +434,7 @@ def pfeifer_envelope_residuals(
 
 def pfeifer_envelope_check(traj: Trajectory, phi: PureState) -> float:
     """pfeifer_envelope_residuals of one trajectory."""
-    return float(pfeifer_envelope_residuals(traj.stack, (phi,))[0])
+    return float(pfeifer_envelope_residuals(traj.stack, phi.amplitudes)[0])
 
 
 @dataclass(frozen=True)
@@ -443,10 +450,19 @@ class TqslEstimate:
     on_target: bool
 
 
-def tqsl_stars(stack: TrajectoryStack, psi_gs: Sequence[PureState]) -> List[TqslEstimate]:
+def _distance_over(dist: float, speed: float) -> float:
+    """dist / speed: 0 for coincident endpoints or an unbounded speed, +inf if frozen."""
+    if dist == 0.0:
+        return 0.0
+    if speed == 0.0:
+        return math.inf
+    return 0.0 if math.isinf(speed) else dist / speed
+
+
+def tqsl_stars(stack: TrajectoryStack, psi_gs: np.ndarray) -> List[TqslEstimate]:
     """Geodesic-over-mean-spread time arccos(|<psi0|psi(T)>|) / mean(deltaE) of
     each instance, the arccos being half the Fubini-Study distance, with its
-    fidelity to psi_gs[b].
+    fidelity to psi_gs[b], one row of a (B, d) array.
 
     Equals (geodesic distance / path length) * T whenever the path length is
     nonzero.  A stationary trajectory asked to reach a different target has
@@ -454,26 +470,18 @@ def tqsl_stars(stack: TrajectoryStack, psi_gs: Sequence[PureState]) -> List[Tqsl
     endpoint are read, so two samples per segment give the same bits as any
     finer grid.
     """
-    ends = stack.states[:, [0, -1]]  # psi0 and psi(T) of each instance, (B, 2, d)
-    targets = _state_rows(psi_gs, stack)
-    check_normalized(ends.reshape(-1, stack.dim), 2)
+    targets = _state_array(psi_gs, len(stack), stack.dim)
     mean_spreads = 0.5 * path_lengths(stack) / stack.times[:, -1]
     # |<psi0|psi(T)>| for the geodesic and |<psi(T)|psi_g>| for the fidelity
-    moduli = abs_overlaps(ends, np.stack((ends[:, 1], targets), axis=1))
+    moduli = abs_overlaps(stack.ends, np.stack((stack.ends[1], targets)))
     estimates = []
-    for mean_spread, (geodesic, reached) in zip(mean_spreads.tolist(), moduli):
+    for mean_spread, geodesic, reached in zip(mean_spreads.tolist(), *moduli):
         fidelity = min(reached**2, 1.0)
-        numerator = math.acos(min(geodesic, 1.0))
-        if numerator == 0.0:
-            value = 0.0
-        elif mean_spread == 0.0:
-            value = math.inf
-        else:
-            value = numerator / mean_spread
+        value = _distance_over(math.acos(min(geodesic, 1.0)), mean_spread)
         estimates.append(TqslEstimate(value, fidelity, fidelity >= 1.0 - TARGET_FIDELITY_ATOL))
     return estimates
 
 
 def tqsl_star(traj: Trajectory, psi_g: PureState) -> TqslEstimate:
     """tqsl_stars of one trajectory."""
-    return tqsl_stars(traj.stack, (psi_g,))[0]
+    return tqsl_stars(traj.stack, psi_g.amplitudes)[0]

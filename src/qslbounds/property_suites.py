@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,7 +93,7 @@ def random_control_problem(
 ) -> Tuple[ControlHamiltonian, PiecewiseConstantField, PureState]:
     """One instance of the stacked draws."""
     _, _, (ch,), (field,), ((psi0,),) = next(_problem_stacks(rng, 1, 1, dim))
-    return ch, field, psi0
+    return ch, field, PureState(psi0)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def _problem_stacks(
 ) -> Iterator[tuple]:
     """count control problems of dimension dim (else drawn) with n_states states, one
     generator call per array, built and checked one stack at a time: yields its draw
-    indices, (dimension, segment count), chs, fields and a tuple per state column."""
+    indices, (dimension, segment count), chs, fields and a (B, d) array per state column."""
     dims = (dim or int(rng.integers(2, MAX_DIM + 1)) for _ in range(count))
     draws = (
         (
@@ -202,16 +202,15 @@ def _problem_stacks(
         h = HermitianOperator.stack(_hermitians(ops).reshape(-1, d, d))
         chs = tuple(ControlHamiltonian(h0, hc, U_MAX) for h0, hc in zip(h[0::2], h[1::2]))
         fields = tuple(PiecewiseConstantField(segs) for segs in _segments(uniforms))
-        psis = PureState.stack(_unit_vectors(states).reshape(-1, d))
-        yield idx, (d, uniforms.shape[1]), chs, fields, [psis[k::n_states] for k in range(n_states)]
+        yield idx, (d, uniforms.shape[1]), chs, fields, _unit_vectors(states).swapaxes(0, 1)
 
 
-def _trajectory_residuals(stack: TrajectoryStack, phis: Sequence[PureState]) -> np.ndarray:
-    """(4, B): the Anandan-Aharonov, Pfeifer, Arenz and norm residuals of each instance,
-    the endpoint reached being the Arenz target."""
-    finals = stack.final_states
-    ends = np.array([[s.amplitudes for s in column] for column in (stack.initial_states, finals)])
-    geodesic = np.array([2.0 * math.acos(min(m, 1.0)) for m in abs_overlaps(*ends)])
+def _trajectory_residuals(stack: TrajectoryStack, phis: np.ndarray) -> np.ndarray:
+    """(4, B): the Anandan-Aharonov, Pfeifer, Arenz and norm residuals of each instance
+    against its phis[b], one row of a (B, d) array, the endpoint reached being the
+    Arenz target."""
+    psi0, finals = stack.ends
+    geodesic = np.array([2.0 * math.acos(min(m, 1.0)) for m in abs_overlaps(psi0, finals)])
     checks = (pfeifer_envelope_residuals(stack, phis), arenz_overlap_residuals(stack, finals))
     return np.stack((geodesic - path_lengths(stack), *checks, norm_drifts(stack)))
 

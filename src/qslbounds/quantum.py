@@ -50,10 +50,10 @@ def norms(x: np.ndarray) -> np.ndarray:
 
 
 def abs_overlaps(a: np.ndarray, b: np.ndarray) -> list:
-    """|<a_k|b_k>| of each pair of vectors (..., d) as nested lists of floats, for a
-    contiguous b rounded as abs(np.vdot(a_k, b_k)) (a strided b may not be): one
-    1 x d by d x 1 product per pair, and np.hypot, which rounds as abs() does."""
-    z = (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """|<a_k|b_k>| of each pair of vectors (..., d) as nested lists of floats, rounded as
+    abs(np.vdot(a_k, b_k)) on any layout: one 1 x d by d x 1 product per pair, b made
+    contiguous (a strided b may round otherwise), and np.hypot, which rounds as abs()."""
+    z = (a.conj()[..., None, :] @ np.ascontiguousarray(b)[..., :, None])[..., 0, 0]
     return np.hypot(z.real, z.imag).tolist()
 
 
@@ -145,9 +145,9 @@ class HermitianOperator:
     def __mul__(self, scalar: float) -> "HermitianOperator":
         if isinstance(scalar, complex) and scalar.imag != 0.0:
             raise ValueError("only real scalars keep the operator Hermitian")
-        if not math.isfinite(scalar):
+        if not math.isfinite(scalar.real):  # a complex of zero imaginary part scales as real
             raise ValueError(f"scalar factor must be finite, got {scalar!r}")
-        return HermitianOperator(float(scalar) * self.entries)
+        return HermitianOperator(float(scalar.real) * self.entries)
 
     __rmul__ = __mul__
 
@@ -198,14 +198,14 @@ def spectral(h: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=eigvals, vectors=vecs)
 
 
-def ground_states_of_stack(entries: np.ndarray) -> Tuple[PureState, ...]:
-    """Eigenvector of the smallest eigenvalue of each matrix of a validated
-    Hermitian stack (n, d, d), through one eigh; rejects a degenerate one."""
+def ground_states_of_stack(entries: np.ndarray) -> np.ndarray:
+    """Eigenvector of the smallest eigenvalue of each matrix of a validated Hermitian
+    stack (n, d, d), one (n, d) array, through one eigh; rejects a degenerate one."""
     eigvals, vecs = _phase_fixed_eigh(entries)
     for gap in (eigvals[:, 1] - eigvals[:, 0]).tolist():
         if not gap > DEGENERACY_ATOL:
             raise ValueError(f"ground space degenerate within {DEGENERACY_ATOL} (gap {gap!r})")
-    return PureState.stack(vecs[:, :, 0])
+    return vecs[:, :, 0]
 
 
 def ground_states(ops: Sequence[HermitianOperator]) -> Tuple[PureState, ...]:
@@ -213,7 +213,7 @@ def ground_states(ops: Sequence[HermitianOperator]) -> Tuple[PureState, ...]:
     dims = {op.dim for op in ops}
     if len(dims) != 1:
         raise ValueError(f"need operators of one dimension, got dimensions {sorted(dims)}")
-    return ground_states_of_stack(np.array([op.entries for op in ops]))
+    return PureState.stack(ground_states_of_stack(np.array([op.entries for op in ops])))
 
 
 def ground_state(h: HermitianOperator) -> PureState:
@@ -231,9 +231,10 @@ def energy_covariances(h: np.ndarray, chi: np.ndarray) -> np.ndarray:
     (..., m, d, d) and states chi (..., d), the leading axes broadcast: (..., m, m).
 
     The one home of deltaE: deltaE(h_i) = sqrt(C_ii), and the spread of
-    h_0 + u*h_1 is C_00 + 2*C_01*u + C_11*u^2.  On contiguous states the
-    1 x d by d x 1 products round as np.vdot does.
+    h_0 + u*h_1 is C_00 + 2*C_01*u + C_11*u^2.  The states are made contiguous,
+    so the 1 x d by d x 1 products round as np.vdot does on any layout.
     """
+    chi = np.ascontiguousarray(chi)
     h_chi = h @ chi[..., None, :, None]  # (..., m, d, 1)
     # <chi| and <h_i chi| as 1 x d rows against the d x 1 columns h_j chi
     means = (chi.conj()[..., None, None, :] @ h_chi)[..., 0, 0].real

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,24 +110,22 @@ def _drift(delta: float) -> HermitianOperator:
     return (0.5 * delta) * SIGMA_X
 
 
-def boundary_state_pairs(
-    problems: Sequence[LandauZenerProblem],
-) -> List[Tuple[PureState, PureState]]:
-    """boundary_states of each problem: its bias Hamiltonians at -gamma and
-    +gamma, all in one (2n, 2, 2) stack, validated once, through one eigh."""
+def boundary_state_arrays(problems: Sequence[LandauZenerProblem]) -> np.ndarray:
+    """psi0 and psig of each problem as one (2, n, 2) array: the ground states of
+    its bias Hamiltonians at -gamma and +gamma, all in one (2n, 2, 2) stack,
+    validated once, through one eigh."""
     # endpoint definition, deliberately not windowed by lambda_cap; a problem
     # has a finite delta and gamma, so every factor is finite
     factors = np.array([(b, 0.5 * p.delta) for p in problems for b in (-p.gamma, p.gamma)])
     bias, half_gap = factors.T[..., None, None]
     h = bias * SIGMA_Z.entries + half_gap * SIGMA_X.entries
     check_hermitian(h)
-    states = ground_states_of_stack(h)
-    return list(zip(states[0::2], states[1::2]))
+    return ground_states_of_stack(h).reshape(-1, 2, 2).swapaxes(0, 1)
 
 
 def boundary_states(problem: LandauZenerProblem) -> Tuple[PureState, PureState]:
     """(psi0, psig): ground states at bias -gamma and +gamma."""
-    return boundary_state_pairs((problem,))[0]
+    return tuple(map(PureState, boundary_state_arrays((problem,))[:, 0]))
 
 
 @dataclass(frozen=True)

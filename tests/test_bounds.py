@@ -9,11 +9,12 @@ from qslbounds import (
     BoundInputs,
     ControlHamiltonian,
     PiecewiseConstantField,
+    PureState,
     SIGMA_X,
     SIGMA_Z,
     LandauZenerProblem,
     arenz_overlap_inequality_check,
-    boundary_state_pairs,
+    boundary_state_arrays,
     compute_report,
     energy_variance,
     fubini_study_distance,
@@ -648,8 +649,8 @@ def test_stacked_bounds_match_the_scalar_reference_on_the_two_level_problem():
                 for t in thetas
             ]
             _assert_stack_matches_reference([
-                BoundInputs(p.control_hamiltonian(), *pair)
-                for p, pair in zip(problems, boundary_state_pairs(problems))
+                BoundInputs(p.control_hamiltonian(), *map(PureState, pair))
+                for p, pair in zip(problems, boundary_state_arrays(problems).swapaxes(0, 1))
             ])
 
 

@@ -19,7 +19,7 @@ from qslbounds import (
     arenz_overlap_residuals,
     bhattacharyya_check,
     bhattacharyya_residuals,
-    boundary_state_pairs,
+    boundary_state_arrays,
     energy_variance,
     fubini_study_distance,
     ground_state,
@@ -41,6 +41,7 @@ from qslbounds import (
 from qslbounds import dynamics
 from qslbounds.cli import LambdaSpec, SweepConfig
 from qslbounds.property_suites import _trajectory_residuals
+from qslbounds.quantum import abs_overlaps
 from qslbounds.tolerances import BHATTACHARYYA_TOL, TARGET_FIDELITY_ATOL
 from conftest import (
     basis_state,
@@ -147,7 +148,7 @@ def test_stacked_builder_keeps_both_guards():
         PiecewiseConstantField(((1.0, 1.5), (1.0, -2.5))),
     )
     with pytest.raises(ValueError, match=r"amplitude 1\.5 exceeds u_max 1\.0"):
-        propagate_stack((capped, capped), fields, (basis_state(2, 0),) * 2)
+        propagate_stack((capped, capped), fields, _rows((basis_state(2, 0),) * 2))
 
 
 def test_boundary_states_are_built_once():
@@ -247,6 +248,11 @@ def _extreme_duration_problems(count=100, seed=17):
     return problems
 
 
+def _rows(states):
+    """The amplitudes of states, one per row: the (B, d) form the stacked calls take."""
+    return np.array([s.amplitudes for s in states])
+
+
 def _stacks(problems):
     groups = {}
     for i, (ch, field, *_) in enumerate(problems):
@@ -266,7 +272,7 @@ def test_stacks_reproduce_the_loop_propagation_bit_for_bit():
     problems = _harness_problems() + _extreme_duration_problems()
     for samples in (1, 7, 48, 200):
         for idx, (chs, fields, psi0s, _) in _stacks(problems):
-            stack = propagate_stack(chs, fields, psi0s, samples_per_segment=samples)
+            stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=samples)
             assert len(stack) == len(idx)
             for k in range(len(idx)):
                 single = propagate(chs[k], fields[k], psi0s[k], samples_per_segment=samples)
@@ -300,8 +306,9 @@ def test_sweep_points_propagate_as_the_loop_reference_bit_for_bit(spec):
     problems = [
         LandauZenerProblem.from_theta(cfg.delta, t, spec.resolve(cfg.delta, t)) for t in thetas
     ]
-    for problem, (psi0, _) in zip(problems, boundary_state_pairs(problems), strict=True):
+    for problem, row in zip(problems, boundary_state_arrays(problems)[0], strict=True):
         ch, field = problem.control_hamiltonian(), optimal_protocol(problem).field
+        psi0 = PureState(row)
         traj = propagate(ch, field, psi0, samples_per_segment=2)
         arrays, spreads = _reference_propagate(ch, field, psi0, 2)
         for name, ref in zip(TRAJECTORY_ARRAYS, arrays, strict=True):
@@ -337,8 +344,8 @@ def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
     # arenz lines, on 400 instances, d = 2..8, segments of 0.1..1 or 1e-8..1e8
     problems = _harness_problems() + _extreme_duration_problems()
     for idx, (chs, fields, psi0s, phis) in _stacks(problems):
-        stack = propagate_stack(chs, fields, psi0s, samples_per_segment=48)
-        residuals = _trajectory_residuals(stack, phis)
+        stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=48)
+        residuals = _trajectory_residuals(stack, _rows(phis))
         assert residuals.shape == (4, len(idx))
         for k in range(len(idx)):
             expected = _reference_residuals(stack[k], phis[k])
@@ -346,29 +353,53 @@ def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
             assert [v.hex() for v in got] == [v.hex() for v in expected], idx[k]
 
 
+def test_overlaps_of_strided_columns_round_as_vdot():
+    # the strided first and last columns of the 400 harness stacks, against
+    # abs(np.vdot) of contiguous copies, in every bit
+    problems = _harness_problems() + _extreme_duration_problems()
+    for idx, (chs, fields, psi0s, _) in _stacks(problems):
+        stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=48)
+        first, last = stack.states[:, 0], stack.states[:, -1]
+        got = abs_overlaps(first, last)
+        expected = [abs(np.vdot(a.copy(), b.copy())) for a, b in zip(first, last)]
+        assert [v.hex() for v in got] == [float(v).hex() for v in expected], idx
+
+
 def test_per_instance_states_must_match_the_stack_count():
     problems = _harness_problems(count=40, seed=11)
     chs, fields, psi0s, _ = next(p for i, p in _stacks(problems) if len(i) >= 3)
-    stack = propagate_stack(chs, fields, psi0s, samples_per_segment=7)
-    finals = stack.final_states
-    checks = (arenz_overlap_residuals, pfeifer_envelope_residuals, tqsl_stars)
+    stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=7)
+    finals = stack.ends[1]
+    off_norm = finals.copy()
+    off_norm[-1] *= 1.0 + 1e-6
+    checks = (arenz_overlap_residuals, pfeifer_envelope_residuals, tqsl_stars, _propagate_from)
     for check in checks:
-        for states in (finals[:1], finals + finals[:1]):
+        for states in (finals[:1], np.concatenate((finals, finals[:1]))):
             message = rf"^need one state per instance: got {len(states)} for {len(stack)}$"
             with pytest.raises(ValueError, match=message):
                 check(stack, states)
+        message = rf"^dimension mismatch: {stack.dim + 1} vs {stack.dim}$"
+        with pytest.raises(ValueError, match=message):
+            check(stack, np.eye(stack.dim + 1)[np.zeros(len(stack), dtype=int)])
+        with pytest.raises(ValueError, match=r"^state norm .* deviates from 1 beyond"):
+            check(stack, off_norm)
+
+
+def _propagate_from(stack, psi0s):
+    """propagate_stack from psi0s under the stack's own drives."""
+    return propagate_stack(stack.chs, stack.fields, psi0s, samples_per_segment=1)
 
 
 def test_stacked_checks_equal_the_single_trajectory_floats():
     problems = _harness_problems(count=120, seed=11)
     for samples in (7, 48):
         for idx, (chs, fields, psi0s, phis) in _stacks(problems):
-            stack = propagate_stack(chs, fields, psi0s, samples_per_segment=samples)
-            finals = stack.final_states
+            stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=samples)
+            finals = stack.ends[1]
             stacked = (
                 path_lengths(stack),
                 bhattacharyya_residuals(stack),
-                pfeifer_envelope_residuals(stack, phis),
+                pfeifer_envelope_residuals(stack, _rows(phis)),
                 arenz_overlap_residuals(stack, finals),
                 norm_drifts(stack),
             )
@@ -380,7 +411,7 @@ def test_stacked_checks_equal_the_single_trajectory_floats():
                     path_length(traj),
                     bhattacharyya_check(traj),
                     pfeifer_envelope_check(traj, phis[k]),
-                    arenz_overlap_inequality_check(traj, finals[k]),
+                    arenz_overlap_inequality_check(traj, PureState(finals[k])),
                     norm_drifts(traj.stack)[0],
                 )
                 assert [float(v[k]) for v in stacked] == list(single)
@@ -390,7 +421,7 @@ def test_stack_entries_carry_their_drive(rng):
     problems = [random_control_problem(rng, 3) for _ in range(6)]
     problems = [p for p in problems if len(p[1].segments) == len(problems[0][1].segments)]
     chs, fields, psi0s = zip(*problems)
-    stack = propagate_stack(chs, fields, psi0s, samples_per_segment=5)
+    stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=5)
     for k, (ch, field, psi0) in enumerate(problems):
         traj = stack[k]
         assert traj.ch is ch and traj.field is field
@@ -398,14 +429,14 @@ def test_stack_entries_carry_their_drive(rng):
         assert not stack.hamiltonians.flags.writeable
         for j, (_, u) in enumerate(field.segments):
             assert _same_bits(stack.hamiltonians[k, j], ch.hamiltonian(u).entries)
-        assert np.array_equal(stack.initial_states[k].amplitudes, psi0.amplitudes)
+        assert np.array_equal(stack.ends[0, k], psi0.amplitudes)
 
 
 def test_of_is_the_inverse_of_indexing():
     problems = _harness_problems(count=120, seed=11)
     for samples in (1, 2, 7):
         for idx, (chs, fields, psi0s, _) in _stacks(problems):
-            stack = propagate_stack(chs, fields, psi0s, samples_per_segment=samples)
+            stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=samples)
             again = TrajectoryStack.of([stack[k] for k in range(len(stack))])
             for name in TRAJECTORY_ARRAYS:
                 assert _same_bits(getattr(again, name), getattr(stack, name)), (samples, name)
@@ -433,14 +464,14 @@ def test_of_rejects_mixed_layouts():
 def test_propagate_stack_rejects_mixed_shapes():
     two_segments = PiecewiseConstantField(((0.5, 0.0), (0.5, 0.0)))
     with pytest.raises(ValueError, match="segment count"):
-        propagate_stack((RABI, RABI), (FREE_UNIT, two_segments), (basis_state(2, 0),) * 2)
+        propagate_stack((RABI, RABI), (FREE_UNIT, two_segments), _rows((basis_state(2, 0),) * 2))
     ch3 = ControlHamiltonian(h0=zero_operator(3), hc=zero_operator(3))
     with pytest.raises(ValueError, match="dimension"):
-        propagate_stack((RABI, ch3), (FREE_UNIT,) * 2, (basis_state(2, 0), basis_state(3, 0)))
+        propagate_stack((RABI, ch3), (FREE_UNIT,) * 2, _rows((basis_state(2, 0),) * 2))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        propagate_stack((RABI,), (FREE_UNIT,), (basis_state(3, 0),))
+        propagate_stack((RABI,), (FREE_UNIT,), _rows((basis_state(3, 0),)))
     with pytest.raises(ValueError, match="one control Hamiltonian"):
-        propagate_stack((RABI, RABI), (FREE_UNIT,), (basis_state(2, 0),))
+        propagate_stack((RABI, RABI), (FREE_UNIT,), _rows((basis_state(2, 0),)))
     with pytest.raises(ValueError, match="one control Hamiltonian"):
         propagate_stack((), (), ())
 
@@ -746,8 +777,8 @@ def test_stacked_tqsl_equals_the_single_trajectory_floats():
     assert {ch.dim for ch, *_ in problems} == set(range(2, 9))
     for samples in (2, 7, 48):
         for idx, (chs, fields, psi0s, phis) in _stacks(problems):
-            stack = propagate_stack(chs, fields, psi0s, samples_per_segment=samples)
-            estimates = tqsl_stars(stack, phis)
+            stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=samples)
+            estimates = tqsl_stars(stack, _rows(phis))
             assert len(estimates) == len(idx)
             for k, est in enumerate(estimates):
                 traj = stack[k]
@@ -773,9 +804,9 @@ def test_stacked_tqsl_keeps_the_zero_and_infinite_branches():
     trajs = [hand_built(still, [0.0, 1.0]), hand_built(still, [1.0, 0.0]),
              hand_built(moving, [0.0, 1.0])]
     target = basis_state(2, 1)
-    estimates = tqsl_stars(TrajectoryStack.of(trajs), (target,) * 3)
+    estimates = tqsl_stars(TrajectoryStack.of(trajs), _rows((target,) * 3))
     assert [e.time for e in estimates] == [math.inf, 0.0, 0.5 * math.pi]
     for traj, est in zip(trajs, estimates):
         assert _estimate_bits(est) == _reference_tqsl_star(traj, target)
     with pytest.raises(ValueError):
-        tqsl_stars(TrajectoryStack.of(trajs), (target,) * 2)
+        tqsl_stars(TrajectoryStack.of(trajs), _rows((target,) * 2))

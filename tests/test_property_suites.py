@@ -165,7 +165,7 @@ def test_stacked_draws_reproduce_the_former_per_call_draws(n_states):
         for idx, shape, chs, fields, states in _problem_stacks(rng, 40, n_states):
             shapes.add(shape)
             for k, i in enumerate(idx):
-                drawn[i] = (chs[k], fields[k]) + tuple(column[k] for column in states)
+                drawn[i] = (chs[k], fields[k]) + tuple(PureState(column[k]) for column in states)
         for i in range(40):
             dim = int(former.integers(2, MAX_DIM + 1))
             expected = _former_random_control_problem(former, dim)

@@ -111,6 +111,12 @@ def test_hermitian_scale():
     assert np.array_equal(h.entries, expect)
 
 
+def test_hermitian_scale_by_a_complex_of_zero_imaginary_part():
+    expect = (2.0 * SIGMA_Z).entries
+    for h in ((2.0 + 0.0j) * SIGMA_Z, np.complex128(2.0) * SIGMA_Z, SIGMA_Z * (2.0 + 0.0j)):
+        assert np.array_equal(h.entries, expect)
+
+
 def test_operator_dim_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         energy_variance(basis_state(2, 0), hermitian(np.zeros((3, 3))))

@@ -14,7 +14,7 @@ from qslbounds import (
     PiecewiseConstantField,
     SIGMA_X,
     SIGMA_Z,
-    boundary_state_pairs,
+    boundary_state_arrays,
     boundary_states,
     closed_form_bounds,
     constrained_protocol,
@@ -37,6 +37,7 @@ from qslbounds import (
 )
 from qslbounds.bounds import BOUND_NAMES, compute_report
 from qslbounds.cli import LambdaSpec
+from qslbounds.tolerances import FIDELITY_TOL
 from qslbounds.two_level import MAX_ENERGY
 from conftest import problem_from_gamma, sampled_spreads
 
@@ -194,27 +195,27 @@ def test_boundary_states_match_explicit_eigenvectors():
     assert abs(np.vdot(vg, psig.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_boundary_state_pairs_match_boundary_states():
+def test_boundary_state_arrays_match_boundary_states():
     problems = [
         lz(theta, cap, delta)
         for theta in (0.001, 0.3, 0.25 * math.pi, 1.5, HALF_PI)
         for cap, delta in ((math.inf, 1.0), (0.2, 0.7), (6.0, 1.7))
     ]
-    pairs = boundary_state_pairs(problems)
-    assert len(pairs) == len(problems)
-    for problem, pair in zip(problems, pairs):
+    arrays = boundary_state_arrays(problems)
+    assert arrays.shape == (2, len(problems), 2)
+    for problem, pair in zip(problems, arrays.swapaxes(0, 1)):
         for stacked, single in zip(pair, boundary_states(problem)):
-            assert np.array_equal(stacked.amplitudes, single.amplitudes)
+            assert np.array_equal(stacked, single.amplitudes)
 
 
 def test_bias_hamiltonian_equals_the_operator_arithmetic():
     # the stacked bias Hamiltonians keep the bits of one operator per bias
     problems = [lz(theta, delta=delta) for theta in np.linspace(1e-3, 1.57, 40)
                 for delta in (0.5, 1.3, 2.0)]
-    for p, pair in zip(problems, boundary_state_pairs(problems)):
+    for p, pair in zip(problems, boundary_state_arrays(problems).swapaxes(0, 1)):
         for bias, psi in zip((-p.gamma, p.gamma), pair):
             h = HermitianOperator(bias * SIGMA_Z.entries + (0.5 * p.delta) * SIGMA_X.entries)
-            assert np.array_equal(psi.amplitudes, ground_state(h).amplitudes)
+            assert np.array_equal(psi, ground_state(h).amplitudes)
 
 
 def test_problems_with_one_gap_share_the_drift_operator():
@@ -564,3 +565,45 @@ def test_bounds_dominated_by_optimum_on_grid():
             inputs = BoundInputs(p.control_hamiltonian(), psi0, psig)
             for bound in (tmin_a, tmin_b, tmin_c1):
                 assert bound(inputs) <= proto.t_opt + 1e-9, (theta, factor)
+
+
+def _spin_matrices(j2: int):
+    """Jx and Jz of spin j = j2/2 in the basis m = j, j - 1, ..., -j."""
+    m = 0.5 * j2 - np.arange(j2 + 1)
+    raising = np.diag(np.sqrt(0.5 * j2 * (0.5 * j2 + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
+    return 0.5 * (raising + raising.T), np.diag(m)
+
+
+SPIN_CAPS = (
+    LambdaSpec("unconstrained"),
+    LambdaSpec("factor", 6.0),
+    LambdaSpec("factor", 0.2),
+    LambdaSpec("absolute", 1e-3),
+    LambdaSpec("absolute", 1e3),
+)
+
+
+@pytest.mark.parametrize("j2", range(1, 8))
+def test_spin_j_landau_zener_keeps_the_two_level_optimum(j2):
+    # H_j(u) = delta*Jx + 2u*Jz (Poggi, Lombardo and Wisniacki, EPL 104, 40005,
+    # 2013): every field acts as the same SU(2) element at every spin j, and the
+    # boundary states are the spin coherent states along the two-level Bloch
+    # vectors, so the two-level protocol stays optimal in d = 2j + 1
+    jx, jz = _spin_matrices(j2)
+    drift, control = HermitianOperator(jx), HermitianOperator(2.0 * jz)
+    for theta in np.linspace(0.05, 1.5, 15).tolist():
+        for spec in SPIN_CAPS:
+            p = lz(theta, cap=spec.resolve(1.0, theta))
+            ch = ControlHamiltonian(drift, control, p.lambda_cap)
+            # the endpoints are defined outside the drive window, as at j = 1/2
+            psi0, psig = (
+                ground_state(HermitianOperator(jx + 2.0 * u * jz)) for u in (-p.gamma, p.gamma)
+            )
+            closed = 2.0 * math.acos(math.sin(theta) ** j2)
+            assert abs(fubini_study_distance(psi0, psig) - closed) <= 1e-13, (theta, spec)
+            proto = optimal_protocol(p)
+            traj = propagate(ch, proto.field, psi0)
+            assert traj.final_state().fidelity(psig) >= FIDELITY_TOL, (theta, spec)
+            report = compute_report(BoundInputs(ch, psi0, psig), traj, proto.t_opt_ideal)
+            flags = report.inequality_flags
+            assert len(flags) == 4 and all(flags.values()), (theta, spec, report.errors)
