@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,27 +78,16 @@ class BoundInputs:
         if self.psi0.dim != self.ch.dim or self.psig.dim != self.ch.dim:
             raise ValueError("state dimensions must match the control Hamiltonian")
 
-    @cached_property
-    def distance(self) -> float:
-        return fubini_study_distance(self.psi0, self.psig)
-
 
 def _max_quadratic_root(c0: float, c1: float, c2: float, u_max: float) -> float:
-    """sqrt of the max over |u| <= u_max of c0 + c1*u + c2*u^2, with c2 >= 0.
-
-    The quadratic is convex, so the endpoints suffice; the clamped vertex is
-    evaluated anyway for safety.  An unbounded window gives +inf unless the
-    quadratic is constant.
-    """
+    """sqrt of the max over |u| <= u_max of c0 + c1*u + c2*u^2, with c2 >= 0: the
+    quadratic is convex, so the max sits at the edge u = sign(c1)*u_max.  An
+    unbounded window gives +inf unless the quadratic is constant."""
     if math.isinf(u_max):
         if c2 > 0.0 or c1 != 0.0:
             return math.inf
         return math.sqrt(max(c0, 0.0))
-    candidates = [-u_max, 0.0, u_max]
-    if c2 > 0.0:
-        candidates.append(min(max(-c1 / (2.0 * c2), -u_max), u_max))
-    best = max(c0 + c1 * u + c2 * u * u for u in candidates)
-    return math.sqrt(max(best, 0.0))
+    return math.sqrt(max(c0 + abs(c1) * u_max + c2 * u_max * u_max, 0.0))
 
 
 def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
@@ -115,25 +103,27 @@ def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
     return _max_quadratic_root(t00, 2.0 * t0c, tcc, ch.u_max)
 
 
-def _arrays(stack: Sequence[BoundInputs]) -> Tuple[np.ndarray, np.ndarray]:
-    """The amplitudes of each instance's psi0 and psig (n, 2, d) and the entries
-    of its h0 and hc (n, 2, d, d), each built once for every kernel of a stack."""
-    states = np.array([(x.psi0.amplitudes, x.psig.amplitudes) for x in stack])
-    return states, np.array([(x.ch.h0.entries, x.ch.hc.entries) for x in stack])
+def _operands(chs: Sequence, psi0s: np.ndarray, psigs: np.ndarray) -> tuple:
+    """What every kernel reads of a stack with checked states psi0s and psigs (n, d): its
+    chs, states (n, 2, d) (one concatenate, a fraction of np.stack's cost on a stack of one),
+    (h0, hc) entries (n, 2, d, d) and endpoint distances, rounded as fubini_study_distance."""
+    pairs = np.array([(ch.h0.entries, ch.hc.entries) for ch in chs])
+    dists = [2.0 * math.acos(min(x, 1.0)) for x in abs_overlaps(psi0s, psigs)]
+    return chs, np.concatenate((psi0s, psigs), axis=1).reshape(len(chs), 2, -1), pairs, dists
 
 
 def _one(kernel, inputs: BoundInputs) -> float:
     """A stacked kernel on one instance: its value, or its error raised."""
-    outcome = kernel((inputs,), *_arrays((inputs,)))[0]
+    psi0, psig = inputs.psi0.amplitudes[None], inputs.psig.amplitudes[None]
+    outcome = kernel(*_operands((inputs.ch,), psi0, psig))[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _tmin_a_stack(stack: Sequence[BoundInputs], states, pairs) -> List[float]:
-    return [
-        _distance_over(x.distance, math.sqrt(2.0) * max_hs_norm_over_field(x.ch)) for x in stack
-    ]
+def _tmin_a_stack(chs, states, pairs, dists) -> List[float]:
+    speeds = [math.sqrt(2.0) * max_hs_norm_over_field(ch) for ch in chs]
+    return [_distance_over(dist, speed) for dist, speed in zip(dists, speeds)]
 
 
 def tmin_a(inputs: BoundInputs) -> float:
@@ -146,16 +136,16 @@ def tmin_a(inputs: BoundInputs) -> float:
     return _one(_tmin_a_stack, inputs)
 
 
-def _tmin_b_stack(stack: Sequence[BoundInputs], states, pairs) -> List[float]:
+def _tmin_b_stack(chs, states, pairs, dists) -> List[float]:
     # deltaE^2(u) = c0 + c1*u + c2*u^2 in psi0 and psig: (n, 2, 2, 2) covariances
     covs = energy_covariances(pairs[:, None], states).tolist()
     out = []
-    for x, anchors in zip(stack, covs):
+    for ch, anchors, dist in zip(chs, covs, dists):
         spread = min(
-            _max_quadratic_root(max(c00, 0.0), 2.0 * c01, max(c11, 0.0), x.ch.u_max)
+            _max_quadratic_root(max(c00, 0.0), 2.0 * c01, max(c11, 0.0), ch.u_max)
             for (c00, c01), (_, c11) in anchors
         )
-        out.append(_distance_over(x.distance, 2.0 * spread))
+        out.append(_distance_over(dist, 2.0 * spread))
     return out
 
 
@@ -186,25 +176,25 @@ def tmin_b_eigenstate(inputs: BoundInputs) -> float:
     _require_eigenstate(inputs.psi0, inputs.ch.hc, "psi0")
     _require_eigenstate(inputs.psig, inputs.ch.hc, "psig")
     spread = min(energy_variance(chi, inputs.ch.h0) for chi in (inputs.psi0, inputs.psig))
-    return _distance_over(inputs.distance, 2.0 * spread)
+    return _distance_over(fubini_study_distance(inputs.psi0, inputs.psig), 2.0 * spread)
 
 
-def _tmin_c_stack(stack: Sequence[BoundInputs], states, pairs) -> Tuple[List, List]:
+def _tmin_c_stack(chs, states, pairs, dists) -> Tuple[List, List]:
     """The tmin_c1 and tmin_c2 columns: (1 - sum_j |<psig|phi_j>| |<phi_j|psi0>|) / scale,
     phi_j the eigenvectors of hc over ||h0||_HS (c1, where h0 != 0) or of h0 over
     u_max * ||hc||_HS (c2, where u_max is finite; 0 elsewhere).  A numerator in the
     round-off floor vanishes, a zero scale gives +inf.  Every eigenbasis comes from
     one stacked eigh; if that fails, each matrix is decomposed alone and its error
     fails only the values it decides."""
-    n = len(stack)
+    n = len(chs)
     hs = norms(pairs.reshape(n, 2, -1)).tolist()
     zero = "zero drift: the control-eigenbasis bound needs h0 != 0"
     columns = ([0.0 if h0 else ValueError(zero) for h0, _ in hs], [0.0] * n)
     # (column, instance, operator of the pair, scale) of each value an eigenbasis decides
     todo = [(0, k, 1, h0) for k, (h0, _) in enumerate(hs) if h0] + [
-        (1, k, 0, x.ch.u_max * hc)
-        for k, (x, (_, hc)) in enumerate(zip(stack, hs))
-        if math.isfinite(x.ch.u_max)
+        (1, k, 0, ch.u_max * hc)
+        for k, (ch, (_, hc)) in enumerate(zip(chs, hs))
+        if math.isfinite(ch.u_max)
     ]
     if not todo:
         return columns
@@ -265,15 +255,12 @@ def arenz_overlap_residuals(stack: TrajectoryStack, psigs: np.ndarray) -> np.nda
         fidelity = min(modulus**2, 1.0)
         if not fidelity >= 1.0 - TARGET_FIDELITY_ATOL:
             raise ValueError(f"trajectory missed the target (fidelity {fidelity!r})")
-    u_ctrl = unitary_steps(
-        np.array([ch.hc.entries for ch in stack.chs]),
-        [field.amplitude_integral() for field in stack.fields],
-    )
+    pairs = np.array([(ch.h0.entries, ch.hc.entries) for ch in stack.chs])
+    u_ctrl = unitary_steps(pairs[:, 1], [field.amplitude_integral() for field in stack.fields])
     # 1 x d by d x 1 products round as np.vdot does, np.hypot as abs() does
     amp = (psig.conj()[:, None, :] @ (u_ctrl @ psi0[..., None]))[:, 0, 0]
     lhs = 1.0 - np.hypot(amp.real, amp.imag)
-    drift = norms(np.array([ch.h0.entries for ch in stack.chs]).reshape(len(stack.chs), -1))
-    return lhs - drift * stack.times[:, -1]
+    return lhs - norms(pairs[:, 0].reshape(len(pairs), -1)) * stack.times[:, -1]
 
 
 def arenz_overlap_inequality_check(traj: Trajectory, psig: PureState) -> float:
@@ -313,19 +300,22 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def compute_reports(
-    stack: Sequence[BoundInputs], t_opts: Optional[Sequence[Optional[float]]] = None
-) -> List[BoundReport]:
-    """compute_report of each instance of a stack of one dimension, without a
-    trajectory, flagged against t_opts[k] if given: one batched pass per bound."""
-    stack = tuple(stack)
-    t_opts = (None,) * len(stack) if t_opts is None else t_opts
-    dims = {x.ch.dim for x in stack}
+def compute_reports(chs, psi0s, psigs, t_opts=None) -> List[BoundReport]:
+    """compute_report without a trajectory of each instance k of a stack of one
+    dimension: chs[k] steering psi0s[k] into psigs[k], rows of (n, d) arrays checked
+    once per column, flagged against t_opts[k] if given.  One batched pass per bound."""
+    dims = {ch.dim for ch in chs}
     if len(dims) != 1:
         raise ValueError(f"need instances of one dimension, got dimensions {sorted(dims)}")
-    arrays = _arrays(stack)
-    columns = (_tmin_a_stack(stack, *arrays), _tmin_b_stack(stack, *arrays))
-    columns += _tmin_c_stack(stack, *arrays)
+    n, (dim,) = len(chs), dims
+    return _reports(chs, _state_array(psi0s, n, dim), _state_array(psigs, n, dim), t_opts)
+
+
+def _reports(chs: Sequence, psi0s: np.ndarray, psigs: np.ndarray, t_opts) -> List[BoundReport]:
+    """compute_reports from checked states."""
+    operands = _operands(chs, psi0s, psigs)
+    columns = (_tmin_a_stack(*operands), _tmin_b_stack(*operands), *_tmin_c_stack(*operands))
+    t_opts = (None,) * len(chs) if t_opts is None else t_opts
     reports = []
     for t_opt, *outcomes in zip(t_opts, *columns, strict=True):
         values, errors, flags = [], {}, {}
@@ -350,7 +340,8 @@ def compute_report(
     against t_opt when an achieved time is supplied: compute_reports of one
     instance, plus the trajectory's T*_QSL.  PASS_TOL is read at call time,
     so patching tolerances.PASS_TOL reaches every flag."""
-    report = compute_reports((inputs,), (t_opt,))[0]
+    psi0, psig = inputs.psi0.amplitudes[None], inputs.psig.amplitudes[None]
+    report = _reports((inputs.ch,), psi0, psig, (t_opt,))[0]
     if traj is not None:
         report.t_qsl_star = tqsl_star(traj, inputs.psig).time
     return report

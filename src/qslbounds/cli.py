@@ -83,6 +83,8 @@ class LambdaSpec:
             raise ValueError(f"{self.mode} cap must be finite; pass --unconstrained for no cap")
 
     def resolve(self, delta: float, theta: float) -> float:
+        """The drive cap at (delta, theta): finite and positive for a finite policy
+        except a factor at theta = pi/2 (gamma = 0), which gives +inf."""
         if self.mode == "unconstrained":
             return math.inf
         if self.mode == "absolute":
@@ -90,7 +92,13 @@ class LambdaSpec:
         gamma = gamma_from_theta(delta, theta)
         if gamma == 0.0:
             return math.inf
-        return float(self.value) * delta * delta / (4.0 * gamma)
+        cap = float(self.value) * delta * delta / (4.0 * gamma)
+        if not 0.0 < cap < math.inf:
+            raise ValueError(
+                f"lambda factor {self.value!r} at delta={delta!r}, theta={theta!r} "
+                f"gives the cap {cap!r}; it must be positive and finite"
+            )
+        return cap
 
     def __str__(self) -> str:
         return self.mode if self.value is None else f"{self.mode}={_fmt(self.value)}"
@@ -170,11 +178,11 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
         for t in (thetas[i] for i in moving)
     ]
     protocols = [optimal_protocol(p, cfg.u0_surrogate) for p in problems]
+    chs = [p.control_hamiltonian() for p in problems]
     ends = boundary_state_arrays(problems)  # psi0 and psig of every point, (2, n, 2)
-    pairs = zip(*map(PureState.stack, ends))
-    stack = [BoundInputs(p.control_hamiltonian(), *pair) for p, pair in zip(problems, pairs)]
-    reports = compute_reports(stack, [p.t_opt_ideal for p in protocols])
-    trajs = [propagate_refined(x.ch, p.field, x.psi0, 2) for x, p in zip(stack, protocols)]
+    reports = compute_reports(chs, *ends, [p.t_opt_ideal for p in protocols])
+    psi0s = PureState.stack(ends[0])  # propagate_refined takes a PureState
+    trajs = [propagate_refined(ch, p.field, psi, 2) for ch, p, psi in zip(chs, protocols, psi0s)]
     estimates = {}
     for n in {t.n_samples for t in trajs}:  # one stack per segment count
         group = [k for k, t in enumerate(trajs) if t.n_samples == n]

@@ -456,7 +456,7 @@ def _distance_over(dist: float, speed: float) -> float:
         return 0.0
     if speed == 0.0:
         return math.inf
-    return 0.0 if math.isinf(speed) else dist / speed
+    return dist / speed
 
 
 def tqsl_stars(stack: TrajectoryStack, psi_gs: np.ndarray) -> List[TqslEstimate]:

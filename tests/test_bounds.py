@@ -37,6 +37,7 @@ import qslbounds.quantum as quantum_module
 from qslbounds.bounds import (
     BOUND_NAMES,
     _max_quadratic_root,
+    _operands,
     _tmin_c_stack,
     compute_reports,
 )
@@ -61,6 +62,20 @@ HALF_SX = 0.5 * SIGMA_X  # ||.||_HS = sqrt(2)/2, spread 1/2 in either basis stat
 def flip_inputs(u_max: float) -> BoundInputs:
     ch = ControlHamiltonian(h0=HALF_SX, hc=SIGMA_Z, u_max=u_max)
     return BoundInputs(ch, basis_state(2, 0), basis_state(2, 1))
+
+
+def columns(stack):
+    """The chs and the psi0 and psig columns (n, d) of a list of BoundInputs."""
+    return (
+        [x.ch for x in stack],
+        [x.psi0.amplitudes for x in stack],
+        [x.psig.amplitudes for x in stack],
+    )
+
+
+def reports_of(stack, t_opts=None):
+    """compute_reports of a list of BoundInputs."""
+    return compute_reports(*columns(stack), t_opts)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +277,7 @@ def test_tmin_b_anchors_take_the_weaker_spread():
     inputs = BoundInputs(ch, basis_state(2, 0), plus)
     assert max_variance_over_field(ch, basis_state(2, 0)) == pytest.approx(0.5, abs=1e-12)
     assert max_variance_over_field(ch, plus) > 0.5
-    expected = inputs.distance / (2.0 * 0.5)
+    expected = fubini_study_distance(inputs.psi0, inputs.psig) / (2.0 * 0.5)
     assert tmin_b(inputs) == pytest.approx(expected, abs=1e-12)
 
 
@@ -314,7 +329,8 @@ def test_eigenbasis_overlap_sum_matches_per_eigenvector_reference():
             for op in ops
         ]
         # c1 and c2 both read op's eigenbasis, scaled by ||op||_HS
-        c1, c2 = _tmin_c_stack(stack, *bounds_module._arrays(stack))
+        chs, psi0s, psigs = columns(stack)
+        c1, c2 = _tmin_c_stack(*_operands(chs, np.array(psi0s), np.array(psigs)))
         for i, (op, x) in enumerate(zip(ops, stack)):
             expected = 1.0 - _overlap_sum_reference(op, x.psi0, x.psig)
             for value in (c1[i], c2[i]):
@@ -517,9 +533,9 @@ def test_compute_report_flags_a_violated_claim():
 
 def test_compute_report_measures_the_distance_once(monkeypatch):
     calls = []
-    distance = bounds_module.fubini_study_distance
+    overlaps = bounds_module.abs_overlaps
     monkeypatch.setattr(
-        bounds_module, "fubini_study_distance", lambda a, b: calls.append(1) or distance(a, b)
+        bounds_module, "abs_overlaps", lambda a, b: calls.append(1) or overlaps(a, b)
     )
     compute_report(flip_inputs(1.0), t_opt=4.0)
     assert len(calls) == 1
@@ -552,6 +568,20 @@ def _ref_variance_quadratic_coeffs(ch, chi):
     return c0, c1, c2
 
 
+def _ref_max_quadratic_root(c0, c1, c2, u_max):
+    # the candidate search the closed form replaced: both edges, the centre and
+    # the clamped vertex
+    if math.isinf(u_max):
+        if c2 > 0.0 or c1 != 0.0:
+            return math.inf
+        return math.sqrt(max(c0, 0.0))
+    candidates = [-u_max, 0.0, u_max]
+    if c2 > 0.0:
+        candidates.append(min(max(-c1 / (2.0 * c2), -u_max), u_max))
+    best = max(c0 + c1 * u + c2 * u * u for u in candidates)
+    return math.sqrt(max(best, 0.0))
+
+
 def _ref_overlap_sum(op, psi0, psig):
     vh = spectral(op).vectors.conj().T
     return float(np.abs(vh @ psig.amplitudes) @ np.abs(vh @ psi0.amplitudes))
@@ -565,7 +595,7 @@ def _ref_tmin_a(inputs):
     t00 = float(np.vdot(h0, h0).real)
     t0c = float(np.vdot(hc, h0).real)
     tcc = float(np.vdot(hc, hc).real)
-    norm_max = _max_quadratic_root(t00, 2.0 * t0c, tcc, inputs.ch.u_max)
+    norm_max = _ref_max_quadratic_root(t00, 2.0 * t0c, tcc, inputs.ch.u_max)
     if norm_max == 0.0:
         return math.inf
     if math.isinf(norm_max):
@@ -578,7 +608,7 @@ def _ref_tmin_b(inputs):
     if dist == 0.0:
         return 0.0
     spread = min(
-        _max_quadratic_root(*_ref_variance_quadratic_coeffs(inputs.ch, chi), inputs.ch.u_max)
+        _ref_max_quadratic_root(*_ref_variance_quadratic_coeffs(inputs.ch, chi), inputs.ch.u_max)
         for chi in (inputs.psi0, inputs.psig)
     )
     if spread == 0.0:
@@ -619,7 +649,7 @@ def _bits(values):
 
 
 def _assert_stack_matches_reference(stack):
-    reports = compute_reports(stack)
+    reports = reports_of(stack)
     for k, (inputs, report) in enumerate(zip(stack, reports)):
         for name, ref in REFERENCE.items():
             try:
@@ -676,7 +706,7 @@ def test_zero_drift_mid_stack_fails_alone():
         ControlHamiltonian(zero_operator(2), SIGMA_Z, 1.0), basis_state(2, 0), basis_state(2, 1)
     )
     stack = [flip_inputs(0.0), zero_drift, flip_inputs(2.0)]
-    reports = compute_reports(stack, t_opts=(4.0, 4.0, 4.0))
+    reports = reports_of(stack, t_opts=(4.0, 4.0, 4.0))
     assert list(reports[1].errors) == ["c1"]
     assert "zero drift" in reports[1].errors["c1"]
     assert math.isnan(reports[1].t_min_c1)
@@ -698,7 +728,7 @@ def test_a_failing_spectrum_fails_only_its_instances(monkeypatch):
     monkeypatch.setattr(quantum_module, "_phase_fixed_eigh", eigh_failing_on_broken)
     ok = flip_inputs(1.0)
     stack = [ok, BoundInputs(ControlHamiltonian(HALF_SX, broken, 1.0), ok.psi0, ok.psig), ok]
-    reports = compute_reports(stack)
+    reports = reports_of(stack)
     assert reports[1].errors == {"c1": "eigh did not converge"}
     assert reports[0] == reports[2] == compute_report(ok)
     with pytest.raises(np.linalg.LinAlgError):
@@ -706,7 +736,7 @@ def test_a_failing_spectrum_fails_only_its_instances(monkeypatch):
     # a drift whose eigh fails fails only its c2, and only under a finite window
     for u_max, errors in ((1.0, {"c2": "eigh did not converge"}), (math.inf, {})):
         failing_drift = BoundInputs(ControlHamiltonian(broken, SIGMA_Z, u_max), ok.psi0, ok.psig)
-        reports = compute_reports([ok, failing_drift, ok])
+        reports = reports_of([ok, failing_drift, ok])
         assert reports[1].errors == errors
         assert reports[1].t_min_c1 == tmin_c1(failing_drift) > 0.0
         assert reports[0] == reports[2] == compute_report(ok)
@@ -721,6 +751,68 @@ def test_compute_reports_rejects_a_mixed_stack():
     )
     for stack in ([flip_inputs(1.0), three], []):
         with pytest.raises(ValueError, match="need instances of one dimension"):
-            compute_reports(stack)
+            reports_of(stack)
     with pytest.raises(ValueError, match="zip"):
-        compute_reports([flip_inputs(1.0)], (1.0, 2.0))
+        reports_of([flip_inputs(1.0)], (1.0, 2.0))
+
+
+def test_compute_reports_checks_each_state_column():
+    chs, psi0s, psigs = columns([flip_inputs(1.0)] * 3)
+    for bad in ((chs, psi0s[:2], psigs), (chs, psi0s, psigs[:2])):
+        with pytest.raises(ValueError, match="need one state per instance: got 2 for 3"):
+            compute_reports(*bad)
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        compute_reports(chs, psi0s, np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="state norm"):
+        compute_reports(chs, psi0s, 1.5 * np.array(psigs))
+
+
+WINDOWS = (0.0, 1e-8, 1.0, 1e8, math.inf)
+
+
+def test_window_maximum_closed_form_equals_the_candidate_search():
+    # zeros of both signs, subnormals, 1e+-300 and unit magnitudes of either
+    # sign; c2 >= +0, as the Gram diagonal or clamped variance of every caller is
+    rng = np.random.default_rng(419)
+    n = 100_000
+    specials = np.array([0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e300, 1.0])
+
+    def draw():
+        kind = rng.integers(3, size=(3, n))
+        wide = 10.0 ** rng.uniform(-310.0, 308.0, (3, n))  # below 2.2e-308: subnormal
+        x = np.where(kind == 0, rng.choice(specials, (3, n)), rng.standard_normal((3, n)))
+        x = np.where(kind == 1, wide, x)
+        return x * rng.choice((-1.0, 1.0), (3, n))
+
+    c0s, c1s, c2s = draw()
+    for k, (c0, c1, c2) in enumerate(zip(c0s.tolist(), c1s.tolist(), np.abs(c2s).tolist())):
+        u_max = WINDOWS[k % len(WINDOWS)]
+        expected = _ref_max_quadratic_root(c0, c1, c2, u_max)
+        got = _max_quadratic_root(c0, c1, c2, u_max)
+        if math.isnan(expected):
+            # the search meets c1*u = -inf and c2*u^2 = +inf at one edge; the
+            # closed form adds magnitudes, and the quadratic is +inf there
+            assert math.isinf(c1 * u_max) and math.isinf(c2 * u_max * u_max)
+            assert got == math.inf
+        else:
+            assert got.hex() == expected.hex(), (c0, c1, c2, u_max)
+
+
+def test_stacked_reports_equal_the_single_instance_reports():
+    rng = np.random.default_rng(420)
+    for dim in range(2, 9):
+        stack = [
+            BoundInputs(
+                ControlHamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim), u_max),
+                random_state(rng, dim),
+                random_state(rng, dim),
+            )
+            for u_max in WINDOWS * 4
+        ]
+        t_opts = rng.uniform(0.0, 3.0, len(stack)).tolist()
+        for k, report in enumerate(reports_of(stack, t_opts)):
+            single = compute_report(stack[k], t_opt=t_opts[k])
+            values = [report.value(name) for name in BOUND_NAMES]
+            assert _bits(values) == _bits([single.value(name) for name in BOUND_NAMES]), k
+            assert report == single, k
+        _assert_stack_matches_reference(stack)

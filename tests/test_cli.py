@@ -60,6 +60,8 @@ def test_lambda_spec_resolution():
         1.5, abs=1e-12
     )
     assert math.isinf(LambdaSpec("factor", 6.0).resolve(1.0, HALF_PI))
+    # gamma = 0 at pi/2: no cap there, however large the factor
+    assert math.isinf(LambdaSpec("factor", 1e308).resolve(1.0, HALF_PI))
 
 
 def test_lambda_spec_validation():
@@ -510,6 +512,22 @@ HUGE_CAP = (
         ),
         (["verify", "--theta", "0.9", "--lambda", "1e154"], None, HUGE_CAP),
         (["verify", "--theta", "0.9", "--lambda-factor", "1e300"], None, HUGE_CAP),
+        (
+            ["verify", "--theta", "1.5", "--lambda-factor", "1e308"],
+            None,
+            r"lambda factor 1e\+308 at delta=1.0, theta=1.5 gives the cap inf; it must be positive",
+        ),
+        (
+            ["sweep", "--lambda-factor", "1e308", "--theta-min", "1.4", "--theta-max", "1.5",
+             "--theta-count", "2", "--out", "{tmp}/s.csv"],
+            None,
+            r"lambda factor 1e\+308 at delta=1.0, theta=1.4 gives the cap inf",
+        ),
+        (
+            ["verify", "--theta", "0.9", "--delta", "1e-300", "--lambda-factor", "6"],
+            None,
+            r"lambda factor 6.0 at delta=1e-300, theta=0.9 gives the cap 0.0; it must be positive",
+        ),
         (["verify", "--theta", "0.9", "--delta", "1e300", "--unconstrained"], None, HUGE_ENERGY),
         (["verify", "--theta", "0.9", "--unconstrained", "--u0", "1e160"], None, HUGE_ENERGY),
     ],
@@ -544,6 +562,9 @@ HUGE_CAP = (
         "sweep-theta-min-overflows-gamma",
         "verify-absolute-cap-overflows-durations",
         "verify-factor-cap-overflows-durations",
+        "verify-factor-cap-overflows-to-inf",
+        "sweep-factor-cap-overflows-to-inf",
+        "verify-factor-cap-underflows-to-zero",
         "verify-delta-overflows-energy",
         "verify-kick-overflows-energy",
     ],
