@@ -11,6 +11,7 @@ from .quantum import (
     SpectralDecomposition,
     energy_variance,
     fubini_study_distance,
+    fubini_study_distances,
     ground_state,
     ground_states,
     hs_norm,
@@ -21,7 +22,6 @@ from .quantum import (
 from .dynamics import (
     ControlHamiltonian,
     PiecewiseConstantField,
-    Trajectory,
     TrajectoryStack,
     TqslEstimate,
     bhattacharyya_check,

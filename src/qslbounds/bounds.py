@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import quantum, tolerances
-from .dynamics import ControlHamiltonian, Trajectory, TrajectoryStack, _state_array, tqsl_star
-from .dynamics import _distance_over
+from .dynamics import ControlHamiltonian, TrajectoryStack, _state_array, tqsl_star
+from .dynamics import _distance_over, _single
 from .quantum import (
     HermitianOperator,
     PureState,
@@ -23,6 +23,7 @@ from .quantum import (
     energy_covariances,
     energy_variance,
     fubini_study_distance,
+    fubini_study_distances,
     norms,
     unitary_steps,
 )
@@ -106,9 +107,9 @@ def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
 def _operands(chs: Sequence, psi0s: np.ndarray, psigs: np.ndarray) -> tuple:
     """What every kernel reads of a stack with checked states psi0s and psigs (n, d): its
     chs, states (n, 2, d) (one concatenate, a fraction of np.stack's cost on a stack of one),
-    (h0, hc) entries (n, 2, d, d) and endpoint distances, rounded as fubini_study_distance."""
+    (h0, hc) entries (n, 2, d, d) and endpoint distances."""
     pairs = np.array([(ch.h0.entries, ch.hc.entries) for ch in chs])
-    dists = [2.0 * math.acos(min(x, 1.0)) for x in abs_overlaps(psi0s, psigs)]
+    dists = fubini_study_distances(psi0s, psigs)
     return chs, np.concatenate((psi0s, psigs), axis=1).reshape(len(chs), 2, -1), pairs, dists
 
 
@@ -263,9 +264,9 @@ def arenz_overlap_residuals(stack: TrajectoryStack, psigs: np.ndarray) -> np.nda
     return lhs - norms(pairs[:, 0].reshape(len(pairs), -1)) * stack.times[:, -1]
 
 
-def arenz_overlap_inequality_check(traj: Trajectory, psig: PureState) -> float:
-    """arenz_overlap_residuals of one trajectory."""
-    return float(arenz_overlap_residuals(traj.stack, psig.amplitudes)[0])
+def arenz_overlap_inequality_check(traj: TrajectoryStack, psig: PureState) -> float:
+    """arenz_overlap_residuals of a stack of one."""
+    return float(arenz_overlap_residuals(_single(traj), psig.amplitudes)[0])
 
 
 @dataclass
@@ -333,12 +334,12 @@ def _reports(chs: Sequence, psi0s: np.ndarray, psigs: np.ndarray, t_opts) -> Lis
 
 def compute_report(
     inputs: BoundInputs,
-    traj: Optional[Trajectory] = None,
+    traj: Optional[TrajectoryStack] = None,
     t_opt: Optional[float] = None,
 ) -> BoundReport:
     """Evaluate every bound, tolerating per-bound failures, and flag each one
     against t_opt when an achieved time is supplied: compute_reports of one
-    instance, plus the trajectory's T*_QSL.  PASS_TOL is read at call time,
+    instance, plus the T*_QSL of traj, a stack of one.  PASS_TOL is read at call time,
     so patching tolerances.PASS_TOL reaches every flag."""
     psi0, psig = inputs.psi0.amplitudes[None], inputs.psig.amplitudes[None]
     report = _reports((inputs.ch,), psi0, psig, (t_opt,))[0]

@@ -13,8 +13,8 @@ leaving the states themselves single-valued.
 
 The propagation kernel and the checks work on a TrajectoryStack: instances
 of one dimension and one segment count, stacked along a leading axis, so
-they share one sample layout.  The single-trajectory functions run the same
-code on a stack of one.
+they share one sample layout.  A single trajectory is a stack of one, which
+propagate returns and the single-trajectory functions read.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .quantum import HermitianOperator, PureState, abs_overlaps, check_hermitian
-from .quantum import check_normalized, energy_spreads
+from .quantum import check_normalized, energy_spreads, fubini_study_distances
 from .tolerances import AMPLITUDE_RTOL, BHATTACHARYYA_FLOOR, TARGET_FIDELITY_ATOL
 
 
@@ -86,47 +86,6 @@ class PiecewiseConstantField:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Sampled solution of the driven Schrodinger equation.
-
-    states holds one row per sample; segment_index maps each sample to the
-    field segment whose amplitude was in force there (boundary nodes appear
-    twice, once per side).  The drive that produced the path travels with
-    it: ch, field, and the read-only (S, d, d) array hamiltonians[j] = H(u_j).
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    segment_index: np.ndarray
-    ch: ControlHamiltonian
-    field: PiecewiseConstantField
-    hamiltonians: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def n_samples(self) -> int:
-        return self.times.shape[0]
-
-    @cached_property
-    def stack(self) -> "TrajectoryStack":
-        """This trajectory as a stack of one."""
-        return TrajectoryStack.of((self,))
-
-    @cached_property
-    def _boundary_states(self) -> Tuple[PureState, PureState]:
-        return PureState.stack(self.stack.ends[:, 0])
-
-    def initial_state(self) -> PureState:
-        return self._boundary_states[0]
-
-    def final_state(self) -> PureState:
-        return self._boundary_states[1]
-
-
-@dataclass(frozen=True)
 class TrajectoryStack:
     """Trajectories of instances that share a dimension and a segment count,
     stacked along a leading instance axis.
@@ -146,39 +105,32 @@ class TrajectoryStack:
     hamiltonians: np.ndarray
 
     @classmethod
-    def of(cls, trajectories: Sequence[Trajectory]) -> "TrajectoryStack":
-        """Trajectories of one dimension and one sample layout as a stack, the
-        inverse of stack[k]."""
-        trajs = tuple(trajectories)
-        if len({(t.dim, t.segment_index.tobytes()) for t in trajs}) != 1:
+    def of(cls, stacks: Sequence["TrajectoryStack"]) -> "TrajectoryStack":
+        """Stacks of one dimension and one sample layout joined along the instance axis."""
+        stacks = tuple(stacks)
+        if len({(s.dim, s.segment_index.tobytes()) for s in stacks}) != 1:
             raise ValueError("need trajectories of one dimension and one sample layout")
-        h = np.stack([t.hamiltonians for t in trajs])
+        h = np.concatenate([s.hamiltonians for s in stacks])
         h.setflags(write=False)
         return cls(
-            times=np.stack([t.times for t in trajs]),
-            states=np.stack([t.states for t in trajs]),
-            segment_index=trajs[0].segment_index,
-            chs=tuple(t.ch for t in trajs),
-            fields=tuple(t.field for t in trajs),
+            times=np.concatenate([s.times for s in stacks]),
+            states=np.concatenate([s.states for s in stacks]),
+            segment_index=stacks[0].segment_index,
+            chs=tuple(ch for s in stacks for ch in s.chs),
+            fields=tuple(field for s in stacks for field in s.fields),
             hamiltonians=h,
         )
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    def __getitem__(self, k: int) -> Trajectory:
-        return Trajectory(
-            times=self.times[k],
-            states=self.states[k],
-            segment_index=self.segment_index,
-            ch=self.chs[k],
-            field=self.fields[k],
-            hamiltonians=self.hamiltonians[k],
-        )
-
     @property
     def dim(self) -> int:
         return self.states.shape[2]
+
+    @property
+    def n_samples(self) -> int:
+        return self.times.shape[1]
 
     @cached_property
     def ends(self) -> np.ndarray:
@@ -309,15 +261,18 @@ def propagate(
     field: PiecewiseConstantField,
     psi0: PureState,
     samples_per_segment: int = 200,
-) -> Trajectory:
-    """Evolve psi0 under the field: propagate_stack on a stack of one, which
-    the trajectory keeps as its stack."""
+) -> TrajectoryStack:
+    """Evolve psi0 under the field: propagate_stack on a stack of one."""
     if psi0.dim != ch.dim:
         raise ValueError(f"dimension mismatch: {psi0.dim} vs {ch.dim}")
-    stack = _propagate((ch,), (field,), psi0.amplitudes[None], samples_per_segment)
-    traj = stack[0]
-    traj.__dict__["stack"] = stack  # fills the cached_property
-    return traj
+    return _propagate((ch,), (field,), psi0.amplitudes[None], samples_per_segment)
+
+
+def _single(stack: TrajectoryStack) -> TrajectoryStack:
+    """stack, which must hold one instance: the single-trajectory forms read its value."""
+    if len(stack) != 1:
+        raise ValueError(f"need a stack of one trajectory, got {len(stack)}")
+    return stack
 
 
 def _running_integral(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -345,9 +300,9 @@ def path_lengths(stack: TrajectoryStack) -> np.ndarray:
     return 2.0 * np.sum(durations * stack.spreads, axis=-1)
 
 
-def path_length(traj: Trajectory) -> float:
-    """path_lengths of one trajectory."""
-    return float(path_lengths(traj.stack)[0])
+def path_length(traj: TrajectoryStack) -> float:
+    """path_lengths of a stack of one."""
+    return float(path_lengths(_single(traj))[0])
 
 
 def norm_drifts(stack: TrajectoryStack) -> np.ndarray:
@@ -360,7 +315,7 @@ def propagate_refined(
     field: PiecewiseConstantField,
     psi0: PureState,
     samples_per_segment: int = 200,
-) -> Trajectory:
+) -> TrajectoryStack:
     """One propagate pass: every trajectory quantity is exact on any sample
     grid.  The name stays because perfbench/ wraps it by name for its useful_ratio."""
     return propagate(ch, field, psi0, samples_per_segment)
@@ -394,9 +349,9 @@ def bhattacharyya_residuals(stack: TrajectoryStack) -> np.ndarray:
     return np.where(keep.any(axis=-1), excess.max(axis=-1), 0.0)
 
 
-def bhattacharyya_check(traj: Trajectory) -> float:
-    """bhattacharyya_residuals of one trajectory."""
-    return float(bhattacharyya_residuals(traj.stack)[0])
+def bhattacharyya_check(traj: TrajectoryStack) -> float:
+    """bhattacharyya_residuals of a stack of one."""
+    return float(bhattacharyya_residuals(_single(traj))[0])
 
 
 def _pfeifer_envelopes(stack: TrajectoryStack, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -411,14 +366,14 @@ def _pfeifer_envelopes(stack: TrajectoryStack, phi: np.ndarray) -> Tuple[np.ndar
     return sin_star(delta - envelope_angle), sin_star(delta + envelope_angle)
 
 
-def pfeifer_envelope(traj: Trajectory, phi: PureState) -> Tuple[np.ndarray, np.ndarray]:
+def pfeifer_envelope(traj: TrajectoryStack, phi: PureState) -> Tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounding envelopes sin*(delta -+ h(t)) for |<phi|psi(t)>|.
 
     h(t) is the smaller of the accumulated energy spreads anchored at phi and
     at the initial state; both integrands are piecewise constant in time, so
     h(t) is exactly piecewise linear.
     """
-    lower, upper = _pfeifer_envelopes(traj.stack, _state_array(phi.amplitudes, 1, traj.dim))
+    lower, upper = _pfeifer_envelopes(_single(traj), _state_array(phi.amplitudes, 1, traj.dim))
     return lower[0], upper[0]
 
 
@@ -432,9 +387,9 @@ def pfeifer_envelope_residuals(stack: TrajectoryStack, phis: np.ndarray) -> np.n
     return np.maximum(worst, 0.0)
 
 
-def pfeifer_envelope_check(traj: Trajectory, phi: PureState) -> float:
-    """pfeifer_envelope_residuals of one trajectory."""
-    return float(pfeifer_envelope_residuals(traj.stack, phi.amplitudes)[0])
+def pfeifer_envelope_check(traj: TrajectoryStack, phi: PureState) -> float:
+    """pfeifer_envelope_residuals of a stack of one."""
+    return float(pfeifer_envelope_residuals(_single(traj), phi.amplitudes)[0])
 
 
 @dataclass(frozen=True)
@@ -472,16 +427,15 @@ def tqsl_stars(stack: TrajectoryStack, psi_gs: np.ndarray) -> List[TqslEstimate]
     """
     targets = _state_array(psi_gs, len(stack), stack.dim)
     mean_spreads = 0.5 * path_lengths(stack) / stack.times[:, -1]
-    # |<psi0|psi(T)>| for the geodesic and |<psi(T)|psi_g>| for the fidelity
-    moduli = abs_overlaps(stack.ends, np.stack((stack.ends[1], targets)))
+    dists, moduli = fubini_study_distances(*stack.ends), abs_overlaps(stack.ends[1], targets)
     estimates = []
-    for mean_spread, geodesic, reached in zip(mean_spreads.tolist(), *moduli):
+    for mean_spread, dist, reached in zip(mean_spreads.tolist(), dists, moduli):
         fidelity = min(reached**2, 1.0)
-        value = _distance_over(math.acos(min(geodesic, 1.0)), mean_spread)
+        value = _distance_over(0.5 * dist, mean_spread)
         estimates.append(TqslEstimate(value, fidelity, fidelity >= 1.0 - TARGET_FIDELITY_ATOL))
     return estimates
 
 
-def tqsl_star(traj: Trajectory, psi_g: PureState) -> TqslEstimate:
-    """tqsl_stars of one trajectory."""
-    return tqsl_stars(traj.stack, psi_g.amplitudes)[0]
+def tqsl_star(traj: TrajectoryStack, psi_g: PureState) -> TqslEstimate:
+    """tqsl_stars of a stack of one."""
+    return tqsl_stars(_single(traj), psi_g.amplitudes)[0]

@@ -28,10 +28,10 @@ from .dynamics import (
 from .quantum import (
     HermitianOperator,
     PureState,
-    abs_overlaps,
     check_hermitian,
     check_normalized,
     energy_spreads,
+    fubini_study_distances,
     norms,
 )
 from .tolerances import (
@@ -210,7 +210,7 @@ def _trajectory_residuals(stack: TrajectoryStack, phis: np.ndarray) -> np.ndarra
     against its phis[b], one row of a (B, d) array, the endpoint reached being the
     Arenz target."""
     psi0, finals = stack.ends
-    geodesic = np.array([2.0 * math.acos(min(m, 1.0)) for m in abs_overlaps(psi0, finals)])
+    geodesic = np.array(fubini_study_distances(psi0, finals))
     checks = (pfeifer_envelope_residuals(stack, phis), arenz_overlap_residuals(stack, finals))
     return np.stack((geodesic - path_lengths(stack), *checks, norm_drifts(stack)))
 

@@ -16,10 +16,6 @@ import numpy as np
 from .tolerances import DEGENERACY_ATOL, HERMITIAN_ATOL, NORM_ATOL
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
 def _reject_non_finite(values: np.ndarray, what: str) -> None:
     bad = np.argwhere(~np.isfinite(values)).tolist()
     if bad:
@@ -118,7 +114,7 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def fidelity(self, other: "PureState") -> float:
-        return _clamp01(abs(self.overlap(other)) ** 2)
+        return min(abs(self.overlap(other)) ** 2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -221,9 +217,17 @@ def ground_state(h: HermitianOperator) -> PureState:
     return ground_states((h,))[0]
 
 
+def fubini_study_distances(a: np.ndarray, b: np.ndarray) -> list:
+    """Geodesic distance 2*arccos(|<a_k|b_k>|) on the ray space of each pair of
+    states (n, d), as a list of floats: one abs_overlaps call, acos per element."""
+    return [2.0 * math.acos(min(x, 1.0)) for x in abs_overlaps(a, b)]
+
+
 def fubini_study_distance(a: PureState, b: PureState) -> float:
-    """Geodesic distance 2*arccos(|<a|b>|) on the ray space."""
-    return 2.0 * math.acos(_clamp01(abs(a.overlap(b))))
+    """fubini_study_distances of one pair."""
+    if b.dim != a.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return fubini_study_distances(a.amplitudes[None], b.amplitudes[None])[0]
 
 
 def energy_covariances(h: np.ndarray, chi: np.ndarray) -> np.ndarray:

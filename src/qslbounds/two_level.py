@@ -66,6 +66,11 @@ def gamma_from_theta(delta: float, theta: float) -> float:
     gamma = delta / (2.0 * math.tan(theta))
     if math.isinf(gamma):
         raise ValueError(f"theta {theta!r} is too small: gamma = delta/(2*tan(theta)) overflows")
+    if gamma < sys.float_info.min:
+        raise ValueError(
+            f"delta {delta!r} at theta {theta!r} is too small: "
+            "gamma = delta/(2*tan(theta)) underflows"
+        )
     return gamma
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qslbounds import HermitianOperator, LandauZenerProblem, PureState, theta_from_gamma
+from qslbounds import HermitianOperator, LandauZenerProblem, PureState, TrajectoryStack
+from qslbounds import theta_from_gamma
 from qslbounds.bounds import _max_quadratic_root
 from qslbounds.quantum import energy_covariances
 from qslbounds.property_suites import (  # noqa: F401  re-exported to the tests
@@ -31,13 +32,25 @@ def zero_operator(dim: int) -> HermitianOperator:
     return HermitianOperator(np.zeros((dim, dim), dtype=complex))
 
 
-def sampled_spreads(traj) -> np.ndarray:
-    """deltaE at every sample of traj, from its states and the Hamiltonian in
-    force there: an independent check that the spread is conserved on each
-    segment, which the library takes once per segment."""
-    h = traj.hamiltonians[traj.segment_index]
-    hpsi = np.einsum("nij,nj->ni", h, traj.states)
-    mean = np.einsum("ni,ni->n", traj.states.conj(), hpsi).real
+def instance(stack: TrajectoryStack, k: int) -> TrajectoryStack:
+    """Instance k of stack as a stack of one, over views of its arrays."""
+    return TrajectoryStack(
+        times=stack.times[k : k + 1],
+        states=stack.states[k : k + 1],
+        segment_index=stack.segment_index,
+        chs=stack.chs[k : k + 1],
+        fields=stack.fields[k : k + 1],
+        hamiltonians=stack.hamiltonians[k : k + 1],
+    )
+
+
+def sampled_spreads(traj: TrajectoryStack) -> np.ndarray:
+    """deltaE at every sample of traj, a stack of one, from its states and the
+    Hamiltonian in force there: an independent check that the spread is
+    conserved on each segment, which the library takes once per segment."""
+    h, states = traj.hamiltonians[0, traj.segment_index], traj.states[0]
+    hpsi = np.einsum("nij,nj->ni", h, states)
+    mean = np.einsum("ni,ni->n", states.conj(), hpsi).real
     second = np.einsum("ni,ni->n", hpsi.conj(), hpsi).real
     return np.sqrt(np.maximum(second - mean * mean, 0.0))
 

@@ -126,7 +126,8 @@ def test_unified_attained_by_resonant_rotation():
     assert bound == pytest.approx(1.0, abs=1e-12)
     ch = ControlHamiltonian(h0=h, hc=SIGMA_Z)
     traj = propagate(ch, PiecewiseConstantField(((1.0, 0.0),)), psi0)
-    assert traj.final_state().fidelity(traj.initial_state()) == pytest.approx(0.0, abs=1e-12)
+    final = PureState(traj.ends[1, 0])
+    assert final.fidelity(PureState(traj.ends[0, 0])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sin_star_frozen_values():
@@ -469,7 +470,7 @@ def test_bounds_dominated_by_random_reachable_times():
         dim = int(rng.integers(2, 5))
         ch, field, psi0 = random_control_problem(rng, dim)
         traj = propagate(ch, field, psi0, samples_per_segment=30)
-        psig = traj.final_state()
+        psig = PureState(traj.ends[1, 0])
         reached_in = field.total_duration
         window = max(abs(a) for _, a in field.segments)
         tight = ControlHamiltonian(ch.h0, ch.hc, max(window, 1e-9))
@@ -493,7 +494,7 @@ def test_bounds_dominated_on_two_level_ensemble():
         )
         psi0 = random_state(rng, 2)
         traj = propagate(ch, field, psi0, samples_per_segment=20)
-        inputs = BoundInputs(ch, psi0, traj.final_state())
+        inputs = BoundInputs(ch, psi0, PureState(traj.ends[1, 0]))
         for bound in (tmin_a, tmin_b, tmin_c1, tmin_c2):
             value = bound(inputs)
             assert value <= field.total_duration + 1e-6, (bound.__name__, value)
@@ -533,9 +534,9 @@ def test_compute_report_flags_a_violated_claim():
 
 def test_compute_report_measures_the_distance_once(monkeypatch):
     calls = []
-    overlaps = bounds_module.abs_overlaps
+    distances = bounds_module.fubini_study_distances
     monkeypatch.setattr(
-        bounds_module, "abs_overlaps", lambda a, b: calls.append(1) or overlaps(a, b)
+        bounds_module, "fubini_study_distances", lambda a, b: calls.append(1) or distances(a, b)
     )
     compute_report(flip_inputs(1.0), t_opt=4.0)
     assert len(calls) == 1

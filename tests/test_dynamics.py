@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qslbounds import (
+    BoundInputs,
     ControlHamiltonian,
     HermitianOperator,
     LandauZenerProblem,
@@ -13,13 +14,13 @@ from qslbounds import (
     PureState,
     SIGMA_X,
     SIGMA_Z,
-    Trajectory,
     TrajectoryStack,
     arenz_overlap_inequality_check,
     arenz_overlap_residuals,
     bhattacharyya_check,
     bhattacharyya_residuals,
     boundary_state_arrays,
+    compute_report,
     energy_variance,
     fubini_study_distance,
     ground_state,
@@ -45,6 +46,7 @@ from qslbounds.quantum import abs_overlaps
 from qslbounds.tolerances import BHATTACHARYYA_TOL, TARGET_FIDELITY_ATOL
 from conftest import (
     basis_state,
+    instance,
     random_control_problem,
     random_state,
     sampled_spreads,
@@ -110,11 +112,11 @@ def test_propagate_rejects_zero_samples():
 def test_trajectory_records_its_drive(rng):
     ch, field, psi0 = random_control_problem(rng, 4)
     traj = propagate(ch, field, psi0, samples_per_segment=7)
-    assert traj.ch is ch
-    assert traj.field is field
-    assert traj.hamiltonians.shape == (len(field.segments), 4, 4)
+    assert traj.chs == (ch,) and traj.chs[0] is ch
+    assert traj.fields == (field,) and traj.fields[0] is field
+    assert traj.hamiltonians.shape == (1, len(field.segments), 4, 4)
     assert not traj.hamiltonians.flags.writeable
-    for h, (_, u) in zip(traj.hamiltonians, field.segments):
+    for h, (_, u) in zip(traj.hamiltonians[0], field.segments):
         assert _same_bits(h, ch.hamiltonian(u).entries)
 
 
@@ -130,7 +132,7 @@ def test_checks_build_no_operator(monkeypatch):
     traj = propagate(RABI, field, basis_state(2, 0), samples_per_segment=9)
     bhattacharyya_check(traj)
     pfeifer_envelope_check(traj, basis_state(2, 1))
-    arenz_overlap_inequality_check(traj, traj.final_state())
+    arenz_overlap_inequality_check(traj, PureState(traj.ends[1, 0]))
     tqsl_star(traj, basis_state(2, 1))
     assert built == []
 
@@ -153,9 +155,9 @@ def test_stacked_builder_keeps_both_guards():
 
 def test_boundary_states_are_built_once():
     traj = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=4)
-    assert traj.final_state() is traj.final_state()
-    assert traj.initial_state() is traj.initial_state()
-    assert np.array_equal(traj.final_state().amplitudes, traj.states[-1])
+    assert traj.ends is traj.ends
+    assert np.array_equal(traj.ends[1, 0], traj.states[0, -1])
+    assert np.array_equal(traj.ends[0, 0], traj.states[0, 0])
 
 
 def test_propagate_hands_back_the_stack_it_built(monkeypatch):
@@ -171,21 +173,25 @@ def test_propagate_hands_back_the_stack_it_built(monkeypatch):
     tqsl_star(traj, basis_state(2, 1))
     path_length(traj)
     bhattacharyya_check(traj)
-    assert len(built) == 1 and built[0] is traj.stack
+    assert len(built) == 1 and built[0] is traj
+
+
+def _hand_built(ch, end):
+    """A stack of one over FREE_UNIT's unit time, from |0> straight to end."""
+    return TrajectoryStack(
+        times=np.array([[0.0, 1.0]]),
+        states=np.array([[[1.0, 0.0], end]], dtype=complex),
+        segment_index=np.array([0, 0]),
+        chs=(ch,),
+        fields=(FREE_UNIT,),
+        hamiltonians=ch.hamiltonians([0.0])[None],
+    )
 
 
 def test_boundary_states_keep_the_norm_check():
-    ch = ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)
-    traj = Trajectory(
-        times=np.array([0.0, 1.0]),
-        states=np.array([[1.0, 0.0], [0.0, 1.1]], dtype=complex),
-        segment_index=np.array([0, 0]),
-        ch=ch,
-        field=FREE_UNIT,
-        hamiltonians=ch.hamiltonians([0.0]),
-    )
+    traj = _hand_built(ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z), [0.0, 1.1])
     with pytest.raises(ValueError, match="norm"):
-        traj.final_state()
+        traj.ends
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +271,11 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _arrays(stack, k=0):
+    """The TRAJECTORY_ARRAYS of instance k of stack; segment_index is shared."""
+    return stack.times[k], stack.states[k], stack.segment_index, stack.hamiltonians[k]
+
+
 def test_stacks_reproduce_the_loop_propagation_bit_for_bit():
     # 400 instances, d = 2..8, 1-3 segments of 0.1..1 or 1e-8..1e8: a grouped
     # stack, a stack of one and the per-segment loop agree in every bit of all
@@ -277,11 +288,13 @@ def test_stacks_reproduce_the_loop_propagation_bit_for_bit():
             for k in range(len(idx)):
                 single = propagate(chs[k], fields[k], psi0s[k], samples_per_segment=samples)
                 arrays, spreads = _reference_propagate(chs[k], fields[k], psi0s[k], samples)
-                for name, ref in zip(TRAJECTORY_ARRAYS, arrays, strict=True):
-                    assert _same_bits(getattr(stack[k], name), ref), (samples, idx[k], name)
-                    assert _same_bits(getattr(single, name), ref), (samples, idx[k], name)
+                for name, got, alone, ref in zip(
+                    TRAJECTORY_ARRAYS, _arrays(stack, k), _arrays(single), arrays, strict=True
+                ):
+                    assert _same_bits(got, ref), (samples, idx[k], name)
+                    assert _same_bits(alone, ref), (samples, idx[k], name)
                 assert _same_bits(stack.spreads[k], spreads), (samples, idx[k])
-                assert _same_bits(single.stack.spreads[0], spreads), (samples, idx[k])
+                assert _same_bits(single.spreads[0], spreads), (samples, idx[k])
 
 
 # the sweep's caps: the three figures', then absolute and factor caps at the
@@ -311,31 +324,32 @@ def test_sweep_points_propagate_as_the_loop_reference_bit_for_bit(spec):
         psi0 = PureState(row)
         traj = propagate(ch, field, psi0, samples_per_segment=2)
         arrays, spreads = _reference_propagate(ch, field, psi0, 2)
-        for name, ref in zip(TRAJECTORY_ARRAYS, arrays, strict=True):
-            assert _same_bits(getattr(traj, name), ref), (problem.theta, name)
-        assert _same_bits(traj.stack.spreads[0], spreads), problem.theta
+        for name, got, ref in zip(TRAJECTORY_ARRAYS, _arrays(traj), arrays, strict=True):
+            assert _same_bits(got, ref), (problem.theta, name)
+        assert _same_bits(traj.spreads[0], spreads), problem.theta
 
 
 def _reference_residuals(traj, phi):
-    """The Anandan-Aharonov, Pfeifer and Arenz residuals of one trajectory,
+    """The Anandan-Aharonov, Pfeifer and Arenz residuals of a stack of one,
     the Arenz target being its endpoint, from per-instance scalar calls:
     overlaps by np.vdot, spreads by energy_variance and the drive's unitary
     by unitary_step."""
-    psi0, final = traj.initial_state(), traj.final_state()
+    psi0, final = PureState(traj.ends[0, 0]), PureState(traj.ends[1, 0])
+    (ch,), (field,), times, states = traj.chs, traj.fields, traj.times[0], traj.states[0]
     geodesic = 2.0 * math.acos(min(abs(complex(np.vdot(psi0.amplitudes, final.amplitudes))), 1.0))
     segment_spreads = [
-        [energy_variance(chi, HermitianOperator(h)) for h in traj.hamiltonians]
+        [energy_variance(chi, HermitianOperator(h)) for h in traj.hamiltonians[0]]
         for chi in (phi, psi0)
     ]
     anchored = np.array(segment_spreads)[:, traj.segment_index]
-    angle = np.min(dynamics._running_integral(traj.times, anchored), axis=0)
+    angle = np.min(dynamics._running_integral(times, anchored), axis=0)
     delta = math.asin(min(abs(phi.overlap(psi0)), 1.0))
-    overlaps = np.abs(traj.states @ phi.amplitudes.conj()[:, None])[:, 0]
+    overlaps = np.abs(states @ phi.amplitudes.conj()[:, None])[:, 0]
     lower, upper = sin_star(delta - angle), sin_star(delta + angle)
     outside = max(np.max(lower - overlaps), np.max(overlaps - upper))
-    kicked = unitary_step(traj.ch.hc, traj.field.amplitude_integral()) @ psi0.amplitudes[:, None]
+    kicked = unitary_step(ch.hc, field.amplitude_integral()) @ psi0.amplitudes[:, None]
     reached = abs(complex(np.vdot(final.amplitudes, kicked)))
-    arenz = 1.0 - reached - hs_norm(traj.ch.h0) * float(traj.times[-1])
+    arenz = 1.0 - reached - hs_norm(ch.h0) * float(times[-1])
     return geodesic - path_length(traj), max(float(outside), 0.0), arenz
 
 
@@ -348,7 +362,7 @@ def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
         residuals = _trajectory_residuals(stack, _rows(phis))
         assert residuals.shape == (4, len(idx))
         for k in range(len(idx)):
-            expected = _reference_residuals(stack[k], phis[k])
+            expected = _reference_residuals(instance(stack, k), phis[k])
             got = residuals[:3, k].tolist()
             assert [v.hex() for v in got] == [v.hex() for v in expected], idx[k]
 
@@ -406,13 +420,13 @@ def test_stacked_checks_equal_the_single_trajectory_floats():
             for values in stacked:
                 assert values.shape == (len(idx),)
             for k in range(len(idx)):
-                traj = stack[k]
+                traj = instance(stack, k)
                 single = (
                     path_length(traj),
                     bhattacharyya_check(traj),
                     pfeifer_envelope_check(traj, phis[k]),
                     arenz_overlap_inequality_check(traj, PureState(finals[k])),
-                    norm_drifts(traj.stack)[0],
+                    norm_drifts(traj)[0],
                 )
                 assert [float(v[k]) for v in stacked] == list(single)
 
@@ -423,8 +437,8 @@ def test_stack_entries_carry_their_drive(rng):
     chs, fields, psi0s = zip(*problems)
     stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=5)
     for k, (ch, field, psi0) in enumerate(problems):
-        traj = stack[k]
-        assert traj.ch is ch and traj.field is field
+        traj = instance(stack, k)
+        assert traj.chs[0] is ch and traj.fields[0] is field
         assert np.shares_memory(traj.hamiltonians, stack.hamiltonians)
         assert not stack.hamiltonians.flags.writeable
         for j, (_, u) in enumerate(field.segments):
@@ -432,17 +446,44 @@ def test_stack_entries_carry_their_drive(rng):
         assert np.array_equal(stack.ends[0, k], psi0.amplitudes)
 
 
-def test_of_is_the_inverse_of_indexing():
+def test_of_joins_the_per_instance_propagations():
     problems = _harness_problems(count=120, seed=11)
     for samples in (1, 2, 7):
         for idx, (chs, fields, psi0s, _) in _stacks(problems):
             stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=samples)
-            again = TrajectoryStack.of([stack[k] for k in range(len(stack))])
+            again = TrajectoryStack.of(
+                [propagate(*p, samples_per_segment=samples) for p in zip(chs, fields, psi0s)]
+            )
             for name in TRAJECTORY_ARRAYS:
                 assert _same_bits(getattr(again, name), getattr(stack, name)), (samples, name)
             assert _same_bits(again.spreads, stack.spreads)
             assert again.chs == stack.chs and again.fields == stack.fields
             assert not again.hamiltonians.flags.writeable
+
+
+SINGLE_FORMS = {
+    "path_length": path_length,
+    "bhattacharyya_check": bhattacharyya_check,
+    "pfeifer_envelope": lambda traj: pfeifer_envelope(traj, basis_state(2, 1)),
+    "pfeifer_envelope_check": lambda traj: pfeifer_envelope_check(traj, basis_state(2, 1)),
+    "tqsl_star": lambda traj: tqsl_star(traj, basis_state(2, 1)),
+    "arenz_overlap_inequality_check": (
+        lambda traj: arenz_overlap_inequality_check(traj, PureState(traj.ends[1, 0]))
+    ),
+    "compute_report": lambda traj: compute_report(
+        BoundInputs(RABI, basis_state(2, 0), basis_state(2, 1)), traj=traj
+    ),
+}
+
+
+@pytest.mark.parametrize("form", list(SINGLE_FORMS))
+def test_single_trajectory_forms_reject_a_stack_of_two(form):
+    # each reads the value of instance 0, so a longer stack would pass silently
+    psi0s = _rows((basis_state(2, 0), basis_state(2, 1)))
+    stack = propagate_stack((RABI, RABI), (FREE_UNIT, FREE_UNIT), psi0s, samples_per_segment=4)
+    with pytest.raises(ValueError, match=r"^need a stack of one trajectory, got 2$"):
+        SINGLE_FORMS[form](stack)
+    SINGLE_FORMS[form](instance(stack, 0))
 
 
 def test_of_rejects_mixed_layouts():
@@ -483,18 +524,18 @@ def test_propagate_stack_rejects_mixed_shapes():
 def test_rabi_half_period_flips():
     # H = (pi/2) sx for unit time sends |0> to -i|1>
     traj = propagate(RABI, FREE_UNIT, basis_state(2, 0))
-    final = traj.final_state().amplitudes
+    final = traj.ends[1, 0]
     assert final[1] == pytest.approx(-1.0j, abs=1e-12)
     assert abs(final[0]) < 1e-12
-    assert traj.final_state().fidelity(traj.initial_state()) == pytest.approx(0.0, abs=1e-12)
+    psi0, final = PureState(traj.ends[0, 0]), PureState(traj.ends[1, 0])
+    assert final.fidelity(psi0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rabi_path_length_is_geodesic():
     traj = propagate(RABI, FREE_UNIT, basis_state(2, 0))
     assert path_length(traj) == pytest.approx(math.pi, abs=1e-10)
-    assert fubini_study_distance(traj.initial_state(), traj.final_state()) == pytest.approx(
-        math.pi, abs=1e-7
-    )
+    psi0, final = PureState(traj.ends[0, 0]), PureState(traj.ends[1, 0])
+    assert fubini_study_distance(psi0, final) == pytest.approx(math.pi, abs=1e-7)
 
 
 def test_bang_bang_field_reaches_target():
@@ -512,7 +553,7 @@ def test_bang_bang_field_reaches_target():
         for bias in (-gamma, gamma)
     )
     traj = propagate(ch, field, psi0)
-    assert traj.final_state().fidelity(psig) >= 0.999
+    assert PureState(traj.ends[1, 0]).fidelity(psig) >= 0.999
 
 
 def test_trajectory_sampling_layout():
@@ -520,9 +561,9 @@ def test_trajectory_sampling_layout():
     traj = propagate(RABI, field, basis_state(2, 0), samples_per_segment=10)
     # 1 start node + 10 per segment + a duplicated node at each interior boundary
     assert traj.n_samples == 1 + 3 * 10 + 2
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(1.0, abs=1e-15)
-    diffs = np.diff(traj.times)
+    assert traj.times[0, 0] == 0.0
+    assert traj.times[0, -1] == pytest.approx(1.0, abs=1e-15)
+    diffs = np.diff(traj.times[0])
     assert np.all(diffs >= 0.0)
     assert np.count_nonzero(diffs == 0.0) == 2
     # the duplicated node carries the follow-on segment's index
@@ -534,7 +575,7 @@ def test_trajectory_sampling_layout():
 def test_trajectory_samples_stay_normalized(rng):
     ch, field, psi0 = random_control_problem(rng, 4)
     traj = propagate(ch, field, psi0, samples_per_segment=50)
-    norms = np.linalg.norm(traj.states, axis=1)
+    norms = np.linalg.norm(traj.states[0], axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
@@ -546,8 +587,8 @@ def test_trajectory_variance_matches_pointwise_recompute(rng):
     amps = [a for _, a in field.segments]
     for k in range(0, traj.n_samples, 7):
         j = traj.segment_index[k]
-        direct = energy_variance(PureState(traj.states[k]), ch.hamiltonian(amps[j]))
-        assert traj.stack.spreads[0, j] == pytest.approx(direct, abs=1e-11)
+        direct = energy_variance(PureState(traj.states[0, k]), ch.hamiltonian(amps[j]))
+        assert traj.spreads[0, j] == pytest.approx(direct, abs=1e-11)
 
 
 def test_variance_constant_within_segments(rng):
@@ -581,8 +622,8 @@ def test_evolution_reverses_under_negated_generators(rng):
     traj = propagate(ch, field, psi0, samples_per_segment=5)
     back_field = PiecewiseConstantField(tuple(reversed(field.segments)))
     back_ch = ControlHamiltonian((-1.0) * ch.h0, (-1.0) * ch.hc, ch.u_max)
-    back = propagate(back_ch, back_field, traj.final_state(), samples_per_segment=5)
-    assert np.allclose(back.final_state().amplitudes, psi0.amplitudes, atol=1e-9)
+    back = propagate(back_ch, back_field, PureState(traj.ends[1, 0]), samples_per_segment=5)
+    assert np.allclose(back.ends[1, 0], psi0.amplitudes, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +636,7 @@ def test_path_length_dominates_geodesic(seed, dim):
     rng = np.random.default_rng(seed)
     ch, field, psi0 = random_control_problem(rng, dim)
     traj = propagate(ch, field, psi0, samples_per_segment=40)
-    geodesic = fubini_study_distance(psi0, traj.final_state())
+    geodesic = fubini_study_distance(psi0, PureState(traj.ends[1, 0]))
     assert geodesic <= path_length(traj) + 1e-6
 
 
@@ -620,15 +661,16 @@ def test_bhattacharyya_eigenstate_is_exactly_zero():
     assert bhattacharyya_check(traj) == 0.0
 
 
-def _central_difference_residual(traj: Trajectory) -> float:
-    """Reference rate: central differences of arccos(sqrt(P)) at samples
-    interior to their segment, where the drive is smooth."""
-    survival = np.abs(traj.states @ traj.states[0].conj()) ** 2
+def _central_difference_residual(traj: TrajectoryStack) -> float:
+    """Reference rate of a stack of one: central differences of arccos(sqrt(P))
+    at samples interior to their segment, where the drive is smooth."""
+    states, times = traj.states[0], traj.times[0]
+    survival = np.abs(states @ states[0].conj()) ** 2
     angle = np.arccos(np.sqrt(np.clip(survival, 0.0, 1.0)))
     seg = traj.segment_index
     k = np.arange(1, traj.n_samples - 1)
     k = k[(seg[k - 1] == seg[k]) & (seg[k] == seg[k + 1])]
-    deriv = (angle[k + 1] - angle[k - 1]) / (traj.times[k + 1] - traj.times[k - 1])
+    deriv = (angle[k + 1] - angle[k - 1]) / (times[k + 1] - times[k - 1])
     return float(np.max(deriv - sampled_spreads(traj)[k]))
 
 
@@ -729,15 +771,7 @@ def test_tqsl_star_flags_missed_target():
 def test_tqsl_star_stationary_with_displaced_endpoint_is_infinite():
     # not producible by propagation (zero spread means zero motion); built by
     # hand to pin the degenerate branch
-    ch = ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)
-    traj = Trajectory(
-        times=np.array([0.0, 1.0]),
-        states=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-        segment_index=np.array([0, 0]),
-        ch=ch,
-        field=FREE_UNIT,
-        hamiltonians=ch.hamiltonians([0.0]),
-    )
+    traj = _hand_built(ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z), [0.0, 1.0])
     est = tqsl_star(traj, basis_state(2, 1))
     assert math.isinf(est.time)
 
@@ -746,18 +780,19 @@ def test_tqsl_star_matches_geodesic_over_path_identity(rng):
     ch, field, psi0 = random_control_problem(rng, 2)
     traj = propagate(ch, field, psi0, samples_per_segment=60)
     est = tqsl_star(traj, random_state(rng, 2))
-    geodesic = fubini_study_distance(psi0, traj.final_state())
-    expected = geodesic * traj.times[-1] / path_length(traj)
+    geodesic = fubini_study_distance(psi0, PureState(traj.ends[1, 0]))
+    expected = geodesic * traj.times[0, -1] / path_length(traj)
     assert est.time == pytest.approx(expected, abs=1e-9)
 
 
 def _reference_tqsl_star(traj, psi_g):
-    """The former single-trajectory form of tqsl_star, kept as the bit-level
-    reference: (time, fidelity, on_target)."""
-    duration = float(traj.times[-1])
+    """The former single-trajectory form of tqsl_star on a stack of one, kept as
+    the bit-level reference: (time, fidelity, on_target)."""
+    duration = float(traj.times[0, -1])
     mean_spread = 0.5 * path_length(traj) / duration
-    fidelity = traj.final_state().fidelity(psi_g)
-    overlap = min(abs(traj.initial_state().overlap(traj.final_state())), 1.0)
+    psi0, final = PureState(traj.ends[0, 0]), PureState(traj.ends[1, 0])
+    fidelity = final.fidelity(psi_g)
+    overlap = min(abs(psi0.overlap(final)), 1.0)
     numerator = math.acos(overlap)
     if numerator == 0.0:
         value = 0.0
@@ -781,7 +816,7 @@ def test_stacked_tqsl_equals_the_single_trajectory_floats():
             estimates = tqsl_stars(stack, _rows(phis))
             assert len(estimates) == len(idx)
             for k, est in enumerate(estimates):
-                traj = stack[k]
+                traj = instance(stack, k)
                 expected = _reference_tqsl_star(traj, phis[k])
                 assert _estimate_bits(est) == _estimate_bits(tqsl_star(traj, phis[k])) == expected
 
@@ -789,20 +824,10 @@ def test_stacked_tqsl_equals_the_single_trajectory_floats():
 def test_stacked_tqsl_keeps_the_zero_and_infinite_branches():
     # built by hand: a stationary drift-free path whose endpoint was moved
     # (+inf), one that stays put (0), and one that moves under sigma_x
-    def hand_built(ch, end):
-        return Trajectory(
-            times=np.array([0.0, 1.0]),
-            states=np.array([[1.0, 0.0], end], dtype=complex),
-            segment_index=np.array([0, 0]),
-            ch=ch,
-            field=FREE_UNIT,
-            hamiltonians=ch.hamiltonians([0.0]),
-        )
-
     still = ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)
     moving = ControlHamiltonian(h0=SIGMA_X, hc=SIGMA_Z)
-    trajs = [hand_built(still, [0.0, 1.0]), hand_built(still, [1.0, 0.0]),
-             hand_built(moving, [0.0, 1.0])]
+    trajs = [_hand_built(still, [0.0, 1.0]), _hand_built(still, [1.0, 0.0]),
+             _hand_built(moving, [0.0, 1.0])]
     target = basis_state(2, 1)
     estimates = tqsl_stars(TrajectoryStack.of(trajs), _rows((target,) * 3))
     assert [e.time for e in estimates] == [math.inf, 0.0, 0.5 * math.pi]

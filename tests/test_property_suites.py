@@ -76,12 +76,12 @@ def _single_residual(name, instance):
     ch, field, psi0, phi = instance
     traj = propagate(ch, field, psi0, samples_per_segment=48)
     if name == "anandan_aharonov":
-        return fubini_study_distance(psi0, traj.final_state()) - path_length(traj)
+        return fubini_study_distance(psi0, PureState(traj.ends[1, 0])) - path_length(traj)
     if name == "pfeifer":
         return pfeifer_envelope_check(traj, phi)
     if name == "arenz":
-        return arenz_overlap_inequality_check(traj, traj.final_state())
-    return norm_drifts(traj.stack)[0]
+        return arenz_overlap_inequality_check(traj, PureState(traj.ends[1, 0]))
+    return norm_drifts(traj)[0]
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -14,6 +14,7 @@ from qslbounds import (
     SIGMA_Z,
     energy_variance,
     fubini_study_distance,
+    fubini_study_distances,
     ground_state,
     ground_states,
     hs_norm,
@@ -125,6 +126,22 @@ def test_operator_dim_mismatch():
 def test_overlap_dim_mismatch():
     with pytest.raises(ValueError):
         basis_state(2, 0).overlap(basis_state(3, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fubini_study_distance(basis_state(2, 0), basis_state(3, 0))
+
+
+def test_distances_round_as_the_pairwise_vdot_formula(rng):
+    # 2*acos(min(|<a|b>|, 1)) with the modulus of np.vdot, per pair, in every
+    # bit; the pair of one is fubini_study_distance
+    for dim in range(2, 9):
+        a = np.array([random_state(rng, dim).amplitudes for _ in range(40)])
+        b = np.array([random_state(rng, dim).amplitudes for _ in range(40)])
+        b[0], b[1] = a[0], -1j * a[1]  # coincident rays
+        got = fubini_study_distances(a, b)
+        expected = [2.0 * math.acos(min(abs(np.vdot(x, y)), 1.0)) for x, y in zip(a, b)]
+        assert [v.hex() for v in got] == [v.hex() for v in expected], dim
+        singles = [fubini_study_distance(PureState(x), PureState(y)) for x, y in zip(a, b)]
+        assert singles == got
 
 
 # ---------------------------------------------------------------------------

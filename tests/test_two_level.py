@@ -1,6 +1,7 @@
 """Avoided-crossing geometry, the optimal protocols and their closed forms."""
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qslbounds import (
     LandauZenerProblem,
     OptimalProtocol,
     PiecewiseConstantField,
+    PureState,
     SIGMA_X,
     SIGMA_Z,
     boundary_state_arrays,
@@ -57,7 +59,7 @@ def lz(theta: float, cap: float = math.inf, delta: float = 1.0) -> LandauZenerPr
 def protocol_fidelity(problem: LandauZenerProblem, protocol: OptimalProtocol) -> float:
     psi0, psig = boundary_states(problem)
     traj = propagate(problem.control_hamiltonian(), protocol.field, psi0)
-    return traj.final_state().fidelity(psig)
+    return PureState(traj.ends[1, 0]).fidelity(psig)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +101,23 @@ def test_conversion_rejects_bad_arguments():
     for delta, theta in ((1.0, 1e-320), (1e300, 1e-9)):
         with pytest.raises(ValueError, match=f"theta {theta!r} is too small"):
             gamma_from_theta(delta, theta)
+
+
+def test_gamma_from_theta_rejects_an_underflowing_gamma():
+    # a gamma below the least normal float is rejected with the delta and theta
+    # it came from, not reported later as a gamma the caller never gave.  Only a
+    # delta below about 1.6e-292 underflows (tan of the last float under pi/2 is
+    # 3.5e15), and its ground-state gap is then far inside DEGENERACY_ATOL
+    below_half_pi = math.nextafter(HALF_PI, 0.0)
+    for delta, theta in ((5e-324, 0.9), (1e-310, 0.9), (1e-292, below_half_pi)):
+        message = (
+            rf"^delta {re.escape(repr(delta))} at theta {re.escape(repr(theta))} is too small: "
+            r"gamma = delta/\(2\*tan\(theta\)\) underflows$"
+        )
+        with pytest.raises(ValueError, match=message):
+            gamma_from_theta(delta, theta)
+    assert gamma_from_theta(1e-291, below_half_pi) >= sys.float_info.min
+    assert gamma_from_theta(5e-324, HALF_PI) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +570,7 @@ def test_bang_bang_spread_constant_along_trajectory():
     spread = p.lambda_cap * math.sin(p.theta) + 0.5 * p.delta * math.cos(p.theta)
     sampled = sampled_spreads(traj)
     assert float(np.max(sampled) - np.min(sampled)) < 1e-9
-    assert traj.stack.spreads[0] == pytest.approx(spread, abs=1e-12)
+    assert traj.spreads[0] == pytest.approx(spread, abs=1e-12)
 
 
 def test_bounds_dominated_by_optimum_on_grid():
@@ -603,7 +622,7 @@ def test_spin_j_landau_zener_keeps_the_two_level_optimum(j2):
             assert abs(fubini_study_distance(psi0, psig) - closed) <= 1e-13, (theta, spec)
             proto = optimal_protocol(p)
             traj = propagate(ch, proto.field, psi0)
-            assert traj.final_state().fidelity(psig) >= FIDELITY_TOL, (theta, spec)
+            assert PureState(traj.ends[1, 0]).fidelity(psig) >= FIDELITY_TOL, (theta, spec)
             report = compute_report(BoundInputs(ch, psi0, psig), traj, proto.t_opt_ideal)
             flags = report.inequality_flags
             assert len(flags) == 4 and all(flags.values()), (theta, spec, report.errors)
