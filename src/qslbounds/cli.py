@@ -177,9 +177,10 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
         LandauZenerProblem.from_theta(cfg.delta, t, cfg.lambda_spec.resolve(cfg.delta, t))
         for t in (thetas[i] for i in moving)
     ]
+    # the states first: their gap check rejects a tiny delta before the protocols divide by it
+    ends = boundary_state_arrays(problems)  # psi0 and psig of every point, (2, n, 2)
     protocols = [optimal_protocol(p, cfg.u0_surrogate) for p in problems]
     chs = [p.control_hamiltonian() for p in problems]
-    ends = boundary_state_arrays(problems)  # psi0 and psig of every point, (2, n, 2)
     reports = compute_reports(chs, *ends, [p.t_opt_ideal for p in protocols])
     psi0s = PureState.stack(ends[0])  # propagate_refined takes a PureState
     trajs = [propagate_refined(ch, p.field, psi, 2) for ch, p, psi in zip(chs, protocols, psi0s)]
@@ -283,10 +284,10 @@ def verify_case(
         return VerifyReport(problem, None, {"bounds_vanish": vanish}, report.text_block())
 
     problem = LandauZenerProblem.from_theta(delta, theta, cap)
+    psi0, psig = boundary_states(problem)  # rejects a tiny delta before the protocol
     if protocol is None:
         protocol = optimal_protocol(problem, u0_surrogate)
     ch = problem.control_hamiltonian()
-    psi0, psig = boundary_states(problem)
     traj = propagate_refined(ch, protocol.field, psi0)
     final = PureState(traj.ends[1, 0])
     report = compute_report(BoundInputs(ch, psi0, psig), traj=traj, t_opt=protocol.t_opt_ideal)

@@ -1,7 +1,7 @@
 """Seeded random-instance suites for the inequalities the library implements.
 
-Each suite draws instances from a fixed-seed generator, evaluates one
-inequality, and records the worst signed residual (positive = violation).
+The suites draw instances from one fixed-seed generator; each evaluates one
+inequality and records the worst signed residual (positive = violation).
 The rendered report is deterministic for a given seed so it can double as a
 regression artifact.
 """
@@ -206,22 +206,22 @@ def _problem_stacks(
 
 
 def _trajectory_residuals(stack: TrajectoryStack, phis: np.ndarray) -> np.ndarray:
-    """(4, B): the Anandan-Aharonov, Pfeifer, Arenz and norm residuals of each instance
-    against its phis[b], one row of a (B, d) array, the endpoint reached being the
-    Arenz target."""
+    """(5, B): the Anandan-Aharonov, Pfeifer, Arenz, norm and Bhattacharyya residuals
+    of each instance against its phis[b], one row of a (B, d) array, the endpoint
+    reached being the Arenz target."""
     psi0, finals = stack.ends
-    geodesic = np.array(fubini_study_distances(psi0, finals))
+    aa = np.array(fubini_study_distances(psi0, finals)) - path_lengths(stack)
     checks = (pfeifer_envelope_residuals(stack, phis), arenz_overlap_residuals(stack, finals))
-    return np.stack((geodesic - path_lengths(stack), *checks, norm_drifts(stack)))
+    return np.stack((aa, *checks, norm_drifts(stack), bhattacharyya_residuals(stack)))
 
 
 def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult]:
-    """One propagation per instance feeds the path-length, envelope, drive-area
-    and norm-conservation checks; the endpoint reached defines the target, so
-    every instance is a reachability certificate.  psi0 and the fixed state
-    phi of the Pfeifer envelope are drawn together.  Instances are drawn,
+    """One propagation per instance, at 48 samples per segment, feeds the path-length,
+    envelope, drive-area, norm-conservation and survival-rate checks; the endpoint
+    reached is the target, so every instance is a reachability certificate.  psi0 and
+    the Pfeifer envelope's fixed state phi are drawn together.  Instances are drawn,
     propagated and checked one (dimension, segment count) stack at a time."""
-    residuals, shapes = np.empty((4, count)), np.empty((count, 2), dtype=int)
+    residuals, shapes = np.empty((5, count)), np.empty((count, 2), dtype=int)
     for idx, shape, chs, fields, (psi0s, phis) in _problem_stacks(rng, count, 2):
         stack = propagate_stack(chs, fields, psi0s, samples_per_segment=48)
         residuals[:, idx] = _trajectory_residuals(stack, phis)
@@ -231,29 +231,16 @@ def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult
         SuiteResult.from_residuals("pfeifer", residuals[1], PFEIFER_TOL, shapes),
         SuiteResult.from_residuals("arenz", residuals[2], ARENZ_TOL, shapes),
         SuiteResult.from_residuals("norm_drift", residuals[3], NORM_DRIFT_TOL, shapes),
+        SuiteResult.from_residuals("bhattacharyya", residuals[4], BHATTACHARYYA_TOL, shapes),
     ]
 
 
-def _bhattacharyya_suite(rng: np.random.Generator, count: int) -> SuiteResult:
-    residuals, shapes = np.empty(count), np.empty((count, 2), dtype=int)
-    for idx, shape, chs, fields, (psi0s,) in _problem_stacks(rng, count, 1):
-        stack = propagate_stack(chs, fields, psi0s, samples_per_segment=200)
-        residuals[idx] = bhattacharyya_residuals(stack)
-        shapes[idx] = shape
-    return SuiteResult.from_residuals("bhattacharyya", residuals, BHATTACHARYYA_TOL, shapes)
-
-
 def run_property_suites(seed: int, instance_count: int) -> PropertyReport:
-    """Run every inequality suite on instance_count seeded random instances.
-
-    The Bhattacharyya suite samples 200 points per segment, the most of any
-    suite, and runs on a tenth of the instances (at least 20).
-    """
+    """Run every inequality suite on instance_count seeded random instances: the
+    Brody suite on its own draws, then the five trajectory suites on one shared
+    propagation of each driven instance."""
     if instance_count < 1:
         raise ValueError("instance_count must be positive")
     rng = np.random.default_rng(seed)
-    results: List[SuiteResult] = [_brody_suite(rng, instance_count)]
-    results.extend(_trajectory_suites(rng, instance_count))
-    bh_count = max(min(instance_count, 20), instance_count // 10)
-    results.append(_bhattacharyya_suite(rng, bh_count))
+    results = [_brody_suite(rng, instance_count), *_trajectory_suites(rng, instance_count)]
     return PropertyReport(seed=seed, results=tuple(results))

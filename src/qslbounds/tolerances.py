@@ -5,7 +5,9 @@ This module imports nothing from qslbounds, so any module can import it.
 
 NORM_ATOL = 1e-12  # |norm - 1| of a PureState or eigenvector (quantum)
 HERMITIAN_ATOL = 1e-12  # max |H - H^dagger| of a HermitianOperator (quantum)
-DEGENERACY_ATOL = 1e-10  # least gap above a unique ground state (quantum.ground_states_of_stack)
+# least gap above a unique ground state (quantum.ground_states_of_stack), and least
+# endpoint gap delta/sin(theta) of a two-level problem (two_level.boundary_state_arrays)
+DEGENERACY_ATOL = 1e-10
 AMPLITUDE_RTOL = 1e-12  # overshoot of |u| past u_max, relative (ControlHamiltonian.hamiltonians)
 TARGET_FIDELITY_ATOL = 1e-6  # 1 - fidelity of a reached target (tqsl_stars, Arenz check)
 # samples whose survival amplitude |<psi0|psi>| or orthogonal part is at or

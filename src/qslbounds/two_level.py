@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import ControlHamiltonian, PiecewiseConstantField
 from .quantum import SIGMA_X, SIGMA_Z, HermitianOperator, PureState
 from .quantum import check_hermitian, ground_states_of_stack
-from .tolerances import ASIN_CLAMP_ATOL, CONSISTENCY_ATOL
+from .tolerances import ASIN_CLAMP_ATOL, CONSISTENCY_ATOL, DEGENERACY_ATOL
 
 REGIME_UNCONSTRAINED = "unconstrained-composite"
 REGIME_BANG_OFF_BANG = "bang-off-bang"
@@ -118,7 +118,14 @@ def _drift(delta: float) -> HermitianOperator:
 def boundary_state_arrays(problems: Sequence[LandauZenerProblem]) -> np.ndarray:
     """psi0 and psig of each problem as one (2, n, 2) array: the ground states of
     its bias Hamiltonians at -gamma and +gamma, all in one (2n, 2, 2) stack,
-    validated once, through one eigh."""
+    validated once, through one eigh.  Rejects a problem whose endpoint gap
+    delta/sin(theta) is within DEGENERACY_ATOL, naming its delta and theta."""
+    for p in problems:
+        if not p.delta / math.sin(p.theta) > DEGENERACY_ATOL:
+            raise ValueError(
+                f"delta {p.delta!r} at theta {p.theta!r} is too small: the endpoint gap "
+                f"delta/sin(theta) is not above {DEGENERACY_ATOL}"
+            )
     # endpoint definition, deliberately not windowed by lambda_cap; a problem
     # has a finite delta and gamma, so every factor is finite
     factors = np.array([(b, 0.5 * p.delta) for p in problems for b in (-p.gamma, p.gamma)])

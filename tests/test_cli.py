@@ -437,6 +437,10 @@ TINY_DELTA = (
     r"error: delta 5e-324 at theta 0\.(9|02) is too small: "
     r"gamma = delta/\(2\*tan\(theta\)\) underflows$"
 )
+DEGENERATE_ENDS = (
+    r"error: delta {} at theta {} is too small: "
+    r"the endpoint gap delta/sin\(theta\) is not above 1e-10$"
+)
 HUGE_ENERGY = r"is too large: the energy hypot\(u, delta/2\) overflows when squared$"
 HUGE_CAP = (
     r"error: lambda_cap \S+ is too large for theta 0\.9: the bang durations overflow or vanish$"
@@ -540,6 +544,26 @@ HUGE_CAP = (
         ),
         (["verify", "--theta", "0.9", "--delta", "1e300", "--unconstrained"], None, HUGE_ENERGY),
         (["verify", "--theta", "0.9", "--unconstrained", "--u0", "1e160"], None, HUGE_ENERGY),
+        (
+            ["verify", "--theta", "0.9", "--delta", "1e-150", "--lambda-factor", "0.2"],
+            None,
+            DEGENERATE_ENDS.format("1e-150", r"0\.9"),
+        ),
+        (
+            ["verify", "--theta", "1.5", "--delta", "1e-150", "--lambda", "1e-150"],
+            None,
+            DEGENERATE_ENDS.format("1e-150", r"1\.5"),
+        ),
+        (
+            ["sweep", "--delta", "1e-150", "--lambda-factor", "0.2", "--out", "{tmp}/s.csv"],
+            None,
+            DEGENERATE_ENDS.format("1e-150", r"0\.02"),
+        ),
+        (
+            ["verify", "--theta", "0.9", "--delta", "1e-12", "--unconstrained"],
+            None,
+            DEGENERATE_ENDS.format("1e-12", r"0\.9"),
+        ),
     ],
     ids=[
         "theta-out-of-range",
@@ -579,6 +603,10 @@ HUGE_CAP = (
         "verify-factor-cap-underflows-to-zero",
         "verify-delta-overflows-energy",
         "verify-kick-overflows-energy",
+        "verify-delta-degenerates-ends-bang-bang",
+        "verify-delta-degenerates-ends-absolute-cap",
+        "sweep-delta-degenerates-ends",
+        "verify-delta-degenerates-ends-unconstrained",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):

@@ -354,16 +354,19 @@ def _reference_residuals(traj, phi):
 
 
 def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
-    # the per-instance arrays behind proptest's anandan_aharonov, pfeifer and
-    # arenz lines, on 400 instances, d = 2..8, segments of 0.1..1 or 1e-8..1e8
+    # the per-instance arrays behind proptest's anandan_aharonov, pfeifer,
+    # arenz and bhattacharyya lines, on 400 instances, d = 2..8, segments of
+    # 0.1..1 or 1e-8..1e8; the last against each instance propagated alone
     problems = _harness_problems() + _extreme_duration_problems()
     for idx, (chs, fields, psi0s, phis) in _stacks(problems):
         stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=48)
         residuals = _trajectory_residuals(stack, _rows(phis))
-        assert residuals.shape == (4, len(idx))
+        assert residuals.shape == (5, len(idx))
         for k in range(len(idx)):
+            alone = propagate(chs[k], fields[k], psi0s[k], samples_per_segment=48)
             expected = _reference_residuals(instance(stack, k), phis[k])
-            got = residuals[:3, k].tolist()
+            expected = (*expected, bhattacharyya_check(alone))
+            got = residuals[[0, 1, 2, 4], k].tolist()
             assert [v.hex() for v in got] == [v.hex() for v in expected], idx[k]
 
 

@@ -31,7 +31,7 @@ GOLDEN_REPORTS = {
         "pfeifer          instances=1000   max_residual=+2.220446e-16 tol=1.0e-06 PASS\n"
         "arenz            instances=1000   max_residual=-2.211865e-01 tol=1.0e-09 PASS\n"
         "norm_drift       instances=1000   max_residual=+2.220446e-15 tol=1.0e-10 PASS\n"
-        "bhattacharyya    instances=100    max_residual=-2.695252e-08 tol=1.0e-04 PASS\n"
+        "bhattacharyya    instances=1000   max_residual=-7.615786e-11 tol=1.0e-04 PASS\n"
         "overall: PASS\n"
     ),
     1: (
@@ -41,7 +41,7 @@ GOLDEN_REPORTS = {
         "pfeifer          instances=1000   max_residual=+2.220446e-16 tol=1.0e-06 PASS\n"
         "arenz            instances=1000   max_residual=-6.574457e-02 tol=1.0e-09 PASS\n"
         "norm_drift       instances=1000   max_residual=+2.331468e-15 tol=1.0e-10 PASS\n"
-        "bhattacharyya    instances=100    max_residual=-9.476607e-09 tol=1.0e-04 PASS\n"
+        "bhattacharyya    instances=1000   max_residual=-1.085700e-09 tol=1.0e-04 PASS\n"
         "overall: PASS\n"
     ),
 }
@@ -52,27 +52,23 @@ def test_report_is_pinned(seed):
     assert run_property_suites(seed, 1000).text() == GOLDEN_REPORTS[seed]
 
 
-def _replay(seed, count, bh_count):
+def _replay(seed, count):
     """Every instance of run_property_suites(seed, count), drawn in stream order."""
     rng = np.random.default_rng(seed)
-    brody, driven, bh = [], [], []
+    brody, driven = [], []
     for _ in range(count):
         dim = int(rng.integers(2, 9))
         brody.append((random_hermitian(rng, dim), random_state(rng, dim)))
     for _ in range(count):
         dim = int(rng.integers(2, 9))
         driven.append((*random_control_problem(rng, dim), random_state(rng, dim)))
-    for _ in range(bh_count):
-        bh.append(random_control_problem(rng, int(rng.integers(2, 9))))
-    return brody, driven, bh
+    return brody, driven
 
 
 def _single_residual(name, instance):
     if name == "brody":
         h, s = instance
         return 2.0 * energy_variance(s, h) - math.sqrt(2.0) * hs_norm(h)
-    if name == "bhattacharyya":
-        return bhattacharyya_check(propagate(*instance, samples_per_segment=200))
     ch, field, psi0, phi = instance
     traj = propagate(ch, field, psi0, samples_per_segment=48)
     if name == "anandan_aharonov":
@@ -81,18 +77,18 @@ def _single_residual(name, instance):
         return pfeifer_envelope_check(traj, phi)
     if name == "arenz":
         return arenz_overlap_inequality_check(traj, PureState(traj.ends[1, 0]))
+    if name == "bhattacharyya":
+        return bhattacharyya_check(traj)
     return norm_drifts(traj)[0]
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_worst_instance_replays_to_the_max_residual(seed):
     report = run_property_suites(seed, 200)
-    by_name = {r.name: r for r in report.results}
-    brody, driven, bh = _replay(seed, 200, by_name["bhattacharyya"].instances)
-    pools = {"brody": brody, "bhattacharyya": bh}
+    brody, driven = _replay(seed, 200)
     assert len(report.results) == 6
     for result in report.results:
-        pool = pools.get(result.name, driven)
+        pool = brody if result.name == "brody" else driven
         assert result.instances == len(pool)
         assert 0 <= result.worst_instance < len(pool)
         instance = pool[result.worst_instance]
@@ -103,6 +99,13 @@ def test_worst_instance_replays_to_the_max_residual(seed):
         else:
             ch, field = instance[:2]
             assert (result.worst_dim, result.worst_segments) == (ch.dim, len(field.segments))
+
+
+@pytest.mark.parametrize("count", [1, 19, 200])
+def test_every_suite_counts_every_instance(count):
+    report = run_property_suites(2, count)
+    assert len(report.results) == 6
+    assert [r.instances for r in report.results] == [count] * 6
 
 
 @pytest.mark.parametrize("stack_size", [1, 3])
