@@ -8,13 +8,10 @@ from .quantum import (
     PureState,
     SIGMA_X,
     SIGMA_Z,
-    SpectralDecomposition,
     energy_variance,
     fubini_study_distance,
     fubini_study_distances,
     ground_state,
-    ground_states,
-    hs_norm,
     spectral,
     unitary_step,
     unitary_steps,
@@ -29,7 +26,6 @@ from .dynamics import (
     norm_drifts,
     path_length,
     path_lengths,
-    pfeifer_envelope,
     pfeifer_envelope_check,
     pfeifer_envelope_residuals,
     propagate,

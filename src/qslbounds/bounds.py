@@ -309,6 +309,8 @@ def compute_reports(chs, psi0s, psigs, t_opts=None) -> List[BoundReport]:
     if len(dims) != 1:
         raise ValueError(f"need instances of one dimension, got dimensions {sorted(dims)}")
     n, (dim,) = len(chs), dims
+    if t_opts is not None and len(t_opts) != n:
+        raise ValueError(f"need one t_opt per instance: got {len(t_opts)} for {n}")
     return _reports(chs, _state_array(psi0s, n, dim), _state_array(psigs, n, dim), t_opts)
 
 

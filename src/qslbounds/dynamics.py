@@ -355,6 +355,9 @@ def bhattacharyya_check(traj: TrajectoryStack) -> float:
 
 
 def _pfeifer_envelopes(stack: TrajectoryStack, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower and upper envelopes sin*(delta -+ h(t)) of |<phi[b]|psi(t)>|, each (B, N):
+    h(t), the smaller of the energy spreads accumulated in phi[b] and in psi0, is
+    exactly piecewise linear, both integrands being piecewise constant."""
     from .bounds import sin_star  # local import, bounds depends on dynamics
 
     psi0 = stack.ends[0]
@@ -364,17 +367,6 @@ def _pfeifer_envelopes(stack: TrajectoryStack, phi: np.ndarray) -> Tuple[np.ndar
     envelope_angle = np.min(_running_integral(stack.times, anchored), axis=0)
     delta = np.array([math.asin(min(m, 1.0)) for m in abs_overlaps(phi, psi0)])[:, None]
     return sin_star(delta - envelope_angle), sin_star(delta + envelope_angle)
-
-
-def pfeifer_envelope(traj: TrajectoryStack, phi: PureState) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounding envelopes sin*(delta -+ h(t)) for |<phi|psi(t)>|.
-
-    h(t) is the smaller of the accumulated energy spreads anchored at phi and
-    at the initial state; both integrands are piecewise constant in time, so
-    h(t) is exactly piecewise linear.
-    """
-    lower, upper = _pfeifer_envelopes(_single(traj), _state_array(phi.amplitudes, 1, traj.dim))
-    return lower[0], upper[0]
 
 
 def pfeifer_envelope_residuals(stack: TrajectoryStack, phis: np.ndarray) -> np.ndarray:

@@ -84,10 +84,6 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
     return HermitianOperator(_hermitians(rng.standard_normal((2, dim, dim))))
 
 
-def random_field(rng: np.random.Generator) -> PiecewiseConstantField:
-    return PiecewiseConstantField(_segments(rng.random((_segment_count(rng), 2))))
-
-
 def random_control_problem(
     rng: np.random.Generator, dim: int
 ) -> Tuple[ControlHamiltonian, PiecewiseConstantField, PureState]:

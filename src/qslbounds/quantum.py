@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -152,23 +152,6 @@ SIGMA_X = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 SIGMA_Z = HermitianOperator(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigenvalues; phase-fixed eigenvectors as the columns of ``vectors``."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
-    def eigenvectors(self) -> Tuple[PureState, ...]:
-        """The columns of ``vectors`` as states, built on request."""
-        return PureState.stack(self.vectors.T)
-
-
 def _phase_fixed_eigh(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and phase-fixed eigenvector columns of one
     Hermitian matrix (d, d) or of a stack of them (n, d, d), through one eigh."""
@@ -187,11 +170,13 @@ def _phase_fixed_eigh(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return eigvals, flat.reshape(cols.shape).swapaxes(0, -2)
 
 
-def spectral(h: HermitianOperator) -> SpectralDecomposition:
+def spectral(h: HermitianOperator) -> Tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and phase-fixed eigenvector columns of h, both
+    read-only, in the (eigenvalues, vectors) order of np.linalg.eigh."""
     eigvals, vecs = _phase_fixed_eigh(h.entries)
     eigvals.setflags(write=False)
     vecs.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=eigvals, vectors=vecs)
+    return eigvals, vecs
 
 
 def ground_states_of_stack(entries: np.ndarray) -> np.ndarray:
@@ -204,17 +189,9 @@ def ground_states_of_stack(entries: np.ndarray) -> np.ndarray:
     return vecs[:, :, 0]
 
 
-def ground_states(ops: Sequence[HermitianOperator]) -> Tuple[PureState, ...]:
-    """ground_states_of_stack of the operators' entries."""
-    dims = {op.dim for op in ops}
-    if len(dims) != 1:
-        raise ValueError(f"need operators of one dimension, got dimensions {sorted(dims)}")
-    return PureState.stack(ground_states_of_stack(np.array([op.entries for op in ops])))
-
-
 def ground_state(h: HermitianOperator) -> PureState:
-    """ground_states of one operator."""
-    return ground_states((h,))[0]
+    """ground_states_of_stack of one operator."""
+    return PureState(ground_states_of_stack(h.entries[None])[0])
 
 
 def fubini_study_distances(a: np.ndarray, b: np.ndarray) -> list:
@@ -257,11 +234,6 @@ def energy_variance(state: PureState, h: HermitianOperator) -> float:
     if state.dim != h.dim:
         raise ValueError(f"dimension mismatch: {state.dim} vs {h.dim}")
     return float(energy_spreads(h.entries, state.amplitudes))
-
-
-def hs_norm(h: HermitianOperator) -> float:
-    """Hilbert-Schmidt norm sqrt(tr(h^2)), summed as np.linalg.norm(h, "fro") does."""
-    return float(norms(h.entries.ravel()))
 
 
 def unitary_steps(entries: np.ndarray, dts) -> np.ndarray:

@@ -215,20 +215,26 @@ def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
     quarter = 0.25 * delta * delta
     rabi_sq = cap * cap + quarter
     rabi = math.sqrt(rabi_sq)
-    if cap >= problem.critical_cap:
-        regime = REGIME_BANG_OFF_BANG
-        t_lambda = _clamped_asin(math.sqrt(rabi_sq / (2.0 * cap * (cap + gamma)))) / rabi
-        t_off = (2.0 / delta) * math.atan(
-            (cap * gamma - quarter)
-            / (0.5 * delta * math.sqrt(cap * cap + 2.0 * cap * gamma - quarter))
-        )
-    else:
-        regime = REGIME_BANG_BANG
-        t_lambda = (
-            _clamped_asin(math.sqrt(gamma * rabi_sq / (0.5 * delta * delta * (cap + gamma))))
-            / rabi
-        )
-        t_off = 0.0
+    try:
+        if cap >= problem.critical_cap:
+            regime = REGIME_BANG_OFF_BANG
+            t_lambda = _clamped_asin(math.sqrt(rabi_sq / (2.0 * cap * (cap + gamma)))) / rabi
+            t_off = (2.0 / delta) * math.atan(
+                (cap * gamma - quarter)
+                / (0.5 * delta * math.sqrt(cap * cap + 2.0 * cap * gamma - quarter))
+            )
+        else:
+            regime = REGIME_BANG_BANG
+            t_lambda = (
+                _clamped_asin(math.sqrt(gamma * rabi_sq / (0.5 * delta * delta * (cap + gamma))))
+                / rabi
+            )
+            t_off = 0.0
+    except ZeroDivisionError:  # a divisor, a product of small inputs, underflowed to 0
+        raise ValueError(
+            f"delta {delta!r} at theta {problem.theta!r} with lambda_cap {cap!r} is out of range: "
+            "a product in the bang durations underflows to 0"
+        ) from None
     if not 0.0 < t_lambda < math.inf:  # a NaN fails too; t_off overflows only after it
         raise ValueError(
             f"lambda_cap {cap!r} is too large for theta {problem.theta!r}: "

@@ -9,7 +9,6 @@ from qslbounds.bounds import _max_quadratic_root
 from qslbounds.quantum import energy_covariances
 from qslbounds.property_suites import (  # noqa: F401  re-exported to the tests
     random_control_problem,
-    random_field,
     random_hermitian,
     random_state,
 )

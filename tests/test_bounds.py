@@ -18,7 +18,6 @@ from qslbounds import (
     compute_report,
     energy_variance,
     fubini_study_distance,
-    hs_norm,
     mandelstam_tamm_time,
     margolus_levitin_time,
     max_hs_norm_over_field,
@@ -314,7 +313,7 @@ def test_tmin_b_eigenstate_rejects_non_eigenstate():
 def _overlap_sum_reference(op, psi0, psig):
     # one eigenvector at a time, as the sum is written in the bound
     total = 0.0
-    for vec in spectral(op).eigenvectors:
+    for vec in PureState.stack(spectral(op)[1].T):
         total += abs(psig.overlap(vec)) * abs(vec.overlap(psi0))
     return total
 
@@ -335,7 +334,7 @@ def test_eigenbasis_overlap_sum_matches_per_eigenvector_reference():
         for i, (op, x) in enumerate(zip(ops, stack)):
             expected = 1.0 - _overlap_sum_reference(op, x.psi0, x.psig)
             for value in (c1[i], c2[i]):
-                assert abs(value * hs_norm(op) - expected) <= 1e-14, (i, dim)
+                assert abs(value * np.linalg.norm(op.entries) - expected) <= 1e-14, (i, dim)
 
 
 def test_tmin_c2_unbounded_window_skips_the_drift_decomposition(monkeypatch):
@@ -584,7 +583,7 @@ def _ref_max_quadratic_root(c0, c1, c2, u_max):
 
 
 def _ref_overlap_sum(op, psi0, psig):
-    vh = spectral(op).vectors.conj().T
+    vh = spectral(op)[1].conj().T
     return float(np.abs(vh @ psig.amplitudes) @ np.abs(vh @ psi0.amplitudes))
 
 
@@ -620,7 +619,7 @@ def _ref_tmin_b(inputs):
 
 
 def _ref_tmin_c1(inputs):
-    drift_norm = hs_norm(inputs.ch.h0)
+    drift_norm = np.linalg.norm(inputs.ch.h0.entries)
     if drift_norm == 0.0:
         raise ValueError("zero drift: the control-eigenbasis bound needs h0 != 0")
     numerator = max(0.0, 1.0 - _ref_overlap_sum(inputs.ch.hc, inputs.psi0, inputs.psig))
@@ -635,7 +634,7 @@ def _ref_tmin_c2(inputs):
     numerator = max(0.0, 1.0 - _ref_overlap_sum(inputs.ch.h0, inputs.psi0, inputs.psig))
     if numerator <= OVERLAP_SUM_ATOL:
         return 0.0
-    control_norm = hs_norm(inputs.ch.hc)
+    control_norm = np.linalg.norm(inputs.ch.hc.entries)
     if inputs.ch.u_max == 0.0 or control_norm == 0.0:
         return math.inf
     return numerator / (inputs.ch.u_max * control_norm)
@@ -753,7 +752,7 @@ def test_compute_reports_rejects_a_mixed_stack():
     for stack in ([flip_inputs(1.0), three], []):
         with pytest.raises(ValueError, match="need instances of one dimension"):
             reports_of(stack)
-    with pytest.raises(ValueError, match="zip"):
+    with pytest.raises(ValueError, match="^need one t_opt per instance: got 2 for 1$"):
         reports_of([flip_inputs(1.0)], (1.0, 2.0))
 
 
@@ -766,6 +765,12 @@ def test_compute_reports_checks_each_state_column():
         compute_reports(chs, psi0s, np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match="state norm"):
         compute_reports(chs, psi0s, 1.5 * np.array(psigs))
+
+
+def test_compute_reports_needs_one_t_opt_per_instance():
+    chs, psi0s, psigs = columns([flip_inputs(1.0)] * 3)
+    with pytest.raises(ValueError, match="^need one t_opt per instance: got 2 for 3$"):
+        compute_reports(chs, psi0s, psigs, [1.0, 1.0])
 
 
 WINDOWS = (0.0, 1e-8, 1.0, 1e8, math.inf)

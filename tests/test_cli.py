@@ -1,5 +1,6 @@
 """Sweep table emission, the single-case verifier and the argument plumbing."""
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -441,6 +442,10 @@ DEGENERATE_ENDS = (
     r"error: delta {} at theta {} is too small: "
     r"the endpoint gap delta/sin\(theta\) is not above 1e-10$"
 )
+UNDERFLOWING_BANGS = (
+    r"error: delta {} at theta {} with lambda_cap {} is out of range: "
+    r"a product in the bang durations underflows to 0$"
+)
 HUGE_ENERGY = r"is too large: the energy hypot\(u, delta/2\) overflows when squared$"
 HUGE_CAP = (
     r"error: lambda_cap \S+ is too large for theta 0\.9: the bang durations overflow or vanish$"
@@ -564,6 +569,17 @@ HUGE_CAP = (
             None,
             DEGENERATE_ENDS.format("1e-12", r"0\.9"),
         ),
+        (
+            ["verify", "--theta", "1e-320", "--delta", "5e-324", "--lambda", "1"],
+            None,
+            UNDERFLOWING_BANGS.format("5e-324", "1e-320", r"1\.0"),
+        ),
+        (
+            ["sweep", "--delta", "5e-324", "--theta-min", "1e-320", "--theta-max", "2e-320",
+             "--theta-count", "2", "--lambda", "1e-300", "--out", "{tmp}/s.csv"],
+            None,
+            UNDERFLOWING_BANGS.format("5e-324", "1e-320", "1e-300"),
+        ),
     ],
     ids=[
         "theta-out-of-range",
@@ -607,6 +623,8 @@ HUGE_CAP = (
         "verify-delta-degenerates-ends-absolute-cap",
         "sweep-delta-degenerates-ends",
         "verify-delta-degenerates-ends-unconstrained",
+        "verify-bang-durations-underflow",
+        "sweep-bang-durations-underflow",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):
@@ -617,6 +635,34 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):
             cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = argv + ["--config", str(cfg_path)]
     assert re.search(match, usage_error(capsys, argv))
+
+
+# verify over extreme arguments, subnormals and 1e+-300 among them
+GRID_THETAS = ("1e-320", "1e-300", "1e-150", "1e-12", "0.02", "0.9", "1.5707", repr(HALF_PI))
+GRID_DELTAS = ("5e-324", "1e-300", "1e-200", "1e-150", "1e-12", "1e-3", "1", "1e12", "1e300")
+GRID_CAPS = (
+    ("--unconstrained",),
+    *(("--lambda-factor", f) for f in ("1e-8", "0.2", "6", "1e8")),
+    *(("--lambda", v) for v in ("1e-300", "1e-8", "1", "1e8", "1e300")),
+)
+
+
+def test_verify_grid_ends_in_a_report_or_one_usage_error(capsys):
+    # exit 1 stays allowed: ROADMAP items 3 and 14 own the failing checks
+    for theta, delta, cap in itertools.product(GRID_THETAS, GRID_DELTAS, GRID_CAPS):
+        argv = ["verify", "--theta", theta, "--delta", delta, *cap]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # warnings are errors here too
+            pytest.fail(f"{' '.join(argv)}: {exc!r}")
+        err = capsys.readouterr().err
+        if code == 2:
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and "Traceback" not in err, argv
+        else:
+            assert code in (0, 1), argv
 
 
 # verify's four known closed_form_agreement failures.  Each mark is strict, so

@@ -9,7 +9,6 @@ from qslbounds import (
     bhattacharyya_check,
     energy_variance,
     fubini_study_distance,
-    hs_norm,
     norm_drifts,
     path_length,
     pfeifer_envelope_check,
@@ -20,7 +19,7 @@ from qslbounds.dynamics import ControlHamiltonian, PiecewiseConstantField
 from qslbounds.property_suites import MAX_DIM, MAX_DURATION, MAX_SEGMENTS, U_MAX
 from qslbounds.property_suites import _problem_stacks
 from qslbounds.quantum import HermitianOperator, PureState
-from conftest import random_control_problem, random_field, random_hermitian, random_state
+from conftest import random_control_problem, random_hermitian, random_state
 
 # proptest --seed 0|1 --instances 1000, byte for byte
 GOLDEN_REPORTS = {
@@ -68,7 +67,7 @@ def _replay(seed, count):
 def _single_residual(name, instance):
     if name == "brody":
         h, s = instance
-        return 2.0 * energy_variance(s, h) - math.sqrt(2.0) * hs_norm(h)
+        return 2.0 * energy_variance(s, h) - math.sqrt(2.0) * np.linalg.norm(h.entries)
     ch, field, psi0, phi = instance
     traj = propagate(ch, field, psi0, samples_per_segment=48)
     if name == "anandan_aharonov":
@@ -186,7 +185,10 @@ def test_one_instance_draws_reproduce_the_former_per_call_draws():
                 (random_control_problem(rng, dim), _former_random_control_problem(former, dim)),
                 ((random_hermitian(rng, dim),), (_former_random_hermitian(former, dim),)),
                 ((random_state(rng, dim),), (_former_random_state(former, dim),)),
-                ((random_field(rng),), (_former_random_field(former),)),
+                (
+                    (random_control_problem(rng, dim)[1],),
+                    (_former_random_control_problem(former, dim)[1],),
+                ),
             ]
             for new, old in pairs:
                 assert list(map(_bits, new)) == list(map(_bits, old)), (seed, dim)

@@ -16,13 +16,11 @@ from qslbounds import (
     fubini_study_distance,
     fubini_study_distances,
     ground_state,
-    ground_states,
-    hs_norm,
     spectral,
     unitary_step,
     unitary_steps,
 )
-from qslbounds.quantum import energy_covariances, energy_spreads, norms
+from qslbounds.quantum import energy_covariances, energy_spreads, ground_states_of_stack, norms
 from conftest import basis_state, hermitian, random_hermitian, random_state, state, zero_operator
 from test_bounds import _ref_variance_quadratic_coeffs
 
@@ -350,8 +348,8 @@ def test_stacked_energy_covariances_equal_the_single_calls():
 
 def test_hs_norm_frozen():
     h = hermitian([[2.0, 0.5], [0.5, -2.0]])
-    assert hs_norm(h) == pytest.approx(math.sqrt(8.5), abs=1e-14)
-    assert hs_norm(zero_operator(3)) == 0.0
+    assert norms(h.entries.ravel()) == pytest.approx(math.sqrt(8.5), abs=1e-14)
+    assert norms(zero_operator(3).entries.ravel()) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +358,20 @@ def test_hs_norm_frozen():
 
 def test_spectral_orders_ascending_and_reconstructs(rng):
     h = random_hermitian(rng, 5)
-    dec = spectral(h)
-    assert all(a <= b for a, b in zip(dec.eigenvalues, dec.eigenvalues[1:]))
-    v = dec.vectors
-    recon = v @ np.diag(dec.eigenvalues) @ v.conj().T
+    eigenvalues, v = spectral(h)
+    assert all(a <= b for a, b in zip(eigenvalues, eigenvalues[1:]))
+    recon = v @ np.diag(eigenvalues) @ v.conj().T
     assert np.allclose(recon, h.entries, atol=1e-10)
 
 
 def test_spectral_phase_is_deterministic(rng):
     h = random_hermitian(rng, 4)
-    dec1 = spectral(h)
-    dec2 = spectral(h)
-    for a, b in zip(dec1.eigenvectors, dec2.eigenvectors):
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-    for vec in dec1.eigenvectors:
-        pivot = vec.amplitudes[np.argmax(np.abs(vec.amplitudes))]
+    vectors1 = spectral(h)[1]
+    vectors2 = spectral(h)[1]
+    for a, b in zip(vectors1.T, vectors2.T):
+        assert np.array_equal(a, b)
+    for vec in vectors1.T:
+        pivot = vec[np.argmax(np.abs(vec))]
         assert pivot.imag == pytest.approx(0.0, abs=1e-12)
         assert pivot.real > 0.0
 
@@ -392,29 +389,29 @@ def test_spectral_matches_per_column_phase_reference(rng):
             h = random_hermitian(rng, dim)
             _, raw = np.linalg.eigh(h.entries)
             ref = np.column_stack([_fix_phase_reference(raw[:, j]) for j in range(dim)])
-            assert np.array_equal(spectral(h).vectors, ref)
+            assert np.array_equal(spectral(h)[1], ref)
 
 
 def test_spectral_ties_break_to_lowest_index():
     # both components of each sigma_x eigenvector have modulus 1/sqrt(2)
-    vectors = spectral(SIGMA_X).vectors
+    vectors = spectral(SIGMA_X)[1]
     assert np.all(vectors[0].imag == 0.0)
     assert np.all(vectors[0].real > 0.0)
 
 
 def test_spectral_eigenvectors_are_the_read_only_columns(rng):
-    dec = spectral(random_hermitian(rng, 6))
-    assert len(dec.eigenvectors) == dec.dim == 6
-    for j, vec in enumerate(dec.eigenvectors):
-        assert np.array_equal(vec.amplitudes, dec.vectors[:, j])
-    for arr in (dec.vectors, dec.eigenvalues):
+    eigenvalues, vectors = spectral(random_hermitian(rng, 6))
+    assert eigenvalues.shape == (6,) and vectors.shape == (6, 6)
+    for j, vec in enumerate(PureState.stack(vectors.T)):
+        assert np.array_equal(vec.amplitudes, vectors[:, j])
+    for arr in (vectors, eigenvalues):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
 def test_ground_state_is_column_zero(rng):
     h = random_hermitian(rng, 5)
-    assert np.array_equal(ground_state(h).amplitudes, spectral(h).vectors[:, 0])
+    assert np.array_equal(ground_state(h).amplitudes, spectral(h)[1][:, 0])
 
 
 def test_ground_state_two_level_overlap():
@@ -444,11 +441,11 @@ def test_ground_state_degenerate_raises():
 def test_ground_states_match_the_single_form_bit_for_bit(rng):
     for dim in range(2, 9):
         ops = [random_hermitian(rng, dim) for _ in range(5)]
-        stacked = ground_states(ops)
+        stacked = ground_states_of_stack(np.array([op.entries for op in ops]))
         assert len(stacked) == len(ops)
         for op, psi in zip(ops, stacked):
-            assert np.array_equal(psi.amplitudes, ground_state(op).amplitudes)
-            assert np.array_equal(psi.amplitudes, spectral(op).vectors[:, 0])
+            assert np.array_equal(psi, ground_state(op).amplitudes)
+            assert np.array_equal(psi, spectral(op)[1][:, 0])
 
 
 @pytest.mark.parametrize("dim", [2, 5])
@@ -457,20 +454,15 @@ def test_ground_states_reject_a_degenerate_member(rng, dim):
         ground_state(zero_operator(dim))
     ops = [random_hermitian(rng, dim), zero_operator(dim), random_hermitian(rng, dim)]
     with pytest.raises(ValueError) as stacked:
-        ground_states(ops)
+        ground_states_of_stack(np.array([op.entries for op in ops]))
     assert str(stacked.value) == str(single.value)
-
-
-def test_ground_states_reject_mixed_dimensions(rng):
-    with pytest.raises(ValueError, match="one dimension"):
-        ground_states([random_hermitian(rng, 2), random_hermitian(rng, 3)])
 
 
 def test_hs_norm_sums_as_numpy_does(rng):
     for dim in range(2, 9):
         for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
             h = scale * random_hermitian(rng, dim)
-            assert hs_norm(h) == float(np.linalg.norm(h.entries, "fro"))
+            assert norms(h.entries.ravel()) == float(np.linalg.norm(h.entries, "fro"))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +521,7 @@ def test_variance_below_hs_norm(seed, dim):
     scale = float(rng.uniform(0.1, 3.0))
     h = scale * random_hermitian(rng, dim)
     psi = random_state(rng, dim)
-    assert 2.0 * energy_variance(psi, h) <= SQRT2 * hs_norm(h) + 1e-10
+    assert 2.0 * energy_variance(psi, h) <= SQRT2 * np.linalg.norm(h.entries) + 1e-10
 
 
 @settings(max_examples=200, deadline=None)
