@@ -19,8 +19,10 @@ from .quantum import (
 from .dynamics import (
     ControlHamiltonian,
     PiecewiseConstantField,
+    TRAJECTORY_CHECKS,
     TrajectoryStack,
     TqslEstimate,
+    arenz_overlap_residuals,
     bhattacharyya_check,
     bhattacharyya_residuals,
     norm_drifts,
@@ -33,12 +35,12 @@ from .dynamics import (
     propagate_stack,
     tqsl_star,
     tqsl_stars,
+    trajectory_residuals,
 )
 from .bounds import (
     BoundInputs,
     BoundReport,
     arenz_overlap_inequality_check,
-    arenz_overlap_residuals,
     compute_report,
     compute_reports,
     mandelstam_tamm_time,

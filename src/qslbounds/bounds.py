@@ -15,19 +15,17 @@ import numpy as np
 
 from . import quantum, tolerances
 from .dynamics import ControlHamiltonian, TrajectoryStack, _state_array, tqsl_star
-from .dynamics import _distance_over, _single
+from .dynamics import _distance_over, _single, arenz_overlap_residuals
 from .quantum import (
     HermitianOperator,
     PureState,
-    abs_overlaps,
     energy_covariances,
     energy_variance,
     fubini_study_distance,
     fubini_study_distances,
     norms,
-    unitary_steps,
 )
-from .tolerances import EIGENSTATE_ATOL, OVERLAP_SUM_ATOL, TARGET_FIDELITY_ATOL
+from .tolerances import EIGENSTATE_ATOL, OVERLAP_SUM_ATOL
 
 BOUND_NAMES = ("a", "b", "c1", "c2")
 
@@ -240,28 +238,6 @@ def tmin_c2(inputs: BoundInputs) -> float:
     a 1e-16 residue into +inf.
     """
     return _one(lambda *args: _tmin_c_stack(*args)[1], inputs)
-
-
-def arenz_overlap_residuals(stack: TrajectoryStack, psigs: np.ndarray) -> np.ndarray:
-    """Signed residual of 1 - |<psig|exp(-i*alpha(T)*hc)|psi0>| <= ||h0||_HS * T,
-    per instance of the stack against its target psigs[b], one row of a (B, d) array.
-
-    alpha(T) is the area of the drive that produced the trajectory; the
-    trajectory must actually have reached psig for the comparison to mean
-    anything, so a missed target is an error.
-    """
-    psig = _state_array(psigs, len(stack), stack.dim)
-    psi0, finals = stack.ends
-    for modulus in abs_overlaps(finals, psig):
-        fidelity = min(modulus**2, 1.0)
-        if not fidelity >= 1.0 - TARGET_FIDELITY_ATOL:
-            raise ValueError(f"trajectory missed the target (fidelity {fidelity!r})")
-    pairs = np.array([(ch.h0.entries, ch.hc.entries) for ch in stack.chs])
-    u_ctrl = unitary_steps(pairs[:, 1], [field.amplitude_integral() for field in stack.fields])
-    # 1 x d by d x 1 products round as np.vdot does, np.hypot as abs() does
-    amp = (psig.conj()[:, None, :] @ (u_ctrl @ psi0[..., None]))[:, 0, 0]
-    lhs = 1.0 - np.hypot(amp.real, amp.imag)
-    return lhs - norms(pairs[:, 0].reshape(len(pairs), -1)) * stack.times[:, -1]
 
 
 def arenz_overlap_inequality_check(traj: TrajectoryStack, psig: PureState) -> float:

@@ -26,8 +26,21 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .quantum import HermitianOperator, PureState, abs_overlaps, check_hermitian
-from .quantum import check_normalized, energy_spreads, fubini_study_distances
-from .tolerances import AMPLITUDE_RTOL, BHATTACHARYYA_FLOOR, TARGET_FIDELITY_ATOL
+from .quantum import check_normalized, energy_spreads, fubini_study_distances, norms
+from .quantum import unitary_steps
+from .tolerances import AA_TOL, AMPLITUDE_RTOL, ARENZ_TOL, BHATTACHARYYA_FLOOR
+from .tolerances import BHATTACHARYYA_TOL, NORM_DRIFT_TOL, PFEIFER_TOL, TARGET_FIDELITY_ATOL
+
+# (name, tolerance) of each row of trajectory_residuals: the one list of the
+# trajectory checks that proptest and verify print
+TRAJECTORY_CHECKS = (
+    ("anandan_aharonov", AA_TOL),
+    ("pfeifer", PFEIFER_TOL),
+    ("arenz", ARENZ_TOL),
+    ("norm_drift", NORM_DRIFT_TOL),
+    ("bhattacharyya", BHATTACHARYYA_TOL),
+)
+MISSED_TARGET = "trajectory missed the target (fidelity {!r})"
 
 
 @dataclass(frozen=True)
@@ -397,6 +410,13 @@ class TqslEstimate:
     on_target: bool
 
 
+def _reached(finals: np.ndarray, targets: np.ndarray) -> List[Tuple[float, bool]]:
+    """(fidelity, reached) of each final state to its target, rows of (B, d) arrays: the
+    fidelity |<final|target>|^2 capped at 1, reached within TARGET_FIDELITY_ATOL of 1."""
+    fidelities = [min(modulus**2, 1.0) for modulus in abs_overlaps(finals, targets)]
+    return [(f, f >= 1.0 - TARGET_FIDELITY_ATOL) for f in fidelities]
+
+
 def _distance_over(dist: float, speed: float) -> float:
     """dist / speed: 0 for coincident endpoints or an unbounded speed, +inf if frozen."""
     if dist == 0.0:
@@ -419,15 +439,55 @@ def tqsl_stars(stack: TrajectoryStack, psi_gs: np.ndarray) -> List[TqslEstimate]
     """
     targets = _state_array(psi_gs, len(stack), stack.dim)
     mean_spreads = 0.5 * path_lengths(stack) / stack.times[:, -1]
-    dists, moduli = fubini_study_distances(*stack.ends), abs_overlaps(stack.ends[1], targets)
-    estimates = []
-    for mean_spread, dist, reached in zip(mean_spreads.tolist(), dists, moduli):
-        fidelity = min(reached**2, 1.0)
-        value = _distance_over(0.5 * dist, mean_spread)
-        estimates.append(TqslEstimate(value, fidelity, fidelity >= 1.0 - TARGET_FIDELITY_ATOL))
-    return estimates
+    dists, reached = fubini_study_distances(*stack.ends), _reached(stack.ends[1], targets)
+    return [
+        TqslEstimate(_distance_over(0.5 * dist, mean_spread), *reach)
+        for mean_spread, dist, reach in zip(mean_spreads.tolist(), dists, reached)
+    ]
 
 
 def tqsl_star(traj: TrajectoryStack, psi_g: PureState) -> TqslEstimate:
     """tqsl_stars of a stack of one."""
     return tqsl_stars(_single(traj), psi_g.amplitudes)[0]
+
+
+def arenz_overlap_residuals(stack: TrajectoryStack, psigs: np.ndarray) -> np.ndarray:
+    """Signed residual of 1 - |<psig|exp(-i*alpha(T)*hc)|psi0>| <= ||h0||_HS * T,
+    per instance of the stack against its target psigs[b], one row of a (B, d) array.
+
+    alpha(T) is the area of the drive that produced the trajectory; the
+    trajectory must actually have reached psig for the comparison to mean
+    anything, so a missed target is an error.
+    """
+    psig = _state_array(psigs, len(stack), stack.dim)
+    for fidelity, reached in _reached(stack.ends[1], psig):
+        if not reached:
+            raise ValueError(MISSED_TARGET.format(fidelity))
+    return _arenz_residuals(stack, psig)
+
+
+def _arenz_residuals(stack: TrajectoryStack, psig: np.ndarray) -> np.ndarray:
+    """arenz_overlap_residuals against checked targets psig (B, d), reached or not."""
+    pairs = np.array([(ch.h0.entries, ch.hc.entries) for ch in stack.chs])
+    u_ctrl = unitary_steps(pairs[:, 1], [field.amplitude_integral() for field in stack.fields])
+    # 1 x d by d x 1 products round as np.vdot does, np.hypot as abs() does
+    amp = (psig.conj()[:, None, :] @ (u_ctrl @ stack.ends[0][..., None]))[:, 0, 0]
+    lhs = 1.0 - np.hypot(amp.real, amp.imag)
+    return lhs - norms(pairs[:, 0].reshape(len(pairs), -1)) * stack.times[:, -1]
+
+
+def trajectory_residuals(
+    stack: TrajectoryStack, targets: np.ndarray, phis: np.ndarray
+) -> np.ndarray:
+    """(5, B) signed residuals of each instance, one row per TRAJECTORY_CHECKS entry
+    in its order, each passing when at most its tolerance: Anandan-Aharonov, Pfeifer
+    against phis[b], Arenz against targets[b], norm drift and Bhattacharyya, the states
+    being rows of (B, d) arrays.  An instance that missed its target reads NaN in the
+    Arenz row, where the inequality means nothing, and nowhere else."""
+    targets = _state_array(targets, len(stack), stack.dim)
+    psi0, finals = stack.ends
+    aa = np.array(fubini_study_distances(psi0, finals)) - path_lengths(stack)
+    pfeifer = pfeifer_envelope_residuals(stack, phis)
+    reached = [hit for _, hit in _reached(finals, targets)]
+    arenz = np.where(reached, _arenz_residuals(stack, targets), math.nan)
+    return np.stack((aa, pfeifer, arenz, norm_drifts(stack), bhattacharyya_residuals(stack)))

@@ -13,17 +13,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import arenz_overlap_residuals
 from .dynamics import (
+    TRAJECTORY_CHECKS,
     ControlHamiltonian,
     PiecewiseConstantField,
-    TrajectoryStack,
-    bhattacharyya_residuals,
-    norm_drifts,
-    path_lengths,
-    pfeifer_envelope_residuals,
     propagate,  # noqa: F401  the perfbench tracer test patches this binding
     propagate_stack,
+    trajectory_residuals,
 )
 from .quantum import (
     HermitianOperator,
@@ -31,17 +27,9 @@ from .quantum import (
     check_hermitian,
     check_normalized,
     energy_spreads,
-    fubini_study_distances,
     norms,
 )
-from .tolerances import (
-    AA_TOL,
-    ARENZ_TOL,
-    BHATTACHARYYA_TOL,
-    BRODY_TOL,
-    NORM_DRIFT_TOL,
-    PFEIFER_TOL,
-)
+from .tolerances import BRODY_TOL
 
 MAX_DIM = 8
 # the random drives: 1..MAX_SEGMENTS segments of 0.1..MAX_DURATION each, with
@@ -201,33 +189,20 @@ def _problem_stacks(
         yield idx, (d, uniforms.shape[1]), chs, fields, _unit_vectors(states).swapaxes(0, 1)
 
 
-def _trajectory_residuals(stack: TrajectoryStack, phis: np.ndarray) -> np.ndarray:
-    """(5, B): the Anandan-Aharonov, Pfeifer, Arenz, norm and Bhattacharyya residuals
-    of each instance against its phis[b], one row of a (B, d) array, the endpoint
-    reached being the Arenz target."""
-    psi0, finals = stack.ends
-    aa = np.array(fubini_study_distances(psi0, finals)) - path_lengths(stack)
-    checks = (pfeifer_envelope_residuals(stack, phis), arenz_overlap_residuals(stack, finals))
-    return np.stack((aa, *checks, norm_drifts(stack), bhattacharyya_residuals(stack)))
-
-
 def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult]:
     """One propagation per instance, at 48 samples per segment, feeds the path-length,
     envelope, drive-area, norm-conservation and survival-rate checks; the endpoint
     reached is the target, so every instance is a reachability certificate.  psi0 and
     the Pfeifer envelope's fixed state phi are drawn together.  Instances are drawn,
     propagated and checked one (dimension, segment count) stack at a time."""
-    residuals, shapes = np.empty((5, count)), np.empty((count, 2), dtype=int)
+    residuals, shapes = np.empty((len(TRAJECTORY_CHECKS), count)), np.empty((count, 2), dtype=int)
     for idx, shape, chs, fields, (psi0s, phis) in _problem_stacks(rng, count, 2):
         stack = propagate_stack(chs, fields, psi0s, samples_per_segment=48)
-        residuals[:, idx] = _trajectory_residuals(stack, phis)
+        residuals[:, idx] = trajectory_residuals(stack, stack.ends[1], phis)
         shapes[idx] = shape
     return [
-        SuiteResult.from_residuals("anandan_aharonov", residuals[0], AA_TOL, shapes),
-        SuiteResult.from_residuals("pfeifer", residuals[1], PFEIFER_TOL, shapes),
-        SuiteResult.from_residuals("arenz", residuals[2], ARENZ_TOL, shapes),
-        SuiteResult.from_residuals("norm_drift", residuals[3], NORM_DRIFT_TOL, shapes),
-        SuiteResult.from_residuals("bhattacharyya", residuals[4], BHATTACHARYYA_TOL, shapes),
+        SuiteResult.from_residuals(name, row, tol, shapes)
+        for (name, tol), row in zip(TRAJECTORY_CHECKS, residuals)
     ]
 
 
@@ -237,6 +212,8 @@ def run_property_suites(seed: int, instance_count: int) -> PropertyReport:
     propagation of each driven instance."""
     if instance_count < 1:
         raise ValueError("instance_count must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
     results = [_brody_suite(rng, instance_count), *_trajectory_suites(rng, instance_count)]
     return PropertyReport(seed=seed, results=tuple(results))

@@ -9,7 +9,7 @@ HERMITIAN_ATOL = 1e-12  # max |H - H^dagger| of a HermitianOperator (quantum)
 # endpoint gap delta/sin(theta) of a two-level problem (two_level.boundary_state_arrays)
 DEGENERACY_ATOL = 1e-10
 AMPLITUDE_RTOL = 1e-12  # overshoot of |u| past u_max, relative (ControlHamiltonian.hamiltonians)
-TARGET_FIDELITY_ATOL = 1e-6  # 1 - fidelity of a reached target (tqsl_stars, Arenz check)
+TARGET_FIDELITY_ATOL = 1e-6  # 1 - fidelity of a reached target (dynamics._reached)
 # samples whose survival amplitude |<psi0|psi>| or orthogonal part is at or
 # below this are skipped by the Bhattacharyya rate, which is 0/0 there
 BHATTACHARYYA_FLOOR = 1e-12
@@ -18,8 +18,8 @@ PASS_TOL = 1e-9  # t_opt >= t_min - PASS_TOL: dominance flags of compute_report 
 OVERLAP_SUM_ATOL = 1e-12  # eigenbasis overlap numerator counted as 0 (bounds.tmin_c1, tmin_c2)
 CONSISTENCY_ATOL = 1e-12  # |theta - atan2(delta, 2 gamma)| (LandauZenerProblem)
 ASIN_CLAMP_ATOL = 1e-12  # arcsin argument clamped into [0, 1] (two_level.constrained_protocol)
-# inequality residuals, in proptest's suites and verify's checks alike
 BRODY_TOL = 1e-10  # 2 deltaE minus sqrt(2) ||h||_HS (proptest's Brody suite)
+# trajectory residuals, read only by dynamics.TRAJECTORY_CHECKS (proptest and verify)
 AA_TOL = 1e-6  # Fubini-Study distance minus path length (Anandan-Aharonov)
 PFEIFER_TOL = 1e-6  # overlap below Pfeifer's envelope
 BHATTACHARYYA_TOL = 1e-4  # rate of the survival amplitude above the spread

@@ -22,7 +22,6 @@ from qslbounds import (
     constrained_protocol,
     energy_variance,
     gamma_from_theta,
-    optimal_protocol,
     propagate,
     run_property_suites,
     tmin_a,

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,7 @@ from qslbounds.two_level import _drift
 from conftest import problem_from_gamma
 
 HALF_PI = 0.5 * math.pi
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def bang_bang_config(**overrides) -> SweepConfig:
@@ -307,6 +309,10 @@ def test_verify_case_flags_a_broken_protocol():
     )
     report = verify_case(1.0, problem.theta, LambdaSpec("factor", 6.0), protocol=broken)
     assert not report.checks["fidelity"].passed
+    arenz = report.checks["arenz_overlap"]
+    assert math.isnan(arenz.value) and not arenz.passed
+    missed = f"trajectory missed the target (fidelity {report.checks['fidelity'].value!r})"
+    assert arenz.note == missed
     assert not report.passed
     assert "verify: FAIL" in report.text()
 
@@ -464,6 +470,8 @@ HUGE_CAP = (
         ),
         (["sweep", "--unconstrained"], None, "needs --out"),
         (["proptest", "--delta", "1"], None, "unrecognized arguments: --delta 1"),
+        (["proptest", "--seed", "-1"], None, r"error: seed must be non-negative, got -1$"),
+        (["proptest"], {"seed": -3}, r"error: seed must be non-negative, got -3$"),
         (
             ["verify", "--seed", "3", "--theta", "0.9", "--unconstrained"],
             None,
@@ -587,6 +595,8 @@ HUGE_CAP = (
         "two-cap-flags",
         "sweep-without-out",
         "proptest-delta",
+        "proptest-negative-seed",
+        "config-negative-seed",
         "verify-seed",
         "out-in-missing-dir",
         "config-unknown-key",
@@ -647,8 +657,16 @@ GRID_CAPS = (
 )
 
 
+def _expected_grid_failures() -> dict:
+    """The FAIL checks of each grid run that exits 1, from golden/verify_grid_failures.txt."""
+    lines = (GOLDEN / "verify_grid_failures.txt").read_text(encoding="utf-8").splitlines()
+    runs = [line.split(" | ") for line in lines if line and not line.startswith("#")]
+    return {args: checks.split() for args, checks in runs}
+
+
 def test_verify_grid_ends_in_a_report_or_one_usage_error(capsys):
-    # exit 1 stays allowed: ROADMAP items 3 and 14 own the failing checks
+    # exit 1 only where the golden file says, with exactly its FAIL checks
+    failures = {}
     for theta, delta, cap in itertools.product(GRID_THETAS, GRID_DELTAS, GRID_CAPS):
         argv = ["verify", "--theta", theta, "--delta", delta, *cap]
         try:
@@ -657,12 +675,16 @@ def test_verify_grid_ends_in_a_report_or_one_usage_error(capsys):
             code = exc.code
         except Exception as exc:  # warnings are errors here too
             pytest.fail(f"{' '.join(argv)}: {exc!r}")
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         if code == 2:
             errors = [line for line in err.splitlines() if "error:" in line]
             assert len(errors) == 1 and "Traceback" not in err, argv
+        elif code == 1:
+            lines = [line.split() for line in out.splitlines() if line.startswith("check ")]
+            failures[" ".join(argv[1:])] = [w[1] for w in lines if w[4] == "FAIL"]
         else:
-            assert code in (0, 1), argv
+            assert code == 0, argv
+    assert failures == _expected_grid_failures()
 
 
 # verify's four known closed_form_agreement failures.  Each mark is strict, so

@@ -14,6 +14,7 @@ from qslbounds import (
     PureState,
     SIGMA_X,
     SIGMA_Z,
+    TRAJECTORY_CHECKS,
     TrajectoryStack,
     arenz_overlap_inequality_check,
     arenz_overlap_residuals,
@@ -35,11 +36,11 @@ from qslbounds import (
     sin_star,
     tqsl_star,
     tqsl_stars,
+    trajectory_residuals,
     unitary_step,
 )
 from qslbounds import dynamics
 from qslbounds.cli import LambdaSpec, SweepConfig
-from qslbounds.property_suites import _trajectory_residuals
 from qslbounds.quantum import abs_overlaps
 from qslbounds.tolerances import BHATTACHARYYA_TOL, TARGET_FIDELITY_ATOL
 from conftest import (
@@ -355,10 +356,12 @@ def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
     # the per-instance arrays behind proptest's anandan_aharonov, pfeifer,
     # arenz and bhattacharyya lines, on 400 instances, d = 2..8, segments of
     # 0.1..1 or 1e-8..1e8; the last against each instance propagated alone
+    names = ["anandan_aharonov", "pfeifer", "arenz", "norm_drift", "bhattacharyya"]
+    assert [name for name, _ in TRAJECTORY_CHECKS] == names
     problems = _harness_problems() + _extreme_duration_problems()
     for idx, (chs, fields, psi0s, phis) in _stacks(problems):
         stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=48)
-        residuals = _trajectory_residuals(stack, _rows(phis))
+        residuals = trajectory_residuals(stack, stack.ends[1], _rows(phis))
         assert residuals.shape == (5, len(idx))
         for k in range(len(idx)):
             alone = propagate(chs[k], fields[k], psi0s[k], samples_per_segment=48)
@@ -366,6 +369,23 @@ def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
             expected = (*expected, bhattacharyya_check(alone))
             got = residuals[[0, 1, 2, 4], k].tolist()
             assert [v.hex() for v in got] == [v.hex() for v in expected], idx[k]
+
+
+def test_a_missed_target_reads_nan_in_its_arenz_entry_only():
+    problems = _harness_problems(count=40, seed=11)
+    chs, fields, psi0s, phis = next(p for i, p in _stacks(problems) if len(i) >= 3)
+    stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=7)
+    reached = trajectory_residuals(stack, stack.ends[1], _rows(phis))
+    # instance 1 is asked for a state orthogonal to its endpoint
+    targets, final = stack.ends[1].copy(), stack.ends[1, 1]
+    orthogonal = np.eye(stack.dim)[0] - final.conj()[0] * final
+    targets[1] = orthogonal / np.linalg.norm(orthogonal)
+    missed = trajectory_residuals(stack, targets, _rows(phis))
+    assert np.argwhere(np.isnan(missed)).tolist() == [[2, 1]]
+    missed[2, 1] = reached[2, 1]
+    assert _same_bits(missed, reached)
+    with pytest.raises(ValueError, match=r"^trajectory missed the target \(fidelity "):
+        arenz_overlap_residuals(stack, targets)
 
 
 def test_overlaps_of_strided_columns_round_as_vdot():

@@ -29,3 +29,17 @@ def test_tolerances_module_is_a_leaf():
     tree = ast.parse((PACKAGE / "tolerances.py").read_text())
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert imports == []
+
+
+def test_the_trajectory_check_tolerances_are_read_only_by_their_table():
+    # dynamics.TRAJECTORY_CHECKS is the one home of the proptest and verify trajectory checks
+    names = {"AA_TOL", "PFEIFER_TOL", "ARENZ_TOL", "NORM_DRIFT_TOL", "BHATTACHARYYA_TOL"}
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            loads = (n for n in ast.walk(node) if isinstance(getattr(n, "ctx", None), ast.Load))
+            reads = {n.id for n in loads if isinstance(n, ast.Name)} & names
+            if reads:  # the def, class or assigned name of the statement that reads them
+                bound = next(module_level_names(ast.Module([node], [])), None)
+                readers.append((path.name, getattr(node, "name", bound)))
+    assert readers == [("dynamics.py", "TRAJECTORY_CHECKS")]

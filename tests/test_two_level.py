@@ -12,7 +12,6 @@ from qslbounds import (
     HermitianOperator,
     LandauZenerProblem,
     OptimalProtocol,
-    PiecewiseConstantField,
     PureState,
     SIGMA_X,
     SIGMA_Z,
