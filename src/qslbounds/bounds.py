@@ -14,8 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import quantum, tolerances
-from .dynamics import ControlHamiltonian, TrajectoryStack, _state_array, tqsl_star
+from .dynamics import ControlHamiltonian, TrajectoryStack, _state_array
 from .dynamics import _distance_over, _single, arenz_overlap_residuals
+from .dynamics import tqsl_star  # noqa: F401  the perfbench tracer test patches this binding
 from .quantum import (
     HermitianOperator,
     PureState,
@@ -247,7 +248,8 @@ def arenz_overlap_inequality_check(traj: TrajectoryStack, psig: PureState) -> fl
 
 @dataclass
 class BoundReport:
-    """All bounds for one instance, with optional trajectory and optimum context."""
+    """All bounds for one instance, with the optimum's time and, when a caller
+    fills it, the T*_QSL of its trajectory."""
 
     t_min_a: float
     t_min_b: float
@@ -278,9 +280,9 @@ class BoundReport:
 
 
 def compute_reports(chs, psi0s, psigs, t_opts=None) -> List[BoundReport]:
-    """compute_report without a trajectory of each instance k of a stack of one
-    dimension: chs[k] steering psi0s[k] into psigs[k], rows of (n, d) arrays checked
-    once per column, flagged against t_opts[k] if given.  One batched pass per bound."""
+    """compute_report of each instance k of a stack of one dimension: chs[k]
+    steering psi0s[k] into psigs[k], rows of (n, d) arrays checked once per
+    column, flagged against t_opts[k] if given.  One batched pass per bound."""
     dims = {ch.dim for ch in chs}
     if len(dims) != 1:
         raise ValueError(f"need instances of one dimension, got dimensions {sorted(dims)}")
@@ -310,17 +312,10 @@ def _reports(chs: Sequence, psi0s: np.ndarray, psigs: np.ndarray, t_opts) -> Lis
     return reports
 
 
-def compute_report(
-    inputs: BoundInputs,
-    traj: Optional[TrajectoryStack] = None,
-    t_opt: Optional[float] = None,
-) -> BoundReport:
+def compute_report(inputs: BoundInputs, t_opt: Optional[float] = None) -> BoundReport:
     """Evaluate every bound, tolerating per-bound failures, and flag each one
     against t_opt when an achieved time is supplied: compute_reports of one
-    instance, plus the T*_QSL of traj, a stack of one.  PASS_TOL is read at call time,
-    so patching tolerances.PASS_TOL reaches every flag."""
+    instance.  PASS_TOL is read at call time, so patching tolerances.PASS_TOL
+    reaches every flag."""
     psi0, psig = inputs.psi0.amplitudes[None], inputs.psig.amplitudes[None]
-    report = _reports((inputs.ch,), psi0, psig, (t_opt,))[0]
-    if traj is not None:
-        report.t_qsl_star = tqsl_star(traj, inputs.psig).time
-    return report
+    return _reports((inputs.ch,), psi0, psig, (t_opt,))[0]

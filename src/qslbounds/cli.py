@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, tolerances
-from .bounds import BOUND_NAMES, BoundInputs, compute_report, compute_reports
-from .dynamics import MISSED_TARGET, TRAJECTORY_CHECKS, TrajectoryStack, _reached
+from .bounds import BOUND_NAMES, compute_reports
+from .dynamics import MISSED_TARGET, TRAJECTORY_CHECKS, TrajectoryStack
 from .dynamics import propagate_refined, tqsl_stars, trajectory_residuals
 from .quantum import PureState
 from .property_suites import run_property_suites
@@ -28,7 +28,6 @@ from .two_level import (
     LandauZenerProblem,
     OptimalProtocol,
     boundary_state_arrays,
-    boundary_states,
     check_delta,
     check_surrogate,
     closed_form_bounds,
@@ -148,13 +147,32 @@ _SWEEP_ROW = ",".join(
 )
 
 
+def _solve_points(problems: Sequence[LandauZenerProblem], u0: Optional[float], samples: int):
+    """Every point's pipeline, for a sweep or verify's grid of one: the bounds
+    flagged against t_opt_ideal, each report's t_qsl_star filled from one
+    tqsl_stars pass per segment count.  Returns the protocols, reports,
+    trajectories, final fidelities and the (n, 2) psi_g rows."""
+    # the states first: their gap check rejects a tiny delta before the protocols divide by it
+    ends = boundary_state_arrays(problems)  # psi0 and psig of every point, (2, n, 2)
+    protocols = [optimal_protocol(p, u0) for p in problems]
+    chs = [p.control_hamiltonian() for p in problems]
+    reports = compute_reports(chs, *ends, [p.t_opt_ideal for p in protocols])
+    psi0s = PureState.stack(ends[0])  # propagate_refined takes a PureState
+    fields = [p.field for p in protocols]
+    # one call per point while perfbench/ wraps propagate_refined by name
+    trajs = [propagate_refined(*point, samples) for point in zip(chs, fields, psi0s)]
+    fidelities = [math.nan] * len(trajs)
+    for n in {t.n_samples for t in trajs}:  # one stack per segment count
+        group = [k for k, t in enumerate(trajs) if t.n_samples == n]
+        group_stack = TrajectoryStack.of([trajs[k] for k in group])
+        for k, estimate in zip(group, tqsl_stars(group_stack, ends[1, group])):
+            reports[k].t_qsl_star, fidelities[k] = estimate.time, estimate.target_fidelity
+    return protocols, reports, trajs, fidelities, ends[1]
+
+
 def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
-    """One row per theta of the grid.  The boundary states of every point come
-    from one stacked eigh and the bounds from one batched pass.  Each point
-    then propagates its own trajectory at the 2 samples per segment that give
-    T*_QSL the bits of any finer grid (1 rounds differently), and the points
-    of each segment count get one tqsl_stars pass.  Once the benchmark no
-    longer wraps propagate_refined, each group becomes one propagate_stack."""
+    """One row per theta of the grid, at the 2 samples per segment that give
+    T*_QSL the bits of any finer grid (1 rounds differently)."""
     thetas = [float(t) for t in np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_count)]
     # theta = pi/2 gets the default row, which needs no states
     rows = [SweepRow(t) for t in thetas]
@@ -163,25 +181,13 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
         LandauZenerProblem.from_theta(cfg.delta, t, cfg.lambda_spec.resolve(cfg.delta, t))
         for t in (thetas[i] for i in moving)
     ]
-    # the states first: their gap check rejects a tiny delta before the protocols divide by it
-    ends = boundary_state_arrays(problems)  # psi0 and psig of every point, (2, n, 2)
-    protocols = [optimal_protocol(p, cfg.u0_surrogate) for p in problems]
-    chs = [p.control_hamiltonian() for p in problems]
-    reports = compute_reports(chs, *ends, [p.t_opt_ideal for p in protocols])
-    psi0s = PureState.stack(ends[0])  # propagate_refined takes a PureState
-    trajs = [propagate_refined(ch, p.field, psi, 2) for ch, p, psi in zip(chs, protocols, psi0s)]
-    estimates = {}
-    for n in {t.n_samples for t in trajs}:  # one stack per segment count
-        group = [k for k, t in enumerate(trajs) if t.n_samples == n]
-        group_stack = TrajectoryStack.of([trajs[k] for k in group])
-        estimates.update(zip(group, tqsl_stars(group_stack, ends[1, group])))
-    for k, (i, problem, protocol, r) in enumerate(zip(moving, problems, protocols, reports)):
-        estimate, flags = estimates[k], r.inequality_flags
+    protocols, reports, _, fidelities, _ = _solve_points(problems, cfg.u0_surrogate, 2)
+    for i, problem, protocol, r, fidelity in zip(moving, problems, protocols, reports, fidelities):
         rows[i] = SweepRow(  # the columns in order
             problem.theta, problem.gamma, protocol.regime, r.t_opt,
-            tqsl_star_closed(problem, protocol), estimate.time,
-            r.t_min_a, r.t_min_b, r.t_min_c1, r.t_min_c2, estimate.target_fidelity,
-            *[flags.get(n, False) for n in BOUND_NAMES],
+            tqsl_star_closed(problem, protocol), r.t_qsl_star,
+            r.t_min_a, r.t_min_b, r.t_min_c1, r.t_min_c2, fidelity,
+            *[r.inequality_flags.get(n, False) for n in BOUND_NAMES],
         )
     return rows
 
@@ -260,39 +266,32 @@ def verify_case(
     theta: float,
     lambda_spec: LambdaSpec,
     u0_surrogate: Optional[float] = None,
-    protocol: Optional[OptimalProtocol] = None,
 ) -> VerifyReport:
-    """Run every check on one instance; an injected protocol replaces the
-    optimal one (useful as a negative control)."""
+    """Run every check on one instance: the sweep's pipeline on a grid of one,
+    at 200 samples per segment for the trajectory checks."""
     cap = lambda_spec.resolve(delta, theta)
     if theta == 0.5 * math.pi:
         check_surrogate(cap, u0_surrogate)
         problem = LandauZenerProblem.from_theta(delta, theta, math.inf)
-        inputs = BoundInputs(problem.control_hamiltonian(), *boundary_states(problem))
-        report = compute_report(inputs, t_opt=0.0)
+        ch = problem.control_hamiltonian()
+        (report,) = compute_reports([ch], *boundary_state_arrays([problem]), [0.0])
         values = [report.value(n) for n in BOUND_NAMES]
         vanish = Check(max(values), 0.0, all(v == 0.0 for v in values), "coincident endpoints")
         return VerifyReport(problem, None, {"bounds_vanish": vanish}, report.text_block())
 
     problem = LandauZenerProblem.from_theta(delta, theta, cap)
-    psi0, psig = boundary_states(problem)  # rejects a tiny delta before the protocol
-    if protocol is None:
-        protocol = optimal_protocol(problem, u0_surrogate)
-    ch = problem.control_hamiltonian()
-    traj = propagate_refined(ch, protocol.field, psi0)
-    report = compute_report(BoundInputs(ch, psi0, psig), traj=traj, t_opt=protocol.t_opt_ideal)
+    solved = _solve_points([problem], u0_surrogate, 200)
+    (protocol,), (report,), (traj,), (fidelity,), psigs = solved
     closed = closed_form_bounds(problem)
     worst = max(abs(getattr(closed, f"tmin_{n}") - report.value(n)) for n in BOUND_NAMES)
-    target = psig.amplitudes[None]
-    ((fidelity, _),) = _reached(traj.ends[1], target)
     checks = {"fidelity": Check(fidelity, FIDELITY_TOL, fidelity >= FIDELITY_TOL)}
     checks["closed_form_agreement"] = Check(worst, CLOSED_FORM_TOL, worst <= CLOSED_FORM_TOL)
-    residuals = trajectory_residuals(traj, target, target)[:, 0].tolist()
+    residuals = trajectory_residuals(traj, psigs, psigs)[:, 0].tolist()
     for (name, tol), residual in zip(TRAJECTORY_CHECKS, residuals):
         if name in _VERIFY_NAMES:  # a NaN residual fails: the Arenz target was missed
             note = MISSED_TARGET.format(fidelity) if math.isnan(residual) else ""
             checks[_VERIFY_NAMES[name]] = Check(residual, tol, residual <= tol, note)
-    # compute_report's flags are the one definition of a dominance pass
+    # compute_reports' flags are the one definition of a dominance pass
     for name in BOUND_NAMES:
         checks[f"dominance_{name}"] = Check(
             report.value(name),
@@ -440,9 +439,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _print_report(report, out: Optional[str]) -> int:
     text = report.text()
-    print(text, end="")
-    if out:
+    if out:  # first, so an unwritable path is a usage error with nothing printed
         Path(out).write_text(text, encoding="utf-8")
+    print(text, end="")
     return 0 if report.passed else 1
 
 

@@ -29,6 +29,7 @@ from qslbounds import (
     tmin_b_eigenstate,
     tmin_c1,
     tmin_c2,
+    tqsl_star,
     unified_time,
 )
 import qslbounds.bounds as bounds_module
@@ -541,14 +542,15 @@ def test_compute_report_measures_the_distance_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_compute_report_includes_trajectory_time():
+def test_tqsl_star_of_a_geodesic_is_its_duration():
+    # a half turn at constant speed: the trajectory time beside the report's t_opt
     ch = ControlHamiltonian(h0=(0.5 * math.pi) * SIGMA_X, hc=SIGMA_Z, u_max=0.0)
     field = PiecewiseConstantField(((1.0, 0.0),))
     psi0 = basis_state(2, 0)
     traj = propagate(ch, field, psi0)
     inputs = BoundInputs(ch, psi0, basis_state(2, 1))
-    report = compute_report(inputs, traj=traj, t_opt=1.0)
-    assert report.t_qsl_star == pytest.approx(1.0, abs=1e-9)
+    report = compute_report(inputs, t_opt=1.0)
+    assert tqsl_star(traj, inputs.psig).time == pytest.approx(1.0, abs=1e-9)
     assert report.t_opt == 1.0
 
 
@@ -682,6 +684,27 @@ def test_stacked_bounds_match_the_scalar_reference_on_the_two_level_problem():
                 BoundInputs(p.control_hamiltonian(), *map(PureState, pair))
                 for p, pair in zip(problems, boundary_state_arrays(problems).swapaxes(0, 1))
             ])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: 2*acos|<a|b>| reads 4.2e-8 for bit-identical endpoints, so "
+    "tmin_a and tmin_b sit above PASS_TOL where the cap is at most 1",
+)
+def test_coincident_endpoints_need_no_time_at_any_cap():
+    # at theta = pi/2 steering a state to itself takes no time, so every bound
+    # must pass against t_opt = 0; verify sets the cap to inf there, which hides this
+    failed = {}
+    for cap in (1e-8, 1.0, 1e8):
+        problem = LandauZenerProblem.from_theta(1.0, HALF_PI, cap)
+        ends = boundary_state_arrays([problem])
+        if not np.array_equal(ends[0], ends[1]):  # not an AssertionError: a real failure
+            pytest.fail(f"the endpoints at cap {cap} are no longer bit-identical")
+        (report,) = compute_reports([problem.control_hamiltonian()], *ends, [0.0])
+        if not all(report.inequality_flags[n] for n in BOUND_NAMES):
+            failed[cap] = [report.value(n) for n in BOUND_NAMES]
+    assert failed == {}
 
 
 def test_stacked_bounds_match_the_scalar_reference_on_a_random_pool():

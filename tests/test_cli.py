@@ -21,6 +21,7 @@ from qslbounds import (
     propagate,
     tqsl_star,
 )
+from qslbounds import cli
 from qslbounds.cli import (
     SWEEP_CSV_HEADER,
     LambdaSpec,
@@ -268,10 +269,12 @@ def test_verify_prints_the_dominance_tolerance_it_applies(monkeypatch):
     tmin_c1 = good.checks["dominance_c1"].value  # 0.306
     # short of tmin_c1 by more than 1e-9 but less than 0.25
     short = dataclasses.replace(good.protocol, t_opt_ideal=tmin_c1 - 0.1)
-    assert not verify_case(1.0, 0.9, cap, protocol=short).checks["dominance_c1"].passed
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "optimal_protocol", lambda problem, u0=None: short)
+        assert not verify_case(1.0, 0.9, cap).checks["dominance_c1"].passed
 
-    monkeypatch.setattr(tolerances, "PASS_TOL", 0.25)
-    assert verify_case(1.0, 0.9, cap, protocol=short).checks["dominance_c1"].passed
+        monkeypatch.setattr(tolerances, "PASS_TOL", 0.25)  # outlives the protocol's patch
+        assert verify_case(1.0, 0.9, cap).checks["dominance_c1"].passed
     report = verify_case(1.0, 0.9, cap)
     tolerance = report.protocol.t_opt_ideal + 0.25
     lines = [line for line in report.text().splitlines() if "dominance_" in line]
@@ -289,7 +292,7 @@ def test_verify_case_trivial_angle():
     assert list(report.checks) == ["bounds_vanish"]
 
 
-def test_verify_case_flags_a_broken_protocol():
+def test_verify_case_flags_a_broken_protocol(monkeypatch):
     problem = problem_from_gamma(1.0, 1.0, lambda_cap=1.5)
     good = constrained_protocol(problem)
     half = 0.5 * good.t_lambda
@@ -307,7 +310,8 @@ def test_verify_case_flags_a_broken_protocol():
         t_off=good.t_off,
         t_opt_ideal=field.total_duration,
     )
-    report = verify_case(1.0, problem.theta, LambdaSpec("factor", 6.0), protocol=broken)
+    monkeypatch.setattr(cli, "optimal_protocol", lambda problem, u0=None: broken)
+    report = verify_case(1.0, problem.theta, LambdaSpec("factor", 6.0))
     assert not report.checks["fidelity"].passed
     arenz = report.checks["arenz_overlap"]
     assert math.isnan(arenz.value) and not arenz.passed
@@ -345,12 +349,13 @@ def test_main_sweep_writes_files(tmp_path, capsys):
 
 
 def usage_error(capsys, argv) -> str:
-    """Run main on bad input: exit code 2 and a single `error:` line, which
-    is returned, on stderr after the usage text."""
+    """Run main on bad input: exit code 2, nothing on stdout and a single
+    `error:` line, which is returned, on stderr after the usage text."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert errors == err.splitlines()[-1:]
@@ -482,6 +487,11 @@ HUGE_CAP = (
             None,
             "No such file or directory",
         ),
+        (
+            ["proptest", "--instances", "10", "--out", "{tmp}/no/such/dir.txt"],
+            None,
+            "No such file or directory",
+        ),
         (["verify"], {"theta": 0.9, "lamda_factor": 6}, "unknown config key 'lamda_factor'"),
         (
             ["verify", "--theta", "0.9"],
@@ -599,6 +609,7 @@ HUGE_CAP = (
         "config-negative-seed",
         "verify-seed",
         "out-in-missing-dir",
+        "proptest-out-in-missing-dir",
         "config-unknown-key",
         "config-two-caps",
         "config-fractional-count",

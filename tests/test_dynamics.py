@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qslbounds import (
-    BoundInputs,
     ControlHamiltonian,
     HermitianOperator,
     LandauZenerProblem,
@@ -21,7 +20,6 @@ from qslbounds import (
     bhattacharyya_check,
     bhattacharyya_residuals,
     boundary_state_arrays,
-    compute_report,
     energy_variance,
     fubini_study_distance,
     ground_state,
@@ -489,9 +487,6 @@ SINGLE_FORMS = {
     "tqsl_star": lambda traj: tqsl_star(traj, basis_state(2, 1)),
     "arenz_overlap_inequality_check": (
         lambda traj: arenz_overlap_inequality_check(traj, PureState(traj.ends[1, 0]))
-    ),
-    "compute_report": lambda traj: compute_report(
-        BoundInputs(RABI, basis_state(2, 0), basis_state(2, 1)), traj=traj
     ),
 }
 

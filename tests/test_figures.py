@@ -20,7 +20,15 @@ from qslbounds import (
     tqsl_star,
     tqsl_star_closed,
 )
-from qslbounds.cli import LambdaSpec, SweepConfig, SweepRow, emit_report, main, run_sweep
+from qslbounds.cli import (
+    LambdaSpec,
+    SweepConfig,
+    SweepRow,
+    emit_report,
+    main,
+    run_sweep,
+    verify_case,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,3 +109,17 @@ def test_sweep_rows_equal_the_single_instance_chain(stem):
     cfg = SweepConfig(lambda_spec=FIGURE_CAPS[stem], delta=1.3, theta_count=9)
     rows = run_sweep(cfg)
     assert rows == [_reference_row(cfg, row.theta) for row in rows]
+
+
+@pytest.mark.parametrize("spec", [*FIGURE_CAPS.values(), LambdaSpec("absolute", 1.0)], ids=str)
+def test_verify_reads_the_sweep_row_of_its_theta_bit_for_bit(spec):
+    # the sweep at 2 samples per segment and verify at 200 share one pipeline
+    for row in run_sweep(SweepConfig(lambda_spec=spec, theta_count=12)):
+        report = verify_case(1.0, row.theta, spec)
+        pairs = [(report.checks["fidelity"].value, row.fidelity)] + [
+            (report.checks[f"dominance_{n}"].value, getattr(row, f"tmin_{n}"))
+            for n in ("a", "b", "c1", "c2")
+        ]
+        for got, want in pairs:
+            assert float.hex(got) == float.hex(want), (row.theta, got, want)
+        assert f"t_qsl*   = {row.tqsl_traj:.12g}\n" in report.text(), row.theta
