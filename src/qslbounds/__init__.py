@@ -33,6 +33,7 @@ from .dynamics import (
     propagate,
     propagate_refined,
     propagate_stack,
+    sin_star,
     tqsl_star,
     tqsl_stars,
     trajectory_residuals,
@@ -46,7 +47,6 @@ from .bounds import (
     mandelstam_tamm_time,
     margolus_levitin_time,
     max_hs_norm_over_field,
-    sin_star,
     tmin_a,
     tmin_b,
     tmin_b_eigenstate,

@@ -16,7 +16,7 @@ import numpy as np
 from . import quantum, tolerances
 from .dynamics import ControlHamiltonian, TrajectoryStack, _state_array
 from .dynamics import _distance_over, _single, arenz_overlap_residuals
-from .dynamics import tqsl_star  # noqa: F401  the perfbench tracer test patches this binding
+from .dynamics import sin_star, tqsl_star  # noqa: F401  perfbench traces these bindings
 from .quantum import (
     HermitianOperator,
     PureState,
@@ -55,15 +55,6 @@ def unified_time(delta_e: float, mean_e: float) -> float:
     if not candidates:
         raise ValueError("at least one of delta_e, mean_e must be positive")
     return min(candidates)
-
-
-def sin_star(x):
-    """Monotone envelope helper: 0 below 0, sin on [0, pi/2], 1 beyond.
-
-    Takes a scalar or an array.  The cap sits at pi/2, where sin reaches 1;
-    capping any earlier would make the envelope discontinuous.
-    """
-    return np.sin(np.clip(x, 0.0, 0.5 * math.pi))
 
 
 @dataclass(frozen=True)

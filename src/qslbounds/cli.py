@@ -376,12 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """The dict of a JSON object, which must name each key once."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"config key {key!r} is repeated")
+    return dict(pairs)
+
+
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     """Make the settings of a JSON config file the defaults of `parser`, so a
     flag given on the command line still wins.  Each key names one of the
     parser's flags and its value is parsed by that flag's type."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     flags = {

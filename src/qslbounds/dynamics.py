@@ -367,12 +367,19 @@ def bhattacharyya_check(traj: TrajectoryStack) -> float:
     return float(bhattacharyya_residuals(_single(traj))[0])
 
 
+def sin_star(x):
+    """Monotone envelope helper: 0 below 0, sin on [0, pi/2], 1 beyond.
+
+    Takes a scalar or an array.  The cap sits at pi/2, where sin reaches 1;
+    capping any earlier would make the envelope discontinuous.
+    """
+    return np.sin(np.clip(x, 0.0, 0.5 * math.pi))
+
+
 def _pfeifer_envelopes(stack: TrajectoryStack, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Lower and upper envelopes sin*(delta -+ h(t)) of |<phi[b]|psi(t)>|, each (B, N):
     h(t), the smaller of the energy spreads accumulated in phi[b] and in psi0, is
     exactly piecewise linear, both integrands being piecewise constant."""
-    from .bounds import sin_star  # local import, bounds depends on dynamics
-
     psi0 = stack.ends[0]
     # deltaE of H(u(t)) in the fixed states phi[b] and psi0[b], accumulated
     anchored = energy_spreads(stack.hamiltonians, np.stack((phi, psi0))[:, :, None])

@@ -161,6 +161,21 @@ class OptimalProtocol:
         return self.field.total_duration
 
 
+def _hegerfeldt(regime: str, amplitude: float, t_bang: float, t_off: float) -> OptimalProtocol:
+    """Hegerfeldt's drive, one shape in every regime: +amplitude for t_bang,
+    off for t_off (left out when not positive), then -amplitude for t_bang.
+    The composite's bangs are surrogate kicks, so it reports no bang time and
+    t_off as its ideal duration."""
+    segments = [(t_bang, +amplitude)]
+    if t_off > 0.0:
+        segments.append((t_off, 0.0))
+    segments.append((t_bang, -amplitude))
+    field = PiecewiseConstantField(tuple(segments))
+    if regime == REGIME_UNCONSTRAINED:
+        return OptimalProtocol(regime, field, t_lambda=0.0, t_off=t_off, t_opt_ideal=t_off)
+    return OptimalProtocol(regime, field, t_bang, t_off, t_opt_ideal=field.total_duration)
+
+
 def unconstrained_protocol(
     problem: LandauZenerProblem, u0: Optional[float] = None
 ) -> OptimalProtocol:
@@ -176,20 +191,8 @@ def unconstrained_protocol(
     if u0 is None:
         u0 = DEFAULT_SURROGATE_FACTOR * problem.delta
     check_energy(problem.delta, u0)
-    t0 = math.pi / (4.0 * u0)
     t_free = (math.pi - 2.0 * problem.theta) / problem.delta
-    segments = [(t0, +u0)]
-    if t_free > 0.0:
-        segments.append((t_free, 0.0))
-    segments.append((t0, -u0))
-    field = PiecewiseConstantField(tuple(segments))
-    return OptimalProtocol(
-        regime=REGIME_UNCONSTRAINED,
-        field=field,
-        t_lambda=0.0,
-        t_off=t_free,
-        t_opt_ideal=t_free,
-    )
+    return _hegerfeldt(REGIME_UNCONSTRAINED, u0, math.pi / (4.0 * u0), t_free)
 
 
 def _clamped_asin(arg: float) -> float:
@@ -240,19 +243,7 @@ def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
             f"lambda_cap {cap!r} is too large for theta {problem.theta!r}: "
             "the bang durations overflow or vanish"
         )
-
-    segments = [(t_lambda, +cap)]
-    if t_off > 0.0:
-        segments.append((t_off, 0.0))
-    segments.append((t_lambda, -cap))
-    field = PiecewiseConstantField(tuple(segments))
-    return OptimalProtocol(
-        regime=regime,
-        field=field,
-        t_lambda=t_lambda,
-        t_off=t_off,
-        t_opt_ideal=field.total_duration,
-    )
+    return _hegerfeldt(regime, cap, t_lambda, t_off)
 
 
 def check_surrogate(lambda_cap: float, u0: Optional[float]) -> None:

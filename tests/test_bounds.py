@@ -504,6 +504,13 @@ def test_bounds_dominated_on_two_level_ensemble():
 # report assembly
 
 
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3)], ids=["psi0", "psig"])
+def test_bound_inputs_reject_a_state_of_another_dimension(dims):
+    ch = flip_inputs(1.0).ch
+    with pytest.raises(ValueError, match="^state dimensions must match the control Hamiltonian$"):
+        BoundInputs(ch, *(basis_state(d, 0) for d in dims))
+
+
 def test_compute_report_aggregates_and_flags():
     inputs = flip_inputs(0.0)
     report = compute_report(inputs, t_opt=4.0)

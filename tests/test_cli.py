@@ -511,6 +511,16 @@ HUGE_CAP = (
         ),
         (["verify", "--theta", "0.9", "--unconstrained"], MISSING, "No such file or directory"),
         (["verify", "--theta", "0.9", "--unconstrained"], '{"theta": 0.9', "Expecting"),
+        (
+            ["verify"],
+            '{"theta": 0.9, "lambda_factor": 6, "theta": 0.5}',
+            r"error: config key 'theta' is repeated$",
+        ),
+        (
+            ["verify", "--unconstrained"],
+            None,
+            r"error: verify needs --theta \(or 'theta' in the config file\)$",
+        ),
         (["verify", "--theta", "0.9", "--lambda-factor", "6", "--u0", "5"], None, U0_CAPPED),
         (["sweep", "--lambda", "1", "--u0", "5", "--out", "{tmp}/s.csv"], None, U0_CAPPED),
         (["verify", "--theta", "0.9"], {"lambda_factor": 6, "u0": 5}, U0_CAPPED),
@@ -617,6 +627,8 @@ HUGE_CAP = (
         "config-cap-and-two-cap-flags",
         "config-missing-file",
         "config-malformed-json",
+        "config-repeated-key",
+        "verify-without-theta",
         "verify-u0-with-cap",
         "sweep-u0-with-cap",
         "config-u0-with-cap",

@@ -60,3 +60,10 @@ def test_the_check_finds_an_unused_import_and_honours_noqa():
         "print(pi, os.sep)\n"
     )
     assert unused_imports(source) == [(2, "osp"), (3, "tau"), (9, "path")]
+
+
+def test_dynamics_imports_nothing_from_bounds():
+    # bounds builds on dynamics, so an import the other way would be a cycle
+    source = (ROOT / "src" / "qslbounds" / "dynamics.py").read_text(encoding="utf-8")
+    modules = {n.module for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ImportFrom)}
+    assert "bounds" not in modules
