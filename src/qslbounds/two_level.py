@@ -98,13 +98,6 @@ class LandauZenerProblem:
     def from_theta(cls, delta: float, theta: float, lambda_cap: float = math.inf):
         return cls(delta, gamma_from_theta(delta, theta), theta, lambda_cap)
 
-    @property
-    def critical_cap(self) -> float:
-        """Cap value delta^2/(4*gamma) separating the two constrained regimes."""
-        if self.gamma == 0.0:
-            return math.inf
-        return self.delta * self.delta / (4.0 * self.gamma)
-
     def control_hamiltonian(self) -> ControlHamiltonian:
         return ControlHamiltonian(h0=_drift(self.delta), hc=SIGMA_Z, u_max=self.lambda_cap)
 
@@ -196,16 +189,19 @@ def unconstrained_protocol(
 
 
 def _clamped_asin(arg: float) -> float:
-    if arg > 1.0 + ASIN_CLAMP_ATOL or arg < -ASIN_CLAMP_ATOL:
-        raise ValueError(f"arcsin argument {arg!r} outside [0, 1]: inconsistent parameters")
-    return math.asin(min(max(arg, 0.0), 1.0))
+    """asin of a square root, clamped into [0, 1] within ASIN_CLAMP_ATOL; NaN
+    beyond it, which the caller's range check rejects."""
+    if arg > 1.0 + ASIN_CLAMP_ATOL:
+        return math.nan
+    return math.asin(min(arg, 1.0))
 
 
 def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
     """Hegerfeldt's optimum for a finite cap: bang(+cap), off, bang(-cap).
 
-    Above the critical cap the off window is open (bang-off-bang); below it
-    the off window closes and the two bangs meet (bang-bang).
+    The sign of cap*gamma - delta^2/4, which the off time also reads, picks
+    the regime: at or above 0 the off window is open (bang-off-bang, empty at
+    0); below 0 it closes and the two bangs meet (bang-bang).
     """
     cap = problem.lambda_cap
     gamma = problem.gamma
@@ -216,15 +212,15 @@ def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
         raise ValueError("constrained protocol needs gamma > 0")
 
     quarter = 0.25 * delta * delta
+    excess = cap * gamma - quarter
     rabi_sq = cap * cap + quarter
     rabi = math.sqrt(rabi_sq)
     try:
-        if cap >= problem.critical_cap:
+        if excess >= 0.0:
             regime = REGIME_BANG_OFF_BANG
             t_lambda = _clamped_asin(math.sqrt(rabi_sq / (2.0 * cap * (cap + gamma)))) / rabi
             t_off = (2.0 / delta) * math.atan(
-                (cap * gamma - quarter)
-                / (0.5 * delta * math.sqrt(cap * cap + 2.0 * cap * gamma - quarter))
+                excess / (0.5 * delta * math.sqrt(cap * cap + 2.0 * cap * gamma - quarter))
             )
         else:
             regime = REGIME_BANG_BANG
@@ -234,14 +230,11 @@ def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
             )
             t_off = 0.0
     except ZeroDivisionError:  # a divisor, a product of small inputs, underflowed to 0
-        raise ValueError(
-            f"delta {delta!r} at theta {problem.theta!r} with lambda_cap {cap!r} is out of range: "
-            "a product in the bang durations underflows to 0"
-        ) from None
+        t_lambda = math.nan
     if not 0.0 < t_lambda < math.inf:  # a NaN fails too; t_off overflows only after it
         raise ValueError(
-            f"lambda_cap {cap!r} is too large for theta {problem.theta!r}: "
-            "the bang durations overflow or vanish"
+            f"delta {delta!r} at theta {problem.theta!r} with lambda_cap {cap!r} is out of range: "
+            "the bang durations overflow or underflow"
         )
     return _hegerfeldt(regime, cap, t_lambda, t_off)
 
@@ -284,12 +277,9 @@ def closed_form_bounds(problem: LandauZenerProblem) -> ClosedFormBounds:
     delta = problem.delta
     cap = problem.lambda_cap
     half_gap = 0.5 * math.pi - theta
-    if math.isinf(cap):
-        a = 0.0
-        b = 0.0
-    else:
-        a = half_gap / math.sqrt(0.25 * delta * delta + cap * cap)
-        b = half_gap / (0.5 * delta * math.cos(theta) + cap * math.sin(theta))
+    # an infinite cap gives 0.0 through each division
+    a = half_gap / math.sqrt(0.25 * delta * delta + cap * cap)
+    b = half_gap / (0.5 * delta * math.cos(theta) + cap * math.sin(theta))
     c1 = (1.0 - math.sin(theta)) / (0.5 * math.sqrt(2.0) * delta)
     return ClosedFormBounds(tmin_a=a, tmin_b=b, tmin_c1=c1, tmin_c2=0.0)
 
@@ -303,8 +293,6 @@ def tqsl_star_closed(problem: LandauZenerProblem, protocol: OptimalProtocol) -> 
     theta = problem.theta
     delta = problem.delta
     separation = math.pi - 2.0 * theta
-    if separation == 0.0:
-        return 0.0
     if protocol.regime == REGIME_UNCONSTRAINED:
         ideal = protocol.t_opt_ideal
         return separation * ideal / (separation + math.pi * math.sin(theta))

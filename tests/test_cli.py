@@ -453,14 +453,12 @@ DEGENERATE_ENDS = (
     r"error: delta {} at theta {} is too small: "
     r"the endpoint gap delta/sin\(theta\) is not above 1e-10$"
 )
-UNDERFLOWING_BANGS = (
+OUT_OF_RANGE_BANGS = (
     r"error: delta {} at theta {} with lambda_cap {} is out of range: "
-    r"a product in the bang durations underflows to 0$"
+    r"the bang durations overflow or underflow$"
 )
 HUGE_ENERGY = r"is too large: the energy hypot\(u, delta/2\) overflows when squared$"
-HUGE_CAP = (
-    r"error: lambda_cap \S+ is too large for theta 0\.9: the bang durations overflow or vanish$"
-)
+HUGE_CAP = OUT_OF_RANGE_BANGS.format(r"1\.0", r"0\.9", r"\S+")
 
 
 @pytest.mark.parametrize(
@@ -600,13 +598,26 @@ HUGE_CAP = (
         (
             ["verify", "--theta", "1e-320", "--delta", "5e-324", "--lambda", "1"],
             None,
-            UNDERFLOWING_BANGS.format("5e-324", "1e-320", r"1\.0"),
+            OUT_OF_RANGE_BANGS.format("5e-324", "1e-320", r"1\.0"),
         ),
         (
             ["sweep", "--delta", "5e-324", "--theta-min", "1e-320", "--theta-max", "2e-320",
              "--theta-count", "2", "--lambda", "1e-300", "--out", "{tmp}/s.csv"],
             None,
-            UNDERFLOWING_BANGS.format("5e-324", "1e-320", "1e-300"),
+            OUT_OF_RANGE_BANGS.format("5e-324", "1e-320", "1e-300"),
+        ),
+        (
+            ["verify", "--delta", "1e100", "--theta", "1e-100", "--lambda", "1e-200"],
+            None,
+            OUT_OF_RANGE_BANGS.format(r"1e\+100", "1e-100", "1e-200"),
+        ),
+        (
+            ["verify", "--delta", "2836974707.5487084", "--theta", "2.4913656720647733e-299",
+             "--lambda", "1.8912846497454433e-305"],
+            None,
+            OUT_OF_RANGE_BANGS.format(
+                r"2836974707\.5487084", r"2\.4913656720647733e-299", r"1\.8912846497454433e-305"
+            ),
         ),
     ],
     ids=[
@@ -658,6 +669,8 @@ HUGE_CAP = (
         "verify-delta-degenerates-ends-unconstrained",
         "verify-bang-durations-underflow",
         "sweep-bang-durations-underflow",
+        "verify-huge-delta-overflows-bang-bang-durations",
+        "verify-huge-gamma-overflows-bang-bang-durations",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):

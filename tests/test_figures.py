@@ -58,6 +58,7 @@ VERIFY_ARGS = {
     "verify_unconstrained": ["--theta", "0.3", "--unconstrained"],
     "verify_half_pi": ["--theta", "1.5707963267948966", "--unconstrained"],
     "verify_absolute_cap": ["--delta", "1.3", "--theta", "0.7", "--lambda", "2.5"],
+    "verify_critical_cap": ["--theta", "0.7", "--lambda-factor", "1"],
 }
 
 

@@ -54,6 +54,11 @@ def lz(theta: float, cap: float = math.inf, delta: float = 1.0) -> LandauZenerPr
     return LandauZenerProblem.from_theta(delta, theta, cap)
 
 
+def critical_cap(delta: float, theta: float) -> float:
+    """The cap delta^2/(4*gamma) at which Hegerfeldt's two capped drives meet."""
+    return delta * delta / (4.0 * gamma_from_theta(delta, theta))
+
+
 def protocol_fidelity(problem: LandauZenerProblem, protocol: OptimalProtocol) -> float:
     psi0, psig = boundary_states(problem)
     traj = propagate(problem.control_hamiltonian(), protocol.field, psi0)
@@ -156,11 +161,6 @@ def test_problem_rejects_nonpositive_cap():
 def test_problem_rejects_non_finite_parameters(args, match):
     with pytest.raises(ValueError, match=match):
         LandauZenerProblem(*args)
-
-
-def test_critical_cap():
-    assert lz(math.atan2(1.0, 2.0)).critical_cap == pytest.approx(0.25, abs=1e-15)
-    assert math.isinf(lz(HALF_PI).critical_cap)  # gamma = 0
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,24 @@ def test_regime_boundary_is_continuous():
     assert abs(below.t_opt - at.t_opt) < 1e-8
 
 
+def test_the_regime_agrees_with_its_off_time_at_the_critical_cap():
+    # at the critical cap and its float neighbours the label, the off time and
+    # the field's segments agree: no negative off time, no missing off window
+    rng = np.random.default_rng(26)
+    draws = zip(10.0 ** rng.uniform(-2.0, 2.0, 400), rng.uniform(0.01, HALF_PI - 0.01, 400))
+    for delta, theta in draws:
+        delta, theta = float(delta), float(theta)
+        crit = critical_cap(delta, theta)
+        for cap in (math.nextafter(crit, 0.0), crit, math.nextafter(crit, math.inf)):
+            problem = lz(theta, cap=cap, delta=delta)
+            proto = constrained_protocol(problem)
+            case = (delta, theta, cap, proto.t_off)
+            assert proto.t_off >= 0.0, case
+            assert (len(proto.field.segments) == 3) == (proto.t_off > 0.0), case
+            excess = cap * problem.gamma - 0.25 * delta * delta
+            assert (proto.regime == "bang-bang") == (excess < 0.0), case
+
+
 def test_constrained_protocol_rejects_wrong_regime():
     with pytest.raises(ValueError):
         constrained_protocol(lz(0.3))  # infinite cap
@@ -371,7 +389,7 @@ def test_constrained_protocol_rejects_wrong_regime():
 @pytest.mark.parametrize("cap", [1e154, 1e200, 1e300])
 def test_constrained_protocol_rejects_a_cap_whose_durations_overflow(cap):
     # 2*cap*(cap + gamma) overflows to a zero bang, cap*cap to a NaN one
-    match = re.escape(f"lambda_cap {cap!r} is too large for theta 0.9")
+    match = re.escape(f"delta 1.0 at theta 0.9 with lambda_cap {cap!r} is out of range")
     with pytest.raises(ValueError, match=match):
         constrained_protocol(lz(0.9, cap=cap))
 
@@ -476,7 +494,7 @@ def test_tqsl_closed_unconstrained_limit():
 
 def test_tqsl_closed_equals_tmin_b_in_bang_bang():
     for theta in (0.2, 0.8, 1.4):
-        p = lz(theta, cap=0.1 * lz(theta).critical_cap)
+        p = lz(theta, cap=0.1 * critical_cap(1.0, theta))
         proto = constrained_protocol(p)
         assert proto.regime == "bang-bang"
         assert tqsl_star_closed(p, proto) == pytest.approx(
@@ -575,8 +593,7 @@ def test_bounds_dominated_by_optimum_on_grid():
     for theta in np.linspace(0.05, HALF_PI - 0.05, 10):
         theta = float(theta)
         for factor in (6.0, 0.2):
-            crit = lz(theta).critical_cap
-            p = lz(theta, cap=factor * crit)
+            p = lz(theta, cap=factor * critical_cap(1.0, theta))
             proto = constrained_protocol(p)
             psi0, psig = boundary_states(p)
             inputs = BoundInputs(p.control_hamiltonian(), psi0, psig)
