@@ -64,7 +64,6 @@ from .two_level import (
     constrained_protocol,
     gamma_from_theta,
     optimal_protocol,
-    theta_from_gamma,
     tqsl_star_closed,
     unconstrained_protocol,
 )

@@ -178,7 +178,7 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
     rows = [SweepRow(t) for t in thetas]
     moving = [i for i, t in enumerate(thetas) if t != 0.5 * math.pi]
     problems = [
-        LandauZenerProblem.from_theta(cfg.delta, t, cfg.lambda_spec.resolve(cfg.delta, t))
+        LandauZenerProblem(cfg.delta, t, cfg.lambda_spec.resolve(cfg.delta, t))
         for t in (thetas[i] for i in moving)
     ]
     protocols, reports, _, fidelities, _ = _solve_points(problems, cfg.u0_surrogate, 2)
@@ -272,14 +272,14 @@ def verify_case(
     cap = lambda_spec.resolve(delta, theta)
     if theta == 0.5 * math.pi:
         check_surrogate(cap, u0_surrogate)
-        problem = LandauZenerProblem.from_theta(delta, theta, math.inf)
+        problem = LandauZenerProblem(delta, theta, math.inf)
         ch = problem.control_hamiltonian()
         (report,) = compute_reports([ch], *boundary_state_arrays([problem]), [0.0])
         values = [report.value(n) for n in BOUND_NAMES]
         vanish = Check(max(values), 0.0, all(v == 0.0 for v in values), "coincident endpoints")
         return VerifyReport(problem, None, {"bounds_vanish": vanish}, report.text_block())
 
-    problem = LandauZenerProblem.from_theta(delta, theta, cap)
+    problem = LandauZenerProblem(delta, theta, cap)
     solved = _solve_points([problem], u0_surrogate, 200)
     (protocol,), (report,), (traj,), (fidelity,), psigs = solved
     closed = closed_form_bounds(problem)

@@ -61,13 +61,6 @@ class ControlHamiltonian:
     def dim(self) -> int:
         return self.h0.dim
 
-    def hamiltonians(self, amplitudes: Sequence[float]) -> np.ndarray:
-        """H(u) for every amplitude, as one read-only (S, d, d) array."""
-        return _hamiltonians((self,), np.array([amplitudes], dtype=float))[0]
-
-    def hamiltonian(self, u: float) -> HermitianOperator:
-        return HermitianOperator(self.hamiltonians((u,))[0])
-
 
 @dataclass(frozen=True)
 class PiecewiseConstantField:

@@ -37,8 +37,8 @@ MAX_DIM = 8
 MAX_SEGMENTS = 3
 MAX_DURATION = 1.0
 U_MAX = 2.0
-# instances per TrajectoryStack: bounds the memory of a suite run, while the
-# fixed cost of each stacked call falls to about a tenth of its time
+# most draws of one shape (dimension, segment count) held at once in one stack; the
+# report does not depend on it, as test_report_does_not_depend_on_the_stack_size pins
 STACK_SIZE = 16
 
 

@@ -8,7 +8,7 @@ HERMITIAN_ATOL = 1e-12  # max |H - H^dagger| of a HermitianOperator (quantum)
 # least gap above a unique ground state (quantum.ground_states_of_stack), and least
 # endpoint gap delta/sin(theta) of a two-level problem (two_level.boundary_state_arrays)
 DEGENERACY_ATOL = 1e-10
-AMPLITUDE_RTOL = 1e-12  # overshoot of |u| past u_max, relative (ControlHamiltonian.hamiltonians)
+AMPLITUDE_RTOL = 1e-12  # overshoot of |u| past u_max, relative (dynamics._hamiltonians)
 TARGET_FIDELITY_ATOL = 1e-6  # 1 - fidelity of a reached target (dynamics._reached)
 # samples whose survival amplitude |<psi0|psi>| or orthogonal part is at or
 # below this are skipped by the Bhattacharyya rate, which is 0/0 there
@@ -16,7 +16,6 @@ BHATTACHARYYA_FLOOR = 1e-12
 EIGENSTATE_ATOL = 1e-10  # ||hc x - <hc> x|| of an hc eigenstate (bounds.tmin_b_eigenstate)
 PASS_TOL = 1e-9  # t_opt >= t_min - PASS_TOL: dominance flags of compute_report and verify
 OVERLAP_SUM_ATOL = 1e-12  # eigenbasis overlap numerator counted as 0 (bounds.tmin_c1, tmin_c2)
-CONSISTENCY_ATOL = 1e-12  # |theta - atan2(delta, 2 gamma)| (LandauZenerProblem)
 ASIN_CLAMP_ATOL = 1e-12  # arcsin argument clamped into [0, 1] (two_level.constrained_protocol)
 BRODY_TOL = 1e-10  # 2 deltaE minus sqrt(2) ||h||_HS (proptest's Brody suite)
 # trajectory residuals, read only by dynamics.TRAJECTORY_CHECKS (proptest and verify)

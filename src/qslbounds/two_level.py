@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import ControlHamiltonian, PiecewiseConstantField
 from .quantum import SIGMA_X, SIGMA_Z, HermitianOperator, PureState
 from .quantum import check_hermitian, ground_states_of_stack
-from .tolerances import ASIN_CLAMP_ATOL, CONSISTENCY_ATOL, DEGENERACY_ATOL
+from .tolerances import ASIN_CLAMP_ATOL, DEGENERACY_ATOL
 
 REGIME_UNCONSTRAINED = "unconstrained-composite"
 REGIME_BANG_OFF_BANG = "bang-off-bang"
@@ -50,13 +50,6 @@ def check_delta(delta: float) -> None:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
 
 
-def theta_from_gamma(delta: float, gamma: float) -> float:
-    check_delta(delta)
-    if not (gamma >= 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be >= 0 and finite, got {gamma!r}")
-    return math.atan2(delta, 2.0 * gamma)
-
-
 def gamma_from_theta(delta: float, theta: float) -> float:
     check_delta(delta)
     if not 0.0 < theta <= 0.5 * math.pi:
@@ -76,27 +69,23 @@ def gamma_from_theta(delta: float, theta: float) -> float:
 
 @dataclass(frozen=True)
 class LandauZenerProblem:
-    """Avoided crossing delta, bias reach gamma, mixing angle theta, drive cap."""
+    """Avoided crossing delta, mixing angle theta and drive cap; the bias reach
+    gamma = delta/(2*tan(theta)) is derived from them."""
 
     delta: float
-    gamma: float
     theta: float
-    lambda_cap: float
+    lambda_cap: float = math.inf
+    gamma: float = field(init=False)
 
     def __post_init__(self):
-        implied = theta_from_gamma(self.delta, self.gamma)  # validates delta and gamma
+        # validates delta and theta, and that gamma is in float range
+        object.__setattr__(self, "gamma", gamma_from_theta(self.delta, self.theta))
         check_energy(self.delta)
         if not self.lambda_cap > 0.0:
             raise ValueError(f"lambda_cap must be positive or +inf, got {self.lambda_cap!r}")
-        if not abs(self.theta - implied) <= CONSISTENCY_ATOL:  # a NaN theta fails too
-            raise ValueError(
-                f"theta {self.theta!r} inconsistent with gamma {self.gamma!r} "
-                f"(implied {implied!r})"
-            )
 
-    @classmethod
-    def from_theta(cls, delta: float, theta: float, lambda_cap: float = math.inf):
-        return cls(delta, gamma_from_theta(delta, theta), theta, lambda_cap)
+    # the old name of the constructor, kept for the perfbench workloads
+    from_theta = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))
 
     def control_hamiltonian(self) -> ControlHamiltonian:
         return ControlHamiltonian(h0=_drift(self.delta), hc=SIGMA_Z, u_max=self.lambda_cap)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qslbounds import HermitianOperator, LandauZenerProblem, PureState, TrajectoryStack
-from qslbounds import theta_from_gamma
 from qslbounds.bounds import _max_quadratic_root
 from qslbounds.quantum import energy_covariances
 from qslbounds.property_suites import (  # noqa: F401  re-exported to the tests
@@ -69,8 +68,8 @@ def max_variance_over_field(ch, chi: PureState) -> float:
 
 
 def problem_from_gamma(delta: float, gamma: float, lambda_cap: float = math.inf):
-    """The avoided-crossing problem of bias reach gamma."""
-    return LandauZenerProblem(delta, gamma, theta_from_gamma(delta, gamma), lambda_cap)
+    """The avoided-crossing problem of bias reach gamma, through its mixing angle."""
+    return LandauZenerProblem(delta, math.atan2(delta, 2 * gamma), lambda_cap)
 
 
 @pytest.fixture

@@ -55,13 +55,13 @@ def test_criterion_1_small_angle_limit():
     t0 = time.perf_counter()
     failures = []
     theta = 1e-4
-    p_free = LandauZenerProblem.from_theta(1.0, theta)
+    p_free = LandauZenerProblem(1.0, theta)
     proto = unconstrained_protocol(p_free)
     cb_free = closed_form_bounds(p_free)
     tqsl = tqsl_star_closed(p_free, proto)
 
     # a finite window: the variance bound loses its u_max term as theta -> 0
-    p_capped = LandauZenerProblem.from_theta(1.0, theta, lambda_cap=1.0)
+    p_capped = LandauZenerProblem(1.0, theta, lambda_cap=1.0)
     cb_capped = closed_form_bounds(p_capped)
     psi0, psig = boundary_states(p_capped)
     inputs = BoundInputs(p_capped.control_hamiltonian(), psi0, psig)
@@ -90,7 +90,7 @@ def test_criterion_2_unconstrained_sweep():
     failures = []
     thetas = np.linspace(0.02, HALF_PI - 0.02, 50)
     for theta in map(float, thetas):
-        p = LandauZenerProblem.from_theta(1.0, theta)
+        p = LandauZenerProblem(1.0, theta)
         proto = unconstrained_protocol(p)
         s = math.pi - 2.0 * theta
         tqsl = tqsl_star_closed(p, proto)
@@ -133,7 +133,7 @@ def test_criterion_4_bang_bang_figure():
     thetas = np.linspace(0.02, HALF_PI - 0.02, 50)
     for theta in map(float, thetas):
         gamma = gamma_from_theta(1.0, theta)
-        p = LandauZenerProblem.from_theta(1.0, theta, 0.2 * 0.25 / gamma)
+        p = LandauZenerProblem(1.0, theta, 0.2 * 0.25 / gamma)
         proto = constrained_protocol(p)
         check(failures, proto.regime == "bang-bang",
               f"unexpected regime {proto.regime} at theta={theta:.4f}")
@@ -159,7 +159,7 @@ def test_criterion_5_drift_eigenbasis_bound_vanishes():
             else:
                 gamma = gamma_from_theta(1.0, theta)
                 cap = math.inf if gamma == 0.0 else cap_factor * 0.25 / gamma
-            p = LandauZenerProblem.from_theta(1.0, theta, cap)
+            p = LandauZenerProblem(1.0, theta, cap)
             psi0, psig = boundary_states(p)
             value = tmin_c2(BoundInputs(p.control_hamiltonian(), psi0, psig))
             check(failures, value == 0.0,
@@ -184,7 +184,7 @@ def test_criterion_7_oracle_equivalence():
     windows = np.logspace(-2.0, 3.0, 10)
     for theta in map(float, thetas):
         for u_max in map(float, windows):
-            p = LandauZenerProblem.from_theta(1.0, theta, u_max)
+            p = LandauZenerProblem(1.0, theta, u_max)
             psi0, psig = boundary_states(p)
             inputs = BoundInputs(p.control_hamiltonian(), psi0, psig)
             cb = closed_form_bounds(p)
@@ -202,7 +202,7 @@ def test_criterion_7_oracle_equivalence():
     rng = np.random.default_rng(SEED)
     cases = []
     for theta in (0.2, 0.7, 1.3):
-        p = LandauZenerProblem.from_theta(1.0, theta, 2.0)
+        p = LandauZenerProblem(1.0, theta, 2.0)
         psi0, psig = boundary_states(p)
         cases.append((p.control_hamiltonian(), psi0))
         cases.append((p.control_hamiltonian(), psig))
@@ -219,7 +219,7 @@ def test_criterion_7_oracle_equivalence():
     for ch, chi in cases:
         analytic = max_variance_over_field(ch, chi)
         grid = max(
-            energy_variance(chi, ch.hamiltonian(float(u)))
+            energy_variance(chi, HermitianOperator(ch.h0.entries + u * ch.hc.entries))
             for u in np.linspace(-ch.u_max, ch.u_max, 10_000)
         )
         check(failures, abs(analytic - grid) <= 1e-10,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qslbounds import (
     BoundInputs,
     ControlHamiltonian,
+    HermitianOperator,
     PiecewiseConstantField,
     PureState,
     SIGMA_X,
@@ -176,7 +177,10 @@ def test_max_variance_matches_dense_grid(seed, dim, u_max):
     c0, c1, c2 = variance_quadratic_coeffs(ch, chi)
     best = math.sqrt(max(float(np.max(c0 + c1 * grid + c2 * grid * grid)), 0.0))
     assert analytic >= best - 1e-12
-    direct = max(energy_variance(chi, ch.hamiltonian(float(u))) for u in grid[:: 100])
+    direct = max(
+        energy_variance(chi, HermitianOperator(ch.h0.entries + u * ch.hc.entries))
+        for u in grid[:: 100]
+    )
     assert analytic >= direct - 1e-12
 
 
@@ -684,7 +688,7 @@ def test_stacked_bounds_match_the_scalar_reference_on_the_two_level_problem():
     for delta in (0.5, 1.3, 2.0):
         for spec in specs:
             problems = [
-                LandauZenerProblem.from_theta(delta, float(t), spec.resolve(delta, float(t)))
+                LandauZenerProblem(delta, float(t), spec.resolve(delta, float(t)))
                 for t in thetas
             ]
             _assert_stack_matches_reference([
@@ -704,7 +708,7 @@ def test_coincident_endpoints_need_no_time_at_any_cap():
     # must pass against t_opt = 0; verify sets the cap to inf there, which hides this
     failed = {}
     for cap in (1e-8, 1.0, 1e8):
-        problem = LandauZenerProblem.from_theta(1.0, HALF_PI, cap)
+        problem = LandauZenerProblem(1.0, HALF_PI, cap)
         ends = boundary_state_arrays([problem])
         if not np.array_equal(ends[0], ends[1]):  # not an AssertionError: a real failure
             pytest.fail(f"the endpoints at cap {cap} are no longer bit-identical")

@@ -150,7 +150,7 @@ def test_mixed_regime_sweep_matches_the_per_point_trajectories():
     rows = run_sweep(cfg)
     assert {r.regime for r in rows} == {"bang-off-bang", "bang-bang"}
     for row in rows:
-        problem = LandauZenerProblem.from_theta(cfg.delta, row.theta, 1.0)
+        problem = LandauZenerProblem(cfg.delta, row.theta, 1.0)
         psi0, psig = boundary_states(problem)
         field = optimal_protocol(problem).field
         est = tqsl_star(propagate(problem.control_hamiltonian(), field, psi0, 200), psig)

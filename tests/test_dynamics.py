@@ -38,6 +38,7 @@ from qslbounds import (
     unitary_step,
 )
 from qslbounds import dynamics
+from qslbounds.dynamics import _hamiltonians
 from qslbounds.cli import LambdaSpec, SweepConfig
 from qslbounds.quantum import abs_overlaps
 from qslbounds.tolerances import BHATTACHARYYA_TOL, TARGET_FIDELITY_ATOL
@@ -70,9 +71,9 @@ def test_control_hamiltonian_rejects_negative_window():
 
 def test_hamiltonian_rejects_amplitude_beyond_window():
     ch = ControlHamiltonian(h0=SIGMA_X, hc=SIGMA_Z, u_max=2.0)
-    ch.hamiltonian(2.0)
+    _hamiltonians((ch,), np.array([[2.0]]))
     with pytest.raises(ValueError):
-        ch.hamiltonian(2.1)
+        _hamiltonians((ch,), np.array([[2.1]]))
 
 
 def test_field_rejects_empty():
@@ -114,7 +115,7 @@ def test_trajectory_records_its_drive(rng):
     assert traj.hamiltonians.shape == (1, len(field.segments), 4, 4)
     assert not traj.hamiltonians.flags.writeable
     for h, (_, u) in zip(traj.hamiltonians[0], field.segments):
-        assert _same_bits(h, ch.hamiltonian(u).entries)
+        assert _same_bits(h, ch.h0.entries + u * ch.hc.entries)
 
 
 def test_checks_build_no_operator(monkeypatch):
@@ -181,7 +182,7 @@ def _hand_built(ch, end):
         segment_index=np.array([0, 0]),
         chs=(ch,),
         fields=(FREE_UNIT,),
-        hamiltonians=ch.hamiltonians([0.0])[None],
+        hamiltonians=_hamiltonians((ch,), np.zeros((1, 1))),
     )
 
 
@@ -314,7 +315,7 @@ def test_sweep_points_propagate_as_the_loop_reference_bit_for_bit(spec):
     cfg = SweepConfig(lambda_spec=spec)
     thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_count).tolist()
     problems = [
-        LandauZenerProblem.from_theta(cfg.delta, t, spec.resolve(cfg.delta, t)) for t in thetas
+        LandauZenerProblem(cfg.delta, t, spec.resolve(cfg.delta, t)) for t in thetas
     ]
     for problem, row in zip(problems, boundary_state_arrays(problems)[0], strict=True):
         ch, field = problem.control_hamiltonian(), optimal_protocol(problem).field
@@ -461,7 +462,7 @@ def test_stack_entries_carry_their_drive(rng):
         assert np.shares_memory(traj.hamiltonians, stack.hamiltonians)
         assert not stack.hamiltonians.flags.writeable
         for j, (_, u) in enumerate(field.segments):
-            assert _same_bits(stack.hamiltonians[k, j], ch.hamiltonian(u).entries)
+            assert _same_bits(stack.hamiltonians[k, j], ch.h0.entries + u * ch.hc.entries)
         assert np.array_equal(stack.ends[0, k], psi0.amplitudes)
 
 
@@ -602,7 +603,8 @@ def test_trajectory_variance_matches_pointwise_recompute(rng):
     amps = [a for _, a in field.segments]
     for k in range(0, traj.n_samples, 7):
         j = traj.segment_index[k]
-        direct = energy_variance(PureState(traj.states[0, k]), ch.hamiltonian(amps[j]))
+        h = HermitianOperator(ch.h0.entries + amps[j] * ch.hc.entries)
+        direct = energy_variance(PureState(traj.states[0, k]), h)
         assert traj.spreads[0, j] == pytest.approx(direct, abs=1e-11)
 
 
@@ -624,7 +626,7 @@ def test_path_length_is_exact_per_segment_sum(rng):
     expected = 0.0
     psi = psi0
     for dur, amp in field.segments:
-        h = ch.hamiltonian(amp)
+        h = HermitianOperator(ch.h0.entries + amp * ch.hc.entries)
         expected += 2.0 * dur * energy_variance(psi, h)
         psi = PureState(unitary_step(h, dur) @ psi.amplitudes)
     for samples in (1, 400):

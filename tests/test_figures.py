@@ -77,7 +77,7 @@ def test_constrained_trajectory_time_meets_the_closed_form(stem):
 
 def _reference_row(cfg: SweepConfig, theta: float) -> SweepRow:
     # one point through the public single-instance calls
-    problem = LandauZenerProblem.from_theta(
+    problem = LandauZenerProblem(
         cfg.delta, theta, cfg.lambda_spec.resolve(cfg.delta, theta)
     )
     protocol = optimal_protocol(problem)

@@ -26,7 +26,6 @@ from qslbounds import (
     propagate,
     propagate_refined,
     spectral,
-    theta_from_gamma,
     tmin_a,
     tmin_b,
     tmin_c1,
@@ -37,7 +36,8 @@ from qslbounds import (
 )
 from qslbounds.bounds import BOUND_NAMES, compute_report
 from qslbounds.cli import LambdaSpec
-from qslbounds.tolerances import FIDELITY_TOL
+from qslbounds.dynamics import _hamiltonians
+from qslbounds.tolerances import CLOSED_FORM_TOL, FIDELITY_TOL
 from qslbounds.two_level import MAX_ENERGY
 from conftest import problem_from_gamma, sampled_spreads
 
@@ -51,7 +51,7 @@ FIG3B_T_LAMBDA = 1.5250854101996452
 
 
 def lz(theta: float, cap: float = math.inf, delta: float = 1.0) -> LandauZenerProblem:
-    return LandauZenerProblem.from_theta(delta, theta, cap)
+    return LandauZenerProblem(delta, theta, cap)
 
 
 def critical_cap(delta: float, theta: float) -> float:
@@ -70,36 +70,27 @@ def protocol_fidelity(problem: LandauZenerProblem, protocol: OptimalProtocol) ->
 
 
 def test_theta_gamma_conversions():
-    assert theta_from_gamma(1.0, 0.0) == HALF_PI
-    assert theta_from_gamma(1.0, 0.5) == pytest.approx(0.25 * math.pi, abs=1e-15)
     assert gamma_from_theta(1.0, math.pi / 6) == pytest.approx(
         math.sqrt(3.0) / 2.0, abs=1e-15
     )
     assert gamma_from_theta(1.0, HALF_PI) == 0.0
+    assert problem_from_gamma(1.0, 0.0).theta == HALF_PI
+    assert problem_from_gamma(1.0, 0.5).theta == pytest.approx(0.25 * math.pi, abs=1e-15)
 
 
 def test_theta_gamma_round_trip():
     for gamma in (0.0, 0.3, 1.0, 42.0):
-        theta = theta_from_gamma(2.5, gamma)
-        assert gamma_from_theta(2.5, theta) == pytest.approx(gamma, abs=1e-12)
+        assert problem_from_gamma(2.5, gamma).gamma == pytest.approx(gamma, abs=1e-12)
 
 
 def test_conversion_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        theta_from_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        theta_from_gamma(1.0, -0.1)
-    with pytest.raises(ValueError):
         gamma_from_theta(1.0, 0.0)
     with pytest.raises(ValueError):
         gamma_from_theta(1.0, HALF_PI + 0.1)
-    for delta in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="delta must be positive and finite"):
-            theta_from_gamma(delta, 1.0)
+    for delta in (0.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             gamma_from_theta(delta, 0.9)
-    with pytest.raises(ValueError, match="gamma must be >= 0 and finite, got inf"):
-        theta_from_gamma(1.0, math.inf)
     # a theta so small that delta/(2*tan(theta)) overflows is rejected as a theta
     for delta, theta in ((1.0, 1e-320), (1e300, 1e-9)):
         with pytest.raises(ValueError, match=f"theta {theta!r} is too small"):
@@ -128,17 +119,16 @@ def test_gamma_from_theta_rejects_an_underflowing_gamma():
 
 
 def test_problem_requires_consistent_angles():
-    with pytest.raises(ValueError):
+    # gamma is derived from delta and theta, so no caller can give one that disagrees
+    p = LandauZenerProblem(1.3, 0.7, 2.5)
+    assert p.gamma == gamma_from_theta(1.3, 0.7)
+    with pytest.raises(TypeError):
         LandauZenerProblem(delta=1.0, gamma=1.0, theta=0.3, lambda_cap=1.0)
-    ok = LandauZenerProblem(
-        delta=1.0, gamma=1.0, theta=math.atan2(1.0, 2.0), lambda_cap=1.0
-    )
-    assert ok.theta == pytest.approx(0.4636476090008061, abs=1e-15)
 
 
 def test_problem_constructors_agree():
     a = problem_from_gamma(1.0, 0.5)
-    b = LandauZenerProblem.from_theta(1.0, 0.25 * math.pi)
+    b = LandauZenerProblem(1.0, 0.25 * math.pi)
     assert a.gamma == pytest.approx(b.gamma, abs=1e-15)
     assert math.isinf(a.lambda_cap)
 
@@ -151,11 +141,11 @@ def test_problem_rejects_nonpositive_cap():
 @pytest.mark.parametrize(
     "args, match",
     [
-        ((1.0, math.nan, math.nan, 1.0), "gamma must be >= 0 and finite, got nan"),
-        ((1.0, math.inf, 0.0, 1.0), "gamma must be >= 0 and finite, got inf"),
-        ((math.inf, 1.0, 0.5 * math.pi, 1.0), "delta must be positive and finite, got inf"),
-        ((math.nan, 1.0, 0.5, 1.0), "delta must be positive and finite, got nan"),
-        ((1.0, 0.5, math.nan, 1.0), "theta nan inconsistent with gamma 0.5"),
+        ((1.0, math.nan, 1.0), "theta must lie in .*, got nan"),
+        ((1.0, 1e-320, 1.0), "theta 1e-320 is too small"),
+        ((math.inf, 0.5 * math.pi, 1.0), "delta must be positive and finite, got inf"),
+        ((math.nan, 0.5, 1.0), "delta must be positive and finite, got nan"),
+        ((1.0, 0.5, math.nan), "lambda_cap must be positive or .inf, got nan"),
     ],
 )
 def test_problem_rejects_non_finite_parameters(args, match):
@@ -169,9 +159,8 @@ def test_problem_rejects_non_finite_parameters(args, match):
 
 def test_lz_hamiltonian_matrix():
     ch = lz(0.25 * math.pi, cap=3.0).control_hamiltonian()
-    h = ch.hamiltonian(0.0)
+    h, h2 = map(HermitianOperator, _hamiltonians((ch,), np.array([[0.0, 2.0]]))[0])
     assert np.allclose(h.entries, [[0.0, 0.5], [0.5, 0.0]])
-    h2 = ch.hamiltonian(2.0)
     assert np.allclose(h2.entries, [[2.0, 0.5], [0.5, -2.0]])
     eigs = spectral(h2)[0]
     assert eigs[0] == pytest.approx(-math.sqrt(4.25), abs=1e-12)
@@ -181,9 +170,9 @@ def test_lz_hamiltonian_matrix():
 
 def test_lz_hamiltonian_enforces_cap():
     ch = lz(0.25 * math.pi, cap=1.0).control_hamiltonian()
-    ch.hamiltonian(1.0)
+    _hamiltonians((ch,), np.array([[1.0]]))
     with pytest.raises(ValueError):
-        ch.hamiltonian(1.5)
+        _hamiltonians((ch,), np.array([[1.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +606,9 @@ SPIN_CAPS = (
 )
 
 
-@pytest.mark.parametrize("j2", range(1, 8))
-def test_spin_j_landau_zener_keeps_the_two_level_optimum(j2):
-    # H_j(u) = delta*Jx + 2u*Jz (Poggi, Lombardo and Wisniacki, EPL 104, 40005,
-    # 2013): every field acts as the same SU(2) element at every spin j, and the
-    # boundary states are the spin coherent states along the two-level Bloch
-    # vectors, so the two-level protocol stays optimal in d = 2j + 1
+def _spin_grid(j2: int):
+    """(problem, cap policy, control Hamiltonian, psi0, psig) of spin j = j2/2,
+    H_j(u) = delta*Jx + 2u*Jz at delta = 1, over 15 theta and SPIN_CAPS."""
     jx, jz = _spin_matrices(j2)
     drift, control = HermitianOperator(jx), HermitianOperator(2.0 * jz)
     for theta in np.linspace(0.05, 1.5, 15).tolist():
@@ -633,13 +619,44 @@ def test_spin_j_landau_zener_keeps_the_two_level_optimum(j2):
             psi0, psig = (
                 ground_state(HermitianOperator(jx + 2.0 * u * jz)) for u in (-p.gamma, p.gamma)
             )
-            closed = 2.0 * math.acos(math.sin(theta) ** j2)
-            assert abs(fubini_study_distance(psi0, psig) - closed) <= 1e-13, (theta, spec)
-            proto = optimal_protocol(p)
-            traj = propagate(ch, proto.field, psi0)
-            assert PureState(traj.ends[1, 0]).fidelity(psig) >= FIDELITY_TOL, (theta, spec)
-            report = compute_report(BoundInputs(ch, psi0, psig), t_opt=proto.t_opt_ideal)
-            flags = report.inequality_flags
-            assert len(flags) == 4 and all(flags.values()), (theta, spec, report.errors)
-            # the geodesic over the mean spread is no longer than the trajectory itself
-            assert tqsl_star(traj, psig).time <= proto.t_opt * (1.0 + 1e-12), (theta, spec)
+            yield p, spec, ch, psi0, psig
+
+
+@pytest.mark.parametrize("j2", range(1, 8))
+def test_spin_j_landau_zener_keeps_the_two_level_optimum(j2):
+    # H_j(u) = delta*Jx + 2u*Jz (Poggi, Lombardo and Wisniacki, EPL 104, 40005,
+    # 2013): every field acts as the same SU(2) element at every spin j, and the
+    # boundary states are the spin coherent states along the two-level Bloch
+    # vectors, so the two-level protocol stays optimal in d = 2j + 1
+    for p, spec, ch, psi0, psig in _spin_grid(j2):
+        theta = p.theta
+        closed = 2.0 * math.acos(math.sin(theta) ** j2)
+        assert abs(fubini_study_distance(psi0, psig) - closed) <= 1e-13, (theta, spec)
+        proto = optimal_protocol(p)
+        traj = propagate(ch, proto.field, psi0)
+        assert PureState(traj.ends[1, 0]).fidelity(psig) >= FIDELITY_TOL, (theta, spec)
+        report = compute_report(BoundInputs(ch, psi0, psig), t_opt=proto.t_opt_ideal)
+        flags = report.inequality_flags
+        assert len(flags) == 4 and all(flags.values()), (theta, spec, report.errors)
+        # the geodesic over the mean spread is no longer than the trajectory itself
+        assert tqsl_star(traj, psig).time <= proto.t_opt * (1.0 + 1e-12), (theta, spec)
+
+
+@pytest.mark.parametrize("j2", range(1, 8))
+def test_spin_j_bounds_a_and_b_meet_their_closed_forms(j2):
+    # ||H_j(u)||_HS^2 = (delta^2 + 4u^2)*j(j+1)(2j+1)/3 and the coherent
+    # endpoints lie 2*acos(sin(theta)^(2j)) apart, which fixes tmin_a; tmin_b
+    # is the two-level closed form times the ratio of the half-separations
+    # over sqrt(2j).  Both are 0 at an infinite cap
+    hs_factor = 0.5 * j2 * (0.5 * j2 + 1.0) * (j2 + 1.0) / 3.0
+    for p, spec, ch, psi0, psig in _spin_grid(j2):
+        half_separation = math.acos(math.sin(p.theta) ** j2)
+        hs_norm = math.sqrt((1.0 + 4.0 * p.lambda_cap * p.lambda_cap) * hs_factor)
+        a = 2.0 * half_separation / (math.sqrt(2.0) * hs_norm)
+        b = (
+            closed_form_bounds(p).tmin_b * half_separation
+            / math.acos(math.sin(p.theta)) / math.sqrt(j2)
+        )
+        inputs = BoundInputs(ch, psi0, psig)
+        assert abs(tmin_a(inputs) - a) <= CLOSED_FORM_TOL, (p.theta, spec)
+        assert abs(tmin_b(inputs) - b) <= CLOSED_FORM_TOL, (p.theta, spec)
