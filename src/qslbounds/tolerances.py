@@ -16,7 +16,6 @@ BHATTACHARYYA_FLOOR = 1e-12
 EIGENSTATE_ATOL = 1e-10  # ||hc x - <hc> x|| of an hc eigenstate (bounds.tmin_b_eigenstate)
 PASS_TOL = 1e-9  # t_opt >= t_min - PASS_TOL: dominance flags of compute_report and verify
 OVERLAP_SUM_ATOL = 1e-12  # eigenbasis overlap numerator counted as 0 (bounds.tmin_c1, tmin_c2)
-ASIN_CLAMP_ATOL = 1e-12  # arcsin argument clamped into [0, 1] (two_level.constrained_protocol)
 BRODY_TOL = 1e-10  # 2 deltaE minus sqrt(2) ||h||_HS (proptest's Brody suite)
 # trajectory residuals, read only by dynamics.TRAJECTORY_CHECKS (proptest and verify)
 AA_TOL = 1e-6  # Fubini-Study distance minus path length (Anandan-Aharonov)

@@ -19,9 +19,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import ControlHamiltonian, PiecewiseConstantField
-from .quantum import SIGMA_X, SIGMA_Z, HermitianOperator, PureState
-from .quantum import check_hermitian, ground_states_of_stack
-from .tolerances import ASIN_CLAMP_ATOL, DEGENERACY_ATOL
+from .quantum import SIGMA_X, SIGMA_Z, HermitianOperator, PureState, ground_states_of_stack
+from .tolerances import DEGENERACY_ATOL
 
 REGIME_UNCONSTRAINED = "unconstrained-composite"
 REGIME_BANG_OFF_BANG = "bang-off-bang"
@@ -108,12 +107,11 @@ def boundary_state_arrays(problems: Sequence[LandauZenerProblem]) -> np.ndarray:
                 f"delta {p.delta!r} at theta {p.theta!r} is too small: the endpoint gap "
                 f"delta/sin(theta) is not above {DEGENERACY_ATOL}"
             )
-    # endpoint definition, deliberately not windowed by lambda_cap; a problem
-    # has a finite delta and gamma, so every factor is finite
+    # endpoint definition, deliberately not windowed by lambda_cap; a problem's
+    # delta and gamma are finite and real, so each h is finite and real symmetric
     factors = np.array([(b, 0.5 * p.delta) for p in problems for b in (-p.gamma, p.gamma)])
     bias, half_gap = factors.T[..., None, None]
     h = bias * SIGMA_Z.entries + half_gap * SIGMA_X.entries
-    check_hermitian(h)
     return ground_states_of_stack(h).reshape(-1, 2, 2).swapaxes(0, 1)
 
 
@@ -177,14 +175,6 @@ def unconstrained_protocol(
     return _hegerfeldt(REGIME_UNCONSTRAINED, u0, math.pi / (4.0 * u0), t_free)
 
 
-def _clamped_asin(arg: float) -> float:
-    """asin of a square root, clamped into [0, 1] within ASIN_CLAMP_ATOL; NaN
-    beyond it, which the caller's range check rejects."""
-    if arg > 1.0 + ASIN_CLAMP_ATOL:
-        return math.nan
-    return math.asin(min(arg, 1.0))
-
-
 def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
     """Hegerfeldt's optimum for a finite cap: bang(+cap), off, bang(-cap).
 
@@ -203,22 +193,21 @@ def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
     quarter = 0.25 * delta * delta
     excess = cap * gamma - quarter
     rabi_sq = cap * cap + quarter
-    rabi = math.sqrt(rabi_sq)
+    # the sign of excess bounds sin_sq by 1/2 in both regimes, so asin needs no
+    # clamp; an overflow hands it inf (a ValueError) or NaN, both out of range
     try:
         if excess >= 0.0:
             regime = REGIME_BANG_OFF_BANG
-            t_lambda = _clamped_asin(math.sqrt(rabi_sq / (2.0 * cap * (cap + gamma)))) / rabi
+            sin_sq = rabi_sq / (2.0 * cap * (cap + gamma))
             t_off = (2.0 / delta) * math.atan(
                 excess / (0.5 * delta * math.sqrt(cap * cap + 2.0 * cap * gamma - quarter))
             )
         else:
             regime = REGIME_BANG_BANG
-            t_lambda = (
-                _clamped_asin(math.sqrt(gamma * rabi_sq / (0.5 * delta * delta * (cap + gamma))))
-                / rabi
-            )
+            sin_sq = gamma * rabi_sq / (0.5 * delta * delta * (cap + gamma))
             t_off = 0.0
-    except ZeroDivisionError:  # a divisor, a product of small inputs, underflowed to 0
+        t_lambda = math.asin(math.sqrt(sin_sq)) / math.sqrt(rabi_sq)
+    except (ZeroDivisionError, ValueError):  # a divisor underflowed to 0, or asin(inf)
         t_lambda = math.nan
     if not 0.0 < t_lambda < math.inf:  # a NaN fails too; t_off overflows only after it
         raise ValueError(

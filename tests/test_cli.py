@@ -38,6 +38,7 @@ from conftest import problem_from_gamma
 
 HALF_PI = 0.5 * math.pi
 GOLDEN = Path(__file__).parent / "golden"
+GRID_FAILURES = "verify_grid_failures.txt"  # the grid test's golden
 
 
 def bang_bang_config(**overrides) -> SweepConfig:
@@ -695,7 +696,7 @@ GRID_CAPS = (
 
 def _expected_grid_failures() -> dict:
     """The FAIL checks of each grid run that exits 1, from golden/verify_grid_failures.txt."""
-    lines = (GOLDEN / "verify_grid_failures.txt").read_text(encoding="utf-8").splitlines()
+    lines = (GOLDEN / GRID_FAILURES).read_text(encoding="utf-8").splitlines()
     runs = [line.split(" | ") for line in lines if line and not line.startswith("#")]
     return {args: checks.split() for args, checks in runs}
 

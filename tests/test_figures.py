@@ -29,6 +29,7 @@ from qslbounds.cli import (
     run_sweep,
     verify_case,
 )
+from test_cli import GRID_FAILURES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,6 +67,14 @@ VERIFY_ARGS = {
 def test_verify_reproduces_the_golden_report(capsys, stem):
     assert main(["verify", *VERIFY_ARGS[stem]]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{stem}.txt").read_bytes()
+
+
+def test_every_golden_file_is_named_by_a_test():
+    # GOLDEN_CONFIGS, VERIFY_ARGS and the grid test are the one list of golden
+    # invocations, which CI's verify step reads too: an unnamed file is unchecked
+    named = {f"{stem}{ext}" for stem in GOLDEN_CONFIGS for ext in (".csv", ".summary.txt")}
+    named |= {f"{stem}.txt" for stem in VERIFY_ARGS} | {GRID_FAILURES}
+    assert sorted(path.name for path in GOLDEN.iterdir() if path.name not in named) == []
 
 
 @pytest.mark.parametrize("stem", ["fig3a_bang_off_bang", "fig3b_bang_bang"])

@@ -21,7 +21,7 @@ def test_tolerances_are_assigned_only_in_the_tolerances_module():
     for path in sorted(PACKAGE.glob("*.py")):
         names = module_level_names(ast.parse(path.read_text()))
         found[path.name] = [n for n in names if n.endswith(SUFFIXES)]
-    assert len(found.pop("tolerances.py")) == 18
+    assert len(found.pop("tolerances.py")) == 17
     assert {module: names for module, names in found.items() if names} == {}
 
 

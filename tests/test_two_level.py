@@ -351,14 +351,21 @@ def test_regime_boundary_is_continuous():
 
 
 def test_the_regime_agrees_with_its_off_time_at_the_critical_cap():
-    # at the critical cap and its float neighbours the label, the off time and
-    # the field's segments agree: no negative off time, no missing off window
+    # at the critical cap, its float neighbours and a cap f times critical the
+    # label, the off time and the field's segments agree: no negative off time,
+    # no missing off window; and each bang's phase rabi*t_lambda = asin(sin) is
+    # at most pi/4 (sin^2 <= 1/2), the bound that lets asin go unclamped
     rng = np.random.default_rng(26)
-    draws = zip(10.0 ** rng.uniform(-2.0, 2.0, 400), rng.uniform(0.01, HALF_PI - 0.01, 400))
-    for delta, theta in draws:
+    draws = zip(
+        10.0 ** rng.uniform(-2.0, 2.0, 400),
+        rng.uniform(0.01, HALF_PI - 0.01, 400),
+        10.0 ** rng.uniform(-4.0, 4.0, 400),
+    )
+    for delta, theta, factor in draws:
         delta, theta = float(delta), float(theta)
         crit = critical_cap(delta, theta)
-        for cap in (math.nextafter(crit, 0.0), crit, math.nextafter(crit, math.inf)):
+        caps = (math.nextafter(crit, 0.0), crit, math.nextafter(crit, math.inf), factor * crit)
+        for cap in caps:
             problem = lz(theta, cap=cap, delta=delta)
             proto = constrained_protocol(problem)
             case = (delta, theta, cap, proto.t_off)
@@ -366,6 +373,24 @@ def test_the_regime_agrees_with_its_off_time_at_the_critical_cap():
             assert (len(proto.field.segments) == 3) == (proto.t_off > 0.0), case
             excess = cap * problem.gamma - 0.25 * delta * delta
             assert (proto.regime == "bang-bang") == (excess < 0.0), case
+            turn = math.sqrt(cap * cap + 0.25 * delta * delta) * proto.t_lambda
+            assert turn <= math.pi / 4 * (1 + 1e-14), case
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 15: gamma*(cap^2 + delta^2/4) and (delta^2/2)*(cap + gamma) are "
+    "subnormal here, so the bang-bang arcsin argument reads 1.0 and t_lambda doubles",
+)
+def test_a_sub_gap_delta_gets_the_bang_time_of_its_scaled_problem():
+    # at fixed theta the problem is covariant under (delta, cap, t) -> (c*delta, c*cap, t/c):
+    # solved at delta = 1 with cap/delta, its bang time divided by delta is the answer
+    delta, theta, cap = 1.5860259568659513e-108, 1.4106577489356091, 4.9096388904171156e-108
+    scaled = constrained_protocol(lz(theta, cap=cap / delta)).t_lambda / delta
+    assert constrained_protocol(lz(theta, cap=cap, delta=delta)).t_lambda == pytest.approx(
+        scaled, rel=1e-12
+    )
 
 
 def test_constrained_protocol_rejects_wrong_regime():
