@@ -294,10 +294,8 @@ def _reports(chs: Sequence, psi0s: np.ndarray, psigs: np.ndarray, t_opts) -> Lis
         for name, value in zip(BOUND_NAMES, outcomes):
             if isinstance(value, Exception):
                 errors[name], value = str(value), math.nan
-            else:
-                value = max(0.0, value)
-                if t_opt is not None:
-                    flags[name] = t_opt >= value - tolerances.PASS_TOL
+            elif t_opt is not None:
+                flags[name] = t_opt >= value - tolerances.PASS_TOL
             values.append(value)
         reports.append(BoundReport(*values, t_opt=t_opt, inequality_flags=flags, errors=errors))
     return reports

@@ -292,13 +292,6 @@ def _running_integral(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=-1), bit for bit, with one temporary, not two."""
-    squares = x.conj()
-    squares *= x
-    return np.sqrt(np.add.reduce(squares.real, axis=-1))
-
-
 def path_lengths(stack: TrajectoryStack) -> np.ndarray:
     """Anandan-Aharonov length 2*integral of the energy spread, per instance:
     exactly sum_j 2*d_j*deltaE_j, the spread being conserved on each segment."""
@@ -313,7 +306,7 @@ def path_length(traj: TrajectoryStack) -> float:
 
 def norm_drifts(stack: TrajectoryStack) -> np.ndarray:
     """Largest deviation of the state norm from 1 along each trajectory."""
-    return np.max(np.abs(_row_norms(stack.states) - 1.0), axis=-1)
+    return np.max(np.abs(np.linalg.norm(stack.states, axis=-1) - 1.0), axis=-1)
 
 
 def propagate_refined(
@@ -344,7 +337,7 @@ def bhattacharyya_residuals(stack: TrajectoryStack) -> np.ndarray:
     a = (states @ psi0.conj()[..., None])[..., 0]
     perp = states - a[..., None] * psi0[:, None, :]
     abs_a = np.abs(a)
-    perp_norm = _row_norms(perp)
+    perp_norm = np.linalg.norm(perp, axis=-1)
     keep = (abs_a > BHATTACHARYYA_FLOOR) & (perp_norm > BHATTACHARYYA_FLOOR)
     # <psi0|H perp> = <H psi0|perp> per segment's Hamiltonian
     h_psi0 = (stack.hamiltonians @ psi0[:, None, :, None])[..., 0]

@@ -108,14 +108,6 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def overlap(self, other: "PureState") -> complex:
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "PureState") -> float:
-        return min(abs(self.overlap(other)) ** 2, 1.0)
-
 
 @dataclass(frozen=True)
 class HermitianOperator:
@@ -137,15 +129,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        if isinstance(scalar, complex) and scalar.imag != 0.0:
-            raise ValueError("only real scalars keep the operator Hermitian")
-        if not math.isfinite(scalar.real):  # a complex of zero imaginary part scales as real
-            raise ValueError(f"scalar factor must be finite, got {scalar!r}")
-        return HermitianOperator(float(scalar.real) * self.entries)
-
-    __rmul__ = __mul__
 
 
 SIGMA_X = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))

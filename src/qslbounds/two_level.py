@@ -93,7 +93,7 @@ class LandauZenerProblem:
 @lru_cache(maxsize=32)
 def _drift(delta: float) -> HermitianOperator:
     # one operator per gap, not one per problem: a sweep builds a single drift
-    return (0.5 * delta) * SIGMA_X
+    return HermitianOperator((0.5 * delta) * SIGMA_X.entries)
 
 
 def boundary_state_arrays(problems: Sequence[LandauZenerProblem]) -> np.ndarray:

@@ -30,6 +30,18 @@ def zero_operator(dim: int) -> HermitianOperator:
     return HermitianOperator(np.zeros((dim, dim), dtype=complex))
 
 
+def overlap(a: PureState, b: PureState) -> complex:
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def fidelity(a: PureState, b: PureState) -> float:
+    return min(abs(overlap(a, b)) ** 2, 1.0)
+
+
+def scaled(c: float, op: HermitianOperator) -> HermitianOperator:
+    return HermitianOperator(c * op.entries)
+
+
 def instance(stack: TrajectoryStack, k: int) -> TrajectoryStack:
     """Instance k of stack as a stack of one, over views of its arrays."""
     return TrajectoryStack(

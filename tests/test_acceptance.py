@@ -32,7 +32,7 @@ from qslbounds import (
     unconstrained_protocol,
 )
 from qslbounds.cli import LambdaSpec, SweepConfig, run_sweep
-from conftest import basis_state, max_variance_over_field, sampled_spreads
+from conftest import basis_state, max_variance_over_field, sampled_spreads, scaled
 
 HALF_PI = 0.5 * math.pi
 SEED = 20260819
@@ -233,7 +233,7 @@ def test_criterion_8_window_independence_for_eigenstate_endpoints():
     psi0, psig = basis_state(2, 0), basis_state(2, 1)
     values = []
     for u_max in (1.0, 1e3, 1e6):
-        ch = ControlHamiltonian(0.5 * SIGMA_X, SIGMA_Z, u_max)
+        ch = ControlHamiltonian(scaled(0.5, SIGMA_X), SIGMA_Z, u_max)
         values.append(tmin_b(BoundInputs(ch, psi0, psig)))
     check(failures, abs(values[0] - values[1]) <= 1e-12,
           "t_min^B moved between u_max = 1 and 1e3")

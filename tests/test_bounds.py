@@ -47,17 +47,20 @@ from qslbounds.tolerances import OVERLAP_SUM_ATOL
 from conftest import (
     HALF_PI,
     basis_state,
+    fidelity,
     hermitian,
     max_variance_over_field,
+    overlap,
     random_control_problem,
     random_hermitian,
     random_state,
+    scaled,
     state,
     variance_quadratic_coeffs,
     zero_operator,
 )
 
-HALF_SX = 0.5 * SIGMA_X  # ||.||_HS = sqrt(2)/2, spread 1/2 in either basis state
+HALF_SX = scaled(0.5, SIGMA_X)  # ||.||_HS = sqrt(2)/2, spread 1/2 in either basis state
 
 
 def flip_inputs(u_max: float) -> BoundInputs:
@@ -119,7 +122,7 @@ def test_unified_drops_nonpositive_branch():
 def test_unified_attained_by_resonant_rotation():
     # H = (pi/2) sx from |0>: spread pi/2 and mean-above-ground pi/2, so both
     # branches give t = 1, exactly when the state turns orthogonal
-    h = (0.5 * math.pi) * SIGMA_X
+    h = scaled(0.5 * math.pi, SIGMA_X)
     psi0 = basis_state(2, 0)
     spread = energy_variance(psi0, h)
     mean_above_ground = 0.0 - (-0.5 * math.pi)
@@ -128,7 +131,7 @@ def test_unified_attained_by_resonant_rotation():
     ch = ControlHamiltonian(h0=h, hc=SIGMA_Z)
     traj = propagate(ch, PiecewiseConstantField(((1.0, 0.0),)), psi0)
     final = PureState(traj.ends[1, 0])
-    assert final.fidelity(PureState(traj.ends[0, 0])) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity(final, PureState(traj.ends[0, 0])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sin_star_frozen_values():
@@ -319,7 +322,7 @@ def _overlap_sum_reference(op, psi0, psig):
     # one eigenvector at a time, as the sum is written in the bound
     total = 0.0
     for vec in PureState.stack(spectral(op)[1].T):
-        total += abs(psig.overlap(vec)) * abs(vec.overlap(psi0))
+        total += abs(overlap(psig, vec)) * abs(overlap(vec, psi0))
     return total
 
 
@@ -435,7 +438,7 @@ def test_tmin_c2_inert_control_is_infinite():
 
 
 def test_arenz_slack_for_resonant_flip():
-    ch = ControlHamiltonian(h0=(0.5 * math.pi) * SIGMA_X, hc=SIGMA_Z)
+    ch = ControlHamiltonian(h0=scaled(0.5 * math.pi, SIGMA_X), hc=SIGMA_Z)
     field = PiecewiseConstantField(((1.0, 0.0),))
     traj = propagate(ch, field, basis_state(2, 0))
     residual = arenz_overlap_inequality_check(traj, basis_state(2, 1))
@@ -457,7 +460,7 @@ def test_arenz_degenerate_duration_limit():
 
 
 def test_arenz_requires_reached_target():
-    ch = ControlHamiltonian(h0=(0.5 * math.pi) * SIGMA_X, hc=SIGMA_Z)
+    ch = ControlHamiltonian(h0=scaled(0.5 * math.pi, SIGMA_X), hc=SIGMA_Z)
     field = PiecewiseConstantField(((0.5, 0.0),))
     traj = propagate(ch, field, basis_state(2, 0))
     with pytest.raises(ValueError):
@@ -489,7 +492,7 @@ def test_bounds_dominated_on_two_level_ensemble():
     for _ in range(500):
         delta = float(rng.uniform(0.2, 3.0))
         cap = float(rng.uniform(0.05, 4.0))
-        ch = ControlHamiltonian((0.5 * delta) * SIGMA_X, SIGMA_Z, cap)
+        ch = ControlHamiltonian(scaled(0.5 * delta, SIGMA_X), SIGMA_Z, cap)
         field = PiecewiseConstantField(
             tuple(
                 (float(rng.uniform(0.05, 1.5)), float(rng.uniform(-cap, cap)))
@@ -543,6 +546,19 @@ def test_compute_report_flags_a_violated_claim():
     assert "[FAIL]" in report.text_block()
 
 
+def test_compute_report_fails_a_nan_bound():
+    # entries of order 1e160 overflow the energy covariances, so tmin_b is NaN
+    h0 = hermitian(1e160 * np.array([[1.0, 0.5], [0.5, -1.0]]))
+    hc = hermitian(1e160 * np.array([[0.3, 1.0], [1.0, -0.2]]))
+    psig = PureState(np.array([0.6, 0.8], complex))
+    inputs = BoundInputs(ControlHamiltonian(h0, hc, 1.0), basis_state(2, 0), psig)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = compute_report(inputs, t_opt=1e-200)
+    assert math.isnan(report.t_min_b)
+    assert report.inequality_flags["b"] is False
+    assert "t_min_b   = nan  [FAIL]" in report.text_block()
+
+
 def test_compute_report_measures_the_distance_once(monkeypatch):
     calls = []
     distances = bounds_module.fubini_study_distances
@@ -555,7 +571,7 @@ def test_compute_report_measures_the_distance_once(monkeypatch):
 
 def test_tqsl_star_of_a_geodesic_is_its_duration():
     # a half turn at constant speed: the trajectory time beside the report's t_opt
-    ch = ControlHamiltonian(h0=(0.5 * math.pi) * SIGMA_X, hc=SIGMA_Z, u_max=0.0)
+    ch = ControlHamiltonian(h0=scaled(0.5 * math.pi, SIGMA_X), hc=SIGMA_Z, u_max=0.0)
     field = PiecewiseConstantField(((1.0, 0.0),))
     psi0 = basis_state(2, 0)
     traj = propagate(ch, field, psi0)

@@ -462,226 +462,318 @@ HUGE_ENERGY = r"is too large: the energy hypot\(u, delta/2\) overflows when squa
 HUGE_CAP = OUT_OF_RANGE_BANGS.format(r"1\.0", r"0\.9", r"\S+")
 
 
-@pytest.mark.parametrize(
-    "argv, config, match",
-    [
-        (["verify", "--theta", "2.0", "--unconstrained"], None, "theta must lie in"),
-        (["verify", "--theta", "0.9"], None, "drive cap unspecified"),
-        (
-            ["verify", "--theta", "0.9", "--unconstrained", "--lambda", "1"],
-            None,
-            "--lambda: not allowed with argument --unconstrained",
-        ),
-        (["sweep", "--unconstrained"], None, "needs --out"),
-        (["proptest", "--delta", "1"], None, "unrecognized arguments: --delta 1"),
-        (["proptest", "--seed", "-1"], None, r"error: seed must be non-negative, got -1$"),
-        (["proptest"], {"seed": -3}, r"error: seed must be non-negative, got -3$"),
-        (
-            ["verify", "--seed", "3", "--theta", "0.9", "--unconstrained"],
-            None,
-            "unrecognized arguments: --seed 3",
-        ),
-        (
-            ["verify", "--theta", "0.9", "--unconstrained", "--out", "{tmp}/no/such/dir.txt"],
-            None,
-            "No such file or directory",
-        ),
-        (
-            ["proptest", "--instances", "10", "--out", "{tmp}/no/such/dir.txt"],
-            None,
-            "No such file or directory",
-        ),
-        (["verify"], {"theta": 0.9, "lamda_factor": 6}, "unknown config key 'lamda_factor'"),
-        (
-            ["verify", "--theta", "0.9"],
-            {"lambda_factor": 6, "unconstrained": True},
-            "'lambda_factor' and 'unconstrained' both set",
-        ),
-        (["sweep", "--unconstrained"], {"theta_count": 2.5}, "'theta_count'.*'2.5'"),
-        (
-            ["verify", "--theta", "0.9"],
-            {"unconstrained": "false"},
-            "'unconstrained' must be true",
-        ),
-        (
-            ["verify", "--theta", "0.9", "--unconstrained", "--lambda", "1"],
-            {"unconstrained": True},
-            "--lambda: not allowed with argument --unconstrained",
-        ),
-        (["verify", "--theta", "0.9", "--unconstrained"], MISSING, "No such file or directory"),
-        (["verify", "--theta", "0.9", "--unconstrained"], '{"theta": 0.9', "Expecting"),
-        (
-            ["verify"],
-            '{"theta": 0.9, "lambda_factor": 6, "theta": 0.5}',
-            r"error: config key 'theta' is repeated$",
-        ),
-        (
-            ["verify", "--unconstrained"],
-            None,
-            r"error: verify needs --theta \(or 'theta' in the config file\)$",
-        ),
-        (["verify", "--theta", "0.9", "--lambda-factor", "6", "--u0", "5"], None, U0_CAPPED),
-        (["sweep", "--lambda", "1", "--u0", "5", "--out", "{tmp}/s.csv"], None, U0_CAPPED),
-        (["verify", "--theta", "0.9"], {"lambda_factor": 6, "u0": 5}, U0_CAPPED),
-        (["verify", "--theta", str(0.5 * math.pi), "--lambda", "1", "--u0", "5"], None, U0_CAPPED),
-        (["verify", "--theta", str(0.5 * math.pi)], {"lambda": 1, "u0": 5}, U0_CAPPED),
-        (
-            ["verify", "--theta", str(0.5 * math.pi), "--unconstrained", "--u0", "-1"],
-            None,
-            "surrogate amplitude must be positive, got -1.0",
-        ),
-        (["verify", "--theta", "0.9", "--lambda", "inf", "--u0", "5"], None, INFINITE_CAP),
-        (["sweep", "--lambda-factor", "inf", "--out", "{tmp}/s.csv"], None, INFINITE_CAP),
-        (["verify", "--theta", "0.9"], {"lambda": math.inf}, INFINITE_CAP),
-        (
-            ["verify", "--theta", "0.9", "--delta", "inf", "--unconstrained"],
-            None,
-            "delta must be positive and finite, got inf",
-        ),
-        (
-            ["sweep", "--delta", "nan", "--unconstrained", "--out", "{tmp}/s.csv"],
-            None,
-            "delta must be positive and finite, got nan",
-        ),
-        (["verify", "--theta", "0.9"], {"lambda": 1, "delta": math.inf}, "positive and finite"),
-        (["verify", "--theta", "1e-320", "--unconstrained"], None, TINY_THETA),
-        (
-            ["sweep", "--theta-min", "1e-320", "--unconstrained", "--out", "{tmp}/s.csv"],
-            None,
-            TINY_THETA,
-        ),
-        (["verify", "--theta", "0.9", "--delta", "5e-324", "--unconstrained"], None, TINY_DELTA),
-        (
-            ["sweep", "--delta", "5e-324", "--unconstrained", "--out", "{tmp}/s.csv"],
-            None,
-            TINY_DELTA,
-        ),
-        (["verify", "--theta", "0.9", "--lambda", "1e154"], None, HUGE_CAP),
-        (["verify", "--theta", "0.9", "--lambda-factor", "1e300"], None, HUGE_CAP),
-        (
-            ["verify", "--theta", "1.5", "--lambda-factor", "1e308"],
-            None,
-            r"lambda factor 1e\+308 at delta=1.0, theta=1.5 gives the cap inf; it must be positive",
-        ),
-        (
-            ["sweep", "--lambda-factor", "1e308", "--theta-min", "1.4", "--theta-max", "1.5",
-             "--theta-count", "2", "--out", "{tmp}/s.csv"],
-            None,
-            r"lambda factor 1e\+308 at delta=1.0, theta=1.4 gives the cap inf",
-        ),
-        (
-            ["verify", "--theta", "0.9", "--delta", "1e-300", "--lambda-factor", "6"],
-            None,
-            r"lambda factor 6.0 at delta=1e-300, theta=0.9 gives the cap 0.0; it must be positive",
-        ),
-        (["verify", "--theta", "0.9", "--delta", "1e300", "--unconstrained"], None, HUGE_ENERGY),
-        (["verify", "--theta", "0.9", "--unconstrained", "--u0", "1e160"], None, HUGE_ENERGY),
-        (
-            ["verify", "--theta", "0.9", "--delta", "1e-150", "--lambda-factor", "0.2"],
-            None,
-            DEGENERATE_ENDS.format("1e-150", r"0\.9"),
-        ),
-        (
-            ["verify", "--theta", "1.5", "--delta", "1e-150", "--lambda", "1e-150"],
-            None,
-            DEGENERATE_ENDS.format("1e-150", r"1\.5"),
-        ),
-        (
-            ["sweep", "--delta", "1e-150", "--lambda-factor", "0.2", "--out", "{tmp}/s.csv"],
-            None,
-            DEGENERATE_ENDS.format("1e-150", r"0\.02"),
-        ),
-        (
-            ["verify", "--theta", "0.9", "--delta", "1e-12", "--unconstrained"],
-            None,
-            DEGENERATE_ENDS.format("1e-12", r"0\.9"),
-        ),
-        (
-            ["verify", "--theta", "1e-320", "--delta", "5e-324", "--lambda", "1"],
-            None,
-            OUT_OF_RANGE_BANGS.format("5e-324", "1e-320", r"1\.0"),
-        ),
-        (
-            ["sweep", "--delta", "5e-324", "--theta-min", "1e-320", "--theta-max", "2e-320",
-             "--theta-count", "2", "--lambda", "1e-300", "--out", "{tmp}/s.csv"],
-            None,
-            OUT_OF_RANGE_BANGS.format("5e-324", "1e-320", "1e-300"),
-        ),
-        (
-            ["verify", "--delta", "1e100", "--theta", "1e-100", "--lambda", "1e-200"],
-            None,
-            OUT_OF_RANGE_BANGS.format(r"1e\+100", "1e-100", "1e-200"),
-        ),
-        (
-            ["verify", "--delta", "2836974707.5487084", "--theta", "2.4913656720647733e-299",
-             "--lambda", "1.8912846497454433e-305"],
-            None,
-            OUT_OF_RANGE_BANGS.format(
-                r"2836974707\.5487084", r"2\.4913656720647733e-299", r"1\.8912846497454433e-305"
-            ),
-        ),
-    ],
-    ids=[
+BAD_INPUTS = [  # (argv, config, match, id): one bad input each, and its error
+    (
+        ["verify", "--theta", "2.0", "--unconstrained"],
+        None,
+        "theta must lie in",
         "theta-out-of-range",
-        "no-cap-policy",
+    ),
+    (["verify", "--theta", "0.9"], None, "drive cap unspecified", "no-cap-policy"),
+    (
+        ["verify", "--theta", "0.9", "--unconstrained", "--lambda", "1"],
+        None,
+        "--lambda: not allowed with argument --unconstrained",
         "two-cap-flags",
-        "sweep-without-out",
-        "proptest-delta",
+    ),
+    (["sweep", "--unconstrained"], None, "needs --out", "sweep-without-out"),
+    (["proptest", "--delta", "1"], None, "unrecognized arguments: --delta 1", "proptest-delta"),
+    (
+        ["proptest", "--seed", "-1"],
+        None,
+        r"error: seed must be non-negative, got -1$",
         "proptest-negative-seed",
+    ),
+    (
+        ["proptest"],
+        {"seed": -3},
+        r"error: seed must be non-negative, got -3$",
         "config-negative-seed",
+    ),
+    (
+        ["verify", "--seed", "3", "--theta", "0.9", "--unconstrained"],
+        None,
+        "unrecognized arguments: --seed 3",
         "verify-seed",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--unconstrained", "--out", "{tmp}/no/such/dir.txt"],
+        None,
+        "No such file or directory",
         "out-in-missing-dir",
+    ),
+    (
+        ["proptest", "--instances", "10", "--out", "{tmp}/no/such/dir.txt"],
+        None,
+        "No such file or directory",
         "proptest-out-in-missing-dir",
+    ),
+    (
+        ["verify"],
+        {"theta": 0.9, "lamda_factor": 6},
+        "unknown config key 'lamda_factor'",
         "config-unknown-key",
+    ),
+    (
+        ["verify", "--theta", "0.9"],
+        {"lambda_factor": 6, "unconstrained": True},
+        "'lambda_factor' and 'unconstrained' both set",
         "config-two-caps",
+    ),
+    (
+        ["sweep", "--unconstrained"],
+        {"theta_count": 2.5},
+        "'theta_count'.*'2.5'",
         "config-fractional-count",
+    ),
+    (
+        ["verify", "--theta", "0.9"],
+        {"unconstrained": "false"},
+        "'unconstrained' must be true",
         "config-unconstrained-string",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--unconstrained", "--lambda", "1"],
+        {"unconstrained": True},
+        "--lambda: not allowed with argument --unconstrained",
         "config-cap-and-two-cap-flags",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--unconstrained"],
+        MISSING,
+        "No such file or directory",
         "config-missing-file",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--unconstrained"],
+        '{"theta": 0.9',
+        "Expecting",
         "config-malformed-json",
+    ),
+    (
+        ["verify"],
+        '{"theta": 0.9, "lambda_factor": 6, "theta": 0.5}',
+        r"error: config key 'theta' is repeated$",
         "config-repeated-key",
+    ),
+    (
+        ["verify", "--unconstrained"],
+        None,
+        r"error: verify needs --theta \(or 'theta' in the config file\)$",
         "verify-without-theta",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--lambda-factor", "6", "--u0", "5"],
+        None,
+        U0_CAPPED,
         "verify-u0-with-cap",
+    ),
+    (
+        ["sweep", "--lambda", "1", "--u0", "5", "--out", "{tmp}/s.csv"],
+        None,
+        U0_CAPPED,
         "sweep-u0-with-cap",
-        "config-u0-with-cap",
+    ),
+    (["verify", "--theta", "0.9"], {"lambda_factor": 6, "u0": 5}, U0_CAPPED, "config-u0-with-cap"),
+    (
+        ["verify", "--theta", str(0.5 * math.pi), "--lambda", "1", "--u0", "5"],
+        None,
+        U0_CAPPED,
         "verify-u0-with-cap-at-half-pi",
+    ),
+    (
+        ["verify", "--theta", str(0.5 * math.pi)],
+        {"lambda": 1, "u0": 5},
+        U0_CAPPED,
         "config-u0-with-cap-at-half-pi",
+    ),
+    (
+        ["verify", "--theta", str(0.5 * math.pi), "--unconstrained", "--u0", "-1"],
+        None,
+        "surrogate amplitude must be positive, got -1.0",
         "verify-negative-u0-at-half-pi",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--lambda", "inf", "--u0", "5"],
+        None,
+        INFINITE_CAP,
         "verify-infinite-absolute-cap",
+    ),
+    (
+        ["sweep", "--lambda-factor", "inf", "--out", "{tmp}/s.csv"],
+        None,
+        INFINITE_CAP,
         "sweep-infinite-factor-cap",
+    ),
+    (
+        ["verify", "--theta", "0.9"],
+        {"lambda": math.inf},
+        INFINITE_CAP,
         "config-infinite-absolute-cap",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--delta", "inf", "--unconstrained"],
+        None,
+        "delta must be positive and finite, got inf",
         "verify-infinite-delta",
+    ),
+    (
+        ["sweep", "--delta", "nan", "--unconstrained", "--out", "{tmp}/s.csv"],
+        None,
+        "delta must be positive and finite, got nan",
         "sweep-nan-delta",
+    ),
+    (
+        ["verify", "--theta", "0.9"],
+        {"lambda": 1, "delta": math.inf},
+        "positive and finite",
         "config-infinite-delta",
+    ),
+    (
+        ["verify", "--theta", "1e-320", "--unconstrained"],
+        None,
+        TINY_THETA,
         "verify-theta-overflows-gamma",
+    ),
+    (
+        ["sweep", "--theta-min", "1e-320", "--unconstrained", "--out", "{tmp}/s.csv"],
+        None,
+        TINY_THETA,
         "sweep-theta-min-overflows-gamma",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--delta", "5e-324", "--unconstrained"],
+        None,
+        TINY_DELTA,
         "verify-delta-underflows-gamma",
+    ),
+    (
+        ["sweep", "--delta", "5e-324", "--unconstrained", "--out", "{tmp}/s.csv"],
+        None,
+        TINY_DELTA,
         "sweep-delta-underflows-gamma",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--lambda", "1e154"],
+        None,
+        HUGE_CAP,
         "verify-absolute-cap-overflows-durations",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--lambda-factor", "1e300"],
+        None,
+        HUGE_CAP,
         "verify-factor-cap-overflows-durations",
+    ),
+    (
+        ["verify", "--theta", "1.5", "--lambda-factor", "1e308"],
+        None,
+        r"lambda factor 1e\+308 at delta=1.0, theta=1.5 gives the cap inf; it must be positive",
         "verify-factor-cap-overflows-to-inf",
+    ),
+    (
+        ["sweep", "--lambda-factor", "1e308", "--theta-min", "1.4", "--theta-max", "1.5",
+         "--theta-count", "2", "--out", "{tmp}/s.csv"],
+        None,
+        r"lambda factor 1e\+308 at delta=1.0, theta=1.4 gives the cap inf",
         "sweep-factor-cap-overflows-to-inf",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--delta", "1e-300", "--lambda-factor", "6"],
+        None,
+        r"lambda factor 6.0 at delta=1e-300, theta=0.9 gives the cap 0.0; it must be positive",
         "verify-factor-cap-underflows-to-zero",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--delta", "1e300", "--unconstrained"],
+        None,
+        HUGE_ENERGY,
         "verify-delta-overflows-energy",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--unconstrained", "--u0", "1e160"],
+        None,
+        HUGE_ENERGY,
         "verify-kick-overflows-energy",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--delta", "1e-150", "--lambda-factor", "0.2"],
+        None,
+        DEGENERATE_ENDS.format("1e-150", r"0\.9"),
         "verify-delta-degenerates-ends-bang-bang",
+    ),
+    (
+        ["verify", "--theta", "1.5", "--delta", "1e-150", "--lambda", "1e-150"],
+        None,
+        DEGENERATE_ENDS.format("1e-150", r"1\.5"),
         "verify-delta-degenerates-ends-absolute-cap",
+    ),
+    (
+        ["sweep", "--delta", "1e-150", "--lambda-factor", "0.2", "--out", "{tmp}/s.csv"],
+        None,
+        DEGENERATE_ENDS.format("1e-150", r"0\.02"),
         "sweep-delta-degenerates-ends",
+    ),
+    (
+        ["verify", "--theta", "0.9", "--delta", "1e-12", "--unconstrained"],
+        None,
+        DEGENERATE_ENDS.format("1e-12", r"0\.9"),
         "verify-delta-degenerates-ends-unconstrained",
+    ),
+    (
+        ["verify", "--theta", "1e-320", "--delta", "5e-324", "--lambda", "1"],
+        None,
+        OUT_OF_RANGE_BANGS.format("5e-324", "1e-320", r"1\.0"),
         "verify-bang-durations-underflow",
+    ),
+    (
+        ["sweep", "--delta", "5e-324", "--theta-min", "1e-320", "--theta-max", "2e-320",
+         "--theta-count", "2", "--lambda", "1e-300", "--out", "{tmp}/s.csv"],
+        None,
+        OUT_OF_RANGE_BANGS.format("5e-324", "1e-320", "1e-300"),
         "sweep-bang-durations-underflow",
+    ),
+    (
+        ["verify", "--delta", "1e100", "--theta", "1e-100", "--lambda", "1e-200"],
+        None,
+        OUT_OF_RANGE_BANGS.format(r"1e\+100", "1e-100", "1e-200"),
         "verify-huge-delta-overflows-bang-bang-durations",
+    ),
+    (
+        ["verify", "--delta", "2836974707.5487084", "--theta", "2.4913656720647733e-299",
+         "--lambda", "1.8912846497454433e-305"],
+        None,
+        OUT_OF_RANGE_BANGS.format(
+            r"2836974707\.5487084", r"2\.4913656720647733e-299", r"1\.8912846497454433e-305"
+        ),
         "verify-huge-gamma-overflows-bang-bang-durations",
-    ],
-)
-def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):
-    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    ),
+    (
+        ["verify", "--theta", "0.9", "--lambda", "1e200"],
+        None,
+        OUT_OF_RANGE_BANGS.format(r"1\.0", r"0\.9", r"1e\+200"),
+        "verify-absolute-cap-1e200-overflows-durations",
+    ),
+]
+
+
+def bad_input_argv(argv, config, tmp) -> list:
+    """argv of a BAD_INPUTS row run in the existing directory tmp: {tmp} filled in, and
+    its config, if any, written to tmp/case.json and passed by --config."""
+    argv = [a.replace("{tmp}", str(tmp)) for a in argv]
     if config is not None:
-        cfg_path = tmp_path / "case.json"
+        cfg_path = Path(tmp) / "case.json"
         if config is not MISSING:
             cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = argv + ["--config", str(cfg_path)]
-    assert re.search(match, usage_error(capsys, argv))
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, config, match", [row[:3] for row in BAD_INPUTS], ids=[row[3] for row in BAD_INPUTS]
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, match):
+    assert re.search(match, usage_error(capsys, bad_input_argv(argv, config, tmp_path)))
 
 
 # verify over extreme arguments, subnormals and 1e+-300 among them

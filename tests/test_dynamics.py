@@ -44,14 +44,17 @@ from qslbounds.quantum import abs_overlaps
 from qslbounds.tolerances import BHATTACHARYYA_TOL, TARGET_FIDELITY_ATOL
 from conftest import (
     basis_state,
+    fidelity,
     instance,
+    overlap,
     random_control_problem,
     random_state,
     sampled_spreads,
+    scaled,
     zero_operator,
 )
 
-RABI = ControlHamiltonian(h0=(0.5 * math.pi) * SIGMA_X, hc=SIGMA_Z)
+RABI = ControlHamiltonian(h0=scaled(0.5 * math.pi, SIGMA_X), hc=SIGMA_Z)
 FREE_UNIT = PiecewiseConstantField(((1.0, 0.0),))
 
 
@@ -341,7 +344,7 @@ def _reference_residuals(traj, phi):
     ]
     anchored = np.array(segment_spreads)[:, traj.segment_index]
     angle = np.min(dynamics._running_integral(times, anchored), axis=0)
-    delta = math.asin(min(abs(phi.overlap(psi0)), 1.0))
+    delta = math.asin(min(abs(overlap(phi, psi0)), 1.0))
     overlaps = np.abs(states @ phi.amplitudes.conj()[:, None])[:, 0]
     lower, upper = sin_star(delta - angle), sin_star(delta + angle)
     outside = max(np.max(lower - overlaps), np.max(overlaps - upper))
@@ -544,7 +547,7 @@ def test_rabi_half_period_flips():
     assert final[1] == pytest.approx(-1.0j, abs=1e-12)
     assert abs(final[0]) < 1e-12
     psi0, final = PureState(traj.ends[0, 0]), PureState(traj.ends[1, 0])
-    assert final.fidelity(psi0) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity(final, psi0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rabi_path_length_is_geodesic():
@@ -563,13 +566,13 @@ def test_bang_bang_field_reaches_target():
         math.sqrt(gamma * rabi_sq / (0.5 * delta * delta * (cap + gamma)))
     ) / math.sqrt(rabi_sq)
     field = PiecewiseConstantField(((t_bang, +cap), (t_bang, -cap)))
-    ch = ControlHamiltonian(h0=(0.5 * delta) * SIGMA_X, hc=SIGMA_Z, u_max=cap)
+    ch = ControlHamiltonian(h0=scaled(0.5 * delta, SIGMA_X), hc=SIGMA_Z, u_max=cap)
     psi0, psig = (
         ground_state(HermitianOperator(bias * SIGMA_Z.entries + (0.5 * delta) * SIGMA_X.entries))
         for bias in (-gamma, gamma)
     )
     traj = propagate(ch, field, psi0)
-    assert PureState(traj.ends[1, 0]).fidelity(psig) >= 0.999
+    assert fidelity(PureState(traj.ends[1, 0]), psig) >= 0.999
 
 
 def test_trajectory_sampling_layout():
@@ -638,7 +641,7 @@ def test_evolution_reverses_under_negated_generators(rng):
     ch, field, psi0 = random_control_problem(rng, 4)
     traj = propagate(ch, field, psi0, samples_per_segment=5)
     back_field = PiecewiseConstantField(tuple(reversed(field.segments)))
-    back_ch = ControlHamiltonian((-1.0) * ch.h0, (-1.0) * ch.hc, ch.u_max)
+    back_ch = ControlHamiltonian(scaled(-1.0, ch.h0), scaled(-1.0, ch.hc), ch.u_max)
     back = propagate(back_ch, back_field, PureState(traj.ends[1, 0]), samples_per_segment=5)
     assert np.allclose(back.ends[1, 0], psi0.amplitudes, atol=1e-9)
 
@@ -664,7 +667,7 @@ def test_path_length_dominates_geodesic(seed, dim):
 def test_bhattacharyya_saturated_by_resonant_drive():
     # pure sx rotation from |0>: arccos|<psi0|psi>| grows linearly at exactly
     # the spread rate, so the exact rate leaves only rounding on any grid
-    ch = ControlHamiltonian(h0=(0.25 * math.pi) * SIGMA_X, hc=SIGMA_Z)
+    ch = ControlHamiltonian(h0=scaled(0.25 * math.pi, SIGMA_X), hc=SIGMA_Z)
     for samples in (1, 200):
         traj = propagate(ch, FREE_UNIT, basis_state(2, 0), samples_per_segment=samples)
         assert abs(bhattacharyya_check(traj)) <= 1e-12
@@ -721,7 +724,7 @@ def test_pfeifer_envelope_tight_at_start(rng):
     traj = propagate(ch, field, psi0, samples_per_segment=20)
     phi = random_state(rng, 3)
     (lower,), (upper,) = dynamics._pfeifer_envelopes(traj, phi.amplitudes[None])
-    start = abs(phi.overlap(psi0))
+    start = abs(overlap(phi, psi0))
     assert lower[0] == pytest.approx(start, abs=1e-12)
     assert upper[0] == pytest.approx(start, abs=1e-12)
 
@@ -770,7 +773,7 @@ def test_tqsl_star_equals_duration_on_geodesic():
 
 
 def test_tqsl_star_closed_loop_is_zero():
-    ch = ControlHamiltonian(h0=math.pi * SIGMA_X, hc=SIGMA_Z)
+    ch = ControlHamiltonian(h0=scaled(math.pi, SIGMA_X), hc=SIGMA_Z)
     field = PiecewiseConstantField(((2.0, 0.0),))  # full period, returns to |0>
     traj = propagate(ch, field, basis_state(2, 0))
     est = tqsl_star(traj, basis_state(2, 0))
@@ -808,16 +811,16 @@ def _reference_tqsl_star(traj, psi_g):
     duration = float(traj.times[0, -1])
     mean_spread = 0.5 * path_length(traj) / duration
     psi0, final = PureState(traj.ends[0, 0]), PureState(traj.ends[1, 0])
-    fidelity = final.fidelity(psi_g)
-    overlap = min(abs(psi0.overlap(final)), 1.0)
-    numerator = math.acos(overlap)
+    target_fidelity = fidelity(final, psi_g)
+    start_overlap = min(abs(overlap(psi0, final)), 1.0)
+    numerator = math.acos(start_overlap)
     if numerator == 0.0:
         value = 0.0
     elif mean_spread == 0.0:
         value = math.inf
     else:
         value = numerator / mean_spread
-    return value.hex(), fidelity.hex(), fidelity >= 1.0 - TARGET_FIDELITY_ATOL
+    return value.hex(), target_fidelity.hex(), target_fidelity >= 1.0 - TARGET_FIDELITY_ATOL
 
 
 def _estimate_bits(est):
