@@ -61,11 +61,9 @@ from .two_level import (
     boundary_state_arrays,
     boundary_states,
     closed_form_bounds,
-    constrained_protocol,
     gamma_from_theta,
     optimal_protocol,
     tqsl_star_closed,
-    unconstrained_protocol,
 )
 from .property_suites import PropertyReport, SuiteResult, run_property_suites
 

@@ -127,16 +127,18 @@ def tmin_a(inputs: BoundInputs) -> float:
     return _one(_tmin_a_stack, inputs)
 
 
-def _tmin_b_stack(chs, states, pairs, dists) -> List[float]:
+def _tmin_b_stack(chs, states, pairs, dists) -> List:
     # deltaE^2(u) = c0 + c1*u + c2*u^2 in psi0 and psig: (n, 2, 2, 2) covariances
     covs = energy_covariances(pairs[:, None], states).tolist()
+    overflow = "the energy spread overflows: the operator entries are too large"
     out = []
     for ch, anchors, dist in zip(chs, covs, dists):
         spread = min(
             _max_quadratic_root(max(c00, 0.0), 2.0 * c01, max(c11, 0.0), ch.u_max)
             for (c00, c01), (_, c11) in anchors
         )
-        out.append(_distance_over(dist, 2.0 * spread))
+        bound = _distance_over(dist, 2.0 * spread)
+        out.append(ValueError(overflow) if math.isnan(bound) else bound)
     return out
 
 

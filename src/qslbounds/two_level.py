@@ -156,40 +156,39 @@ def _hegerfeldt(regime: str, amplitude: float, t_bang: float, t_off: float) -> O
     return OptimalProtocol(regime, field, t_bang, t_off, t_opt_ideal=field.total_duration)
 
 
-def unconstrained_protocol(
+def check_surrogate(lambda_cap: float, u0: Optional[float]) -> None:
+    """The rule for a surrogate amplitude u0: it shapes only the composite, so
+    a finite cap rejects it rather than ignore it, and it must be positive."""
+    if u0 is not None and not math.isinf(lambda_cap):
+        raise ValueError(f"u0 applies only to an uncapped drive, got lambda_cap={lambda_cap!r}")
+    if u0 is not None and not u0 > 0.0:
+        raise ValueError(f"surrogate amplitude must be positive, got {u0!r}")
+
+
+def optimal_protocol(
     problem: LandauZenerProblem, u0: Optional[float] = None
 ) -> OptimalProtocol:
-    """Kick, free evolution for (pi - 2*theta)/delta, inverse kick.
+    """Hegerfeldt's optimum for the problem's cap.
 
+    Uncapped: kick, free evolution for (pi - 2*theta)/delta, inverse kick.
     Each kick is a finite surrogate for a delta pulse of area pi/4: amplitude
-    u0 (default 1e4*delta) held for t0 = pi/(4*u0).  Requires an uncapped
-    drive window.
+    u0 (default 1e4*delta) held for t0 = pi/(4*u0).
+
+    Capped: bang(+cap), off, bang(-cap).  The sign of cap*gamma - delta^2/4,
+    which the off time also reads, picks the regime: at or above 0 the off
+    window is open (bang-off-bang, empty at 0); below 0 it closes and the two
+    bangs meet (bang-bang).  A finite cap needs theta < pi/2 (gamma > 0).
     """
-    if not math.isinf(problem.lambda_cap):
-        raise ValueError("unconstrained protocol needs lambda_cap = +inf")
-    check_surrogate(problem.lambda_cap, u0)
-    if u0 is None:
-        u0 = DEFAULT_SURROGATE_FACTOR * problem.delta
-    check_energy(problem.delta, u0)
-    t_free = (math.pi - 2.0 * problem.theta) / problem.delta
-    return _hegerfeldt(REGIME_UNCONSTRAINED, u0, math.pi / (4.0 * u0), t_free)
-
-
-def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
-    """Hegerfeldt's optimum for a finite cap: bang(+cap), off, bang(-cap).
-
-    The sign of cap*gamma - delta^2/4, which the off time also reads, picks
-    the regime: at or above 0 the off window is open (bang-off-bang, empty at
-    0); below 0 it closes and the two bangs meet (bang-bang).
-    """
-    cap = problem.lambda_cap
-    gamma = problem.gamma
-    delta = problem.delta
+    cap, gamma, delta = problem.lambda_cap, problem.gamma, problem.delta
+    check_surrogate(cap, u0)
     if math.isinf(cap):
-        raise ValueError("constrained protocol needs a finite lambda_cap")
+        if u0 is None:
+            u0 = DEFAULT_SURROGATE_FACTOR * delta
+        check_energy(delta, u0)
+        t_free = (math.pi - 2.0 * problem.theta) / delta
+        return _hegerfeldt(REGIME_UNCONSTRAINED, u0, math.pi / (4.0 * u0), t_free)
     if gamma == 0.0:
-        raise ValueError("constrained protocol needs gamma > 0")
-
+        raise ValueError(f"a finite cap needs theta < pi/2 (gamma > 0), got {problem.theta!r}")
     quarter = 0.25 * delta * delta
     excess = cap * gamma - quarter
     rabi_sq = cap * cap + quarter
@@ -215,25 +214,6 @@ def constrained_protocol(problem: LandauZenerProblem) -> OptimalProtocol:
             "the bang durations overflow or underflow"
         )
     return _hegerfeldt(regime, cap, t_lambda, t_off)
-
-
-def check_surrogate(lambda_cap: float, u0: Optional[float]) -> None:
-    """The rule for a surrogate amplitude u0: it shapes only the composite, so
-    a finite cap rejects it rather than ignore it, and it must be positive."""
-    if u0 is not None and not math.isinf(lambda_cap):
-        raise ValueError(f"u0 applies only to an uncapped drive, got lambda_cap={lambda_cap!r}")
-    if u0 is not None and not u0 > 0.0:
-        raise ValueError(f"surrogate amplitude must be positive, got {u0!r}")
-
-
-def optimal_protocol(
-    problem: LandauZenerProblem, u0: Optional[float] = None
-) -> OptimalProtocol:
-    """Dispatch on the cap: unconstrained composite or Hegerfeldt's bangs."""
-    if math.isinf(problem.lambda_cap):
-        return unconstrained_protocol(problem, u0)
-    check_surrogate(problem.lambda_cap, u0)
-    return constrained_protocol(problem)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from qslbounds import (
     SIGMA_Z,
     boundary_states,
     closed_form_bounds,
-    constrained_protocol,
     energy_variance,
     gamma_from_theta,
+    optimal_protocol,
     propagate,
     run_property_suites,
     tmin_a,
@@ -29,7 +29,6 @@ from qslbounds import (
     tmin_c1,
     tmin_c2,
     tqsl_star_closed,
-    unconstrained_protocol,
 )
 from qslbounds.cli import LambdaSpec, SweepConfig, run_sweep
 from conftest import basis_state, max_variance_over_field, sampled_spreads, scaled
@@ -56,7 +55,7 @@ def test_criterion_1_small_angle_limit():
     failures = []
     theta = 1e-4
     p_free = LandauZenerProblem(1.0, theta)
-    proto = unconstrained_protocol(p_free)
+    proto = optimal_protocol(p_free)
     cb_free = closed_form_bounds(p_free)
     tqsl = tqsl_star_closed(p_free, proto)
 
@@ -91,7 +90,7 @@ def test_criterion_2_unconstrained_sweep():
     thetas = np.linspace(0.02, HALF_PI - 0.02, 50)
     for theta in map(float, thetas):
         p = LandauZenerProblem(1.0, theta)
-        proto = unconstrained_protocol(p)
+        proto = optimal_protocol(p)
         s = math.pi - 2.0 * theta
         tqsl = tqsl_star_closed(p, proto)
         c1 = closed_form_bounds(p).tmin_c1
@@ -134,7 +133,7 @@ def test_criterion_4_bang_bang_figure():
     for theta in map(float, thetas):
         gamma = gamma_from_theta(1.0, theta)
         p = LandauZenerProblem(1.0, theta, 0.2 * 0.25 / gamma)
-        proto = constrained_protocol(p)
+        proto = optimal_protocol(p)
         check(failures, proto.regime == "bang-bang",
               f"unexpected regime {proto.regime} at theta={theta:.4f}")
         check(failures,

@@ -547,16 +547,21 @@ def test_compute_report_flags_a_violated_claim():
 
 
 def test_compute_report_fails_a_nan_bound():
-    # entries of order 1e160 overflow the energy covariances, so tmin_b is NaN
+    # entries of order 1e160 overflow the energy covariances, so tmin_b is an
+    # error, not a NaN; tmin_a's and tmin_c's norms overflow too, to a valid 0
     h0 = hermitian(1e160 * np.array([[1.0, 0.5], [0.5, -1.0]]))
     hc = hermitian(1e160 * np.array([[0.3, 1.0], [1.0, -0.2]]))
     psig = PureState(np.array([0.6, 0.8], complex))
     inputs = BoundInputs(ControlHamiltonian(h0, hc, 1.0), basis_state(2, 0), psig)
+    overflow = "the energy spread overflows: the operator entries are too large"
     with np.errstate(over="ignore", invalid="ignore"):
         report = compute_report(inputs, t_opt=1e-200)
+        with pytest.raises(ValueError, match=overflow):
+            tmin_b(inputs)
     assert math.isnan(report.t_min_b)
-    assert report.inequality_flags["b"] is False
-    assert "t_min_b   = nan  [FAIL]" in report.text_block()
+    assert report.errors == {"b": overflow}
+    assert "b" not in report.inequality_flags
+    assert f"t_min_b   = nan  [error: {overflow}]" in report.text_block()
 
 
 def test_compute_report_measures_the_distance_once(monkeypatch):

@@ -16,7 +16,6 @@ from qslbounds import (
     OptimalProtocol,
     PiecewiseConstantField,
     boundary_states,
-    constrained_protocol,
     optimal_protocol,
     propagate,
     tqsl_star,
@@ -295,7 +294,7 @@ def test_verify_case_trivial_angle():
 
 def test_verify_case_flags_a_broken_protocol(monkeypatch):
     problem = problem_from_gamma(1.0, 1.0, lambda_cap=1.5)
-    good = constrained_protocol(problem)
+    good = optimal_protocol(problem)
     half = 0.5 * good.t_lambda
     field = PiecewiseConstantField(
         (

@@ -18,7 +18,6 @@ from qslbounds import (
     boundary_state_arrays,
     boundary_states,
     closed_form_bounds,
-    constrained_protocol,
     fubini_study_distance,
     gamma_from_theta,
     ground_state,
@@ -32,7 +31,6 @@ from qslbounds import (
     tmin_c2,
     tqsl_star,
     tqsl_star_closed,
-    unconstrained_protocol,
 )
 from qslbounds.bounds import BOUND_NAMES, compute_report
 from qslbounds.cli import LambdaSpec
@@ -257,7 +255,7 @@ def test_boundary_states_ignore_the_drive_cap():
 
 def test_unconstrained_protocol_structure():
     p = lz(0.25 * math.pi)
-    proto = unconstrained_protocol(p)
+    proto = optimal_protocol(p)
     assert proto.regime == "unconstrained-composite"
     assert proto.t_opt_ideal == pytest.approx(0.5 * math.pi, abs=1e-15)
     segs = proto.field.segments
@@ -273,7 +271,7 @@ def test_unconstrained_protocol_structure():
 
 
 def test_unconstrained_protocol_custom_kick():
-    proto = unconstrained_protocol(lz(0.3), u0=5e5)
+    proto = optimal_protocol(lz(0.3), u0=5e5)
     t0, u0 = proto.field.segments[0]
     assert u0 == 5e5
     assert t0 == pytest.approx(math.pi / (4.0 * 5e5), abs=1e-18)
@@ -281,25 +279,26 @@ def test_unconstrained_protocol_custom_kick():
 
 def test_unconstrained_protocol_reaches_target():
     p = lz(0.25 * math.pi)
-    assert protocol_fidelity(p, unconstrained_protocol(p)) >= 0.999
+    assert protocol_fidelity(p, optimal_protocol(p)) >= 0.999
 
 
 def test_unconstrained_protocol_drops_free_segment_at_half_pi():
-    proto = unconstrained_protocol(lz(HALF_PI))
+    proto = optimal_protocol(lz(HALF_PI))
     assert len(proto.field.segments) == 2
     assert proto.t_opt_ideal == 0.0
 
 
 def test_unconstrained_protocol_rejects_finite_cap():
+    # the surrogate rule runs before the regime split
+    with pytest.raises(ValueError, match="u0 applies only to an uncapped drive"):
+        optimal_protocol(lz(0.3, cap=2.0), u0=5.0)
     with pytest.raises(ValueError):
-        unconstrained_protocol(lz(0.3, cap=2.0))
-    with pytest.raises(ValueError):
-        unconstrained_protocol(lz(0.3), u0=0.0)
+        optimal_protocol(lz(0.3), u0=0.0)
 
 
 def test_ideal_duration_strictly_decreasing_in_theta():
     thetas = np.linspace(0.02, HALF_PI - 0.02, 25)
-    durations = [unconstrained_protocol(lz(float(t))).t_opt_ideal for t in thetas]
+    durations = [optimal_protocol(lz(float(t))).t_opt_ideal for t in thetas]
     assert all(a > b for a, b in zip(durations, durations[1:]))
 
 
@@ -309,7 +308,7 @@ def test_ideal_duration_strictly_decreasing_in_theta():
 
 def test_bang_off_bang_frozen_durations():
     p = problem_from_gamma(1.0, 1.0, lambda_cap=1.5)  # 6x critical
-    proto = constrained_protocol(p)
+    proto = optimal_protocol(p)
     assert proto.regime == "bang-off-bang"
     assert proto.t_lambda == pytest.approx(FIG3A_T_LAMBDA, abs=1e-15)
     assert proto.t_off == pytest.approx(FIG3A_T_OFF, abs=1e-15)
@@ -322,7 +321,7 @@ def test_bang_off_bang_frozen_durations():
 
 def test_bang_bang_frozen_durations():
     p = problem_from_gamma(1.0, 1.0, lambda_cap=0.05)  # 0.2x critical
-    proto = constrained_protocol(p)
+    proto = optimal_protocol(p)
     assert proto.regime == "bang-bang"
     assert proto.t_lambda == pytest.approx(FIG3B_T_LAMBDA, abs=1e-15)
     assert proto.t_off == 0.0
@@ -335,13 +334,13 @@ def test_regime_boundary_is_continuous():
     # at the critical cap the off window closes and both branches coincide
     gamma = 1.0
     crit = 0.25
-    at = constrained_protocol(problem_from_gamma(1.0, gamma, crit))
+    at = optimal_protocol(problem_from_gamma(1.0, gamma, crit))
     assert at.regime == "bang-off-bang"
     assert at.t_off == pytest.approx(0.0, abs=1e-15)
-    above = constrained_protocol(
+    above = optimal_protocol(
         problem_from_gamma(1.0, gamma, crit * (1.0 + 1e-9))
     )
-    below = constrained_protocol(
+    below = optimal_protocol(
         problem_from_gamma(1.0, gamma, crit * (1.0 - 1e-9))
     )
     assert above.regime == "bang-off-bang"
@@ -367,7 +366,7 @@ def test_the_regime_agrees_with_its_off_time_at_the_critical_cap():
         caps = (math.nextafter(crit, 0.0), crit, math.nextafter(crit, math.inf), factor * crit)
         for cap in caps:
             problem = lz(theta, cap=cap, delta=delta)
-            proto = constrained_protocol(problem)
+            proto = optimal_protocol(problem)
             case = (delta, theta, cap, proto.t_off)
             assert proto.t_off >= 0.0, case
             assert (len(proto.field.segments) == 3) == (proto.t_off > 0.0), case
@@ -387,17 +386,18 @@ def test_a_sub_gap_delta_gets_the_bang_time_of_its_scaled_problem():
     # at fixed theta the problem is covariant under (delta, cap, t) -> (c*delta, c*cap, t/c):
     # solved at delta = 1 with cap/delta, its bang time divided by delta is the answer
     delta, theta, cap = 1.5860259568659513e-108, 1.4106577489356091, 4.9096388904171156e-108
-    scaled = constrained_protocol(lz(theta, cap=cap / delta)).t_lambda / delta
-    assert constrained_protocol(lz(theta, cap=cap, delta=delta)).t_lambda == pytest.approx(
+    scaled = optimal_protocol(lz(theta, cap=cap / delta)).t_lambda / delta
+    assert optimal_protocol(lz(theta, cap=cap, delta=delta)).t_lambda == pytest.approx(
         scaled, rel=1e-12
     )
 
 
 def test_constrained_protocol_rejects_wrong_regime():
-    with pytest.raises(ValueError):
-        constrained_protocol(lz(0.3))  # infinite cap
-    with pytest.raises(ValueError):
-        constrained_protocol(lz(HALF_PI, cap=1.0))  # gamma = 0
+    with pytest.raises(ValueError, match="u0 applies only to an uncapped drive"):
+        optimal_protocol(lz(0.3, cap=2.0), u0=5.0)
+    match = re.escape(f"a finite cap needs theta < pi/2 (gamma > 0), got {HALF_PI!r}")
+    with pytest.raises(ValueError, match=match):
+        optimal_protocol(lz(HALF_PI, cap=1.0))  # gamma = 0
 
 
 @pytest.mark.parametrize("cap", [1e154, 1e200, 1e300])
@@ -405,7 +405,7 @@ def test_constrained_protocol_rejects_a_cap_whose_durations_overflow(cap):
     # 2*cap*(cap + gamma) overflows to a zero bang, cap*cap to a NaN one
     match = re.escape(f"delta 1.0 at theta 0.9 with lambda_cap {cap!r} is out of range")
     with pytest.raises(ValueError, match=match):
-        constrained_protocol(lz(0.9, cap=cap))
+        optimal_protocol(lz(0.9, cap=cap))
 
 
 def test_the_energy_limit_is_the_largest_whose_norms_square():
@@ -415,12 +415,12 @@ def test_the_energy_limit_is_the_largest_whose_norms_square():
     report = compute_report(BoundInputs(problem.control_hamiltonian(), *boundary_states(problem)))
     assert report.errors == {}
     assert all(math.isfinite(report.value(name)) for name in BOUND_NAMES)
-    unconstrained_protocol(lz(0.9), u0=0.5 * MAX_ENERGY)
+    optimal_protocol(lz(0.9), u0=0.5 * MAX_ENERGY)
     above = math.nextafter(MAX_ENERGY, math.inf)
     with pytest.raises(ValueError, match="overflows when squared"):
         lz(0.9, delta=2.0 * above)
     with pytest.raises(ValueError, match="overflows when squared"):
-        unconstrained_protocol(lz(0.9), u0=above)
+        optimal_protocol(lz(0.9), u0=above)
 
 
 def test_optimal_protocol_dispatch():
@@ -501,7 +501,7 @@ def test_closed_forms_agree_with_generic_bounds(theta, cap):
 
 def test_tqsl_closed_unconstrained_limit():
     p = lz(1e-6)
-    assert tqsl_star_closed(p, unconstrained_protocol(p)) == pytest.approx(
+    assert tqsl_star_closed(p, optimal_protocol(p)) == pytest.approx(
         math.pi, abs=1e-4
     )
 
@@ -509,7 +509,7 @@ def test_tqsl_closed_unconstrained_limit():
 def test_tqsl_closed_equals_tmin_b_in_bang_bang():
     for theta in (0.2, 0.8, 1.4):
         p = lz(theta, cap=0.1 * critical_cap(1.0, theta))
-        proto = constrained_protocol(p)
+        proto = optimal_protocol(p)
         assert proto.regime == "bang-bang"
         assert tqsl_star_closed(p, proto) == pytest.approx(
             closed_form_bounds(p).tmin_b, abs=1e-15
@@ -518,11 +518,11 @@ def test_tqsl_closed_equals_tmin_b_in_bang_bang():
 
 def test_tqsl_closed_trivial_at_half_pi():
     p = lz(HALF_PI)
-    assert tqsl_star_closed(p, unconstrained_protocol(p)) == 0.0
+    assert tqsl_star_closed(p, optimal_protocol(p)) == 0.0
 
 
 def test_tqsl_closed_rejects_unknown_regime():
-    proto = constrained_protocol(lz(0.3, cap=1.0))
+    proto = optimal_protocol(lz(0.3, cap=1.0))
     fake = OptimalProtocol(
         regime="adiabatic",
         field=proto.field,
@@ -537,7 +537,7 @@ def test_tqsl_closed_rejects_unknown_regime():
 @pytest.mark.parametrize("cap_factor", [6.0, 0.2])
 def test_tqsl_trajectory_matches_closed_form_constrained(cap_factor):
     p = problem_from_gamma(1.0, 1.0, lambda_cap=cap_factor * 0.25)
-    proto = constrained_protocol(p)
+    proto = optimal_protocol(p)
     psi0, psig = boundary_states(p)
     traj = propagate_refined(p.control_hamiltonian(), proto.field, psi0)
     est = tqsl_star(traj, psig)
@@ -548,12 +548,12 @@ def test_tqsl_trajectory_matches_closed_form_constrained(cap_factor):
 def test_tqsl_trajectory_matches_closed_form_unconstrained():
     p = lz(0.6)
     psi0, psig = boundary_states(p)
-    proto4 = unconstrained_protocol(p)  # default surrogate 1e4
+    proto4 = optimal_protocol(p)  # default surrogate 1e4
     traj4 = propagate_refined(p.control_hamiltonian(), proto4.field, psi0)
     assert tqsl_star(traj4, psig).time == pytest.approx(
         tqsl_star_closed(p, proto4), abs=1e-3
     )
-    proto5 = unconstrained_protocol(p, u0=1e5)  # sharper kicks tighten it
+    proto5 = optimal_protocol(p, u0=1e5)  # sharper kicks tighten it
     traj5 = propagate_refined(p.control_hamiltonian(), proto5.field, psi0)
     assert tqsl_star(traj5, psig).time == pytest.approx(
         tqsl_star_closed(p, proto5), abs=1e-4
@@ -594,7 +594,7 @@ def test_two_samples_per_segment_give_the_tqsl_star_bits_of_two_hundred():
 
 def test_bang_bang_spread_constant_along_trajectory():
     p = problem_from_gamma(1.0, 1.0, lambda_cap=0.05)
-    proto = constrained_protocol(p)
+    proto = optimal_protocol(p)
     psi0, _ = boundary_states(p)
     traj = propagate(p.control_hamiltonian(), proto.field, psi0)
     spread = p.lambda_cap * math.sin(p.theta) + 0.5 * p.delta * math.cos(p.theta)
@@ -608,7 +608,7 @@ def test_bounds_dominated_by_optimum_on_grid():
         theta = float(theta)
         for factor in (6.0, 0.2):
             p = lz(theta, cap=factor * critical_cap(1.0, theta))
-            proto = constrained_protocol(p)
+            proto = optimal_protocol(p)
             psi0, psig = boundary_states(p)
             inputs = BoundInputs(p.control_hamiltonian(), psi0, psig)
             for bound in (tmin_a, tmin_b, tmin_c1):
