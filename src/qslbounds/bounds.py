@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quantum, tolerances
 from .dynamics import ControlHamiltonian, TrajectoryStack, _state_array
-from .dynamics import _distance_over, _single, arenz_overlap_residuals
+from .dynamics import _distance_over, _pairs, _single, arenz_overlap_residuals
 from .dynamics import sin_star, tqsl_star  # noqa: F401  perfbench traces these bindings
 from .quantum import (
     HermitianOperator,
@@ -98,9 +98,8 @@ def _operands(chs: Sequence, psi0s: np.ndarray, psigs: np.ndarray) -> tuple:
     """What every kernel reads of a stack with checked states psi0s and psigs (n, d): its
     chs, states (n, 2, d) (one concatenate, a fraction of np.stack's cost on a stack of one),
     (h0, hc) entries (n, 2, d, d) and endpoint distances."""
-    pairs = np.array([(ch.h0.entries, ch.hc.entries) for ch in chs])
     dists = fubini_study_distances(psi0s, psigs)
-    return chs, np.concatenate((psi0s, psigs), axis=1).reshape(len(chs), 2, -1), pairs, dists
+    return chs, np.concatenate((psi0s, psigs), axis=1).reshape(len(chs), 2, -1), _pairs(chs), dists
 
 
 def _one(kernel, inputs: BoundInputs) -> float:

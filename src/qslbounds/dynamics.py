@@ -86,29 +86,29 @@ class PiecewiseConstantField:
             t += d
         return t
 
-    def amplitude_integral(self) -> float:
-        """Time integral of the drive, sum of duration*amplitude."""
-        return float(sum(d * a for d, a in self.segments))
-
 
 @dataclass(frozen=True)
 class TrajectoryStack:
     """Trajectories of instances that share a dimension and a segment count,
     stacked along a leading instance axis.
 
-    times is (B, N) and states is (B, N, d); all instances share
-    segment_index (N,).  Instance b was driven by chs[b] under fields[b], and
-    hamiltonians[b, j] = H(u_j), one (B, S, d, d) array.  No spread is
-    stored: spreads derives the conserved deltaE of each segment from its
-    start state.
+    times is (B, N) and states is (B, N, d); all instances share segment_index
+    (N,).  Instance b was driven by H(u) = h0 + u*hc, (h0, hc) = pairs[b], under
+    the (duration, amplitude) rows segments[b], and hamiltonians[b, j] = H(u_j):
+    read-only arrays (B, 2, d, d), (B, S, 2) and (B, S, d, d).  No spread is
+    stored: spreads derives the conserved deltaE of each segment from its start state.
     """
 
     times: np.ndarray
     states: np.ndarray
     segment_index: np.ndarray
-    chs: Tuple[ControlHamiltonian, ...]
-    fields: Tuple[PiecewiseConstantField, ...]
+    pairs: np.ndarray
+    segments: np.ndarray
     hamiltonians: np.ndarray
+
+    def __post_init__(self):
+        for drive in (self.pairs, self.segments, self.hamiltonians):
+            drive.setflags(write=False)
 
     @classmethod
     def of(cls, stacks: Sequence["TrajectoryStack"]) -> "TrajectoryStack":
@@ -116,15 +116,13 @@ class TrajectoryStack:
         stacks = tuple(stacks)
         if len({(s.dim, s.segment_index.tobytes()) for s in stacks}) != 1:
             raise ValueError("need trajectories of one dimension and one sample layout")
-        h = np.concatenate([s.hamiltonians for s in stacks])
-        h.setflags(write=False)
         return cls(
             times=np.concatenate([s.times for s in stacks]),
             states=np.concatenate([s.states for s in stacks]),
             segment_index=stacks[0].segment_index,
-            chs=tuple(ch for s in stacks for ch in s.chs),
-            fields=tuple(field for s in stacks for field in s.fields),
-            hamiltonians=h,
+            pairs=np.concatenate([s.pairs for s in stacks]),
+            segments=np.concatenate([s.segments for s in stacks]),
+            hamiltonians=np.concatenate([s.hamiltonians for s in stacks]),
         )
 
     def __len__(self) -> int:
@@ -170,28 +168,34 @@ def propagate_stack(
     chs, fields = tuple(chs), tuple(fields)
     if not len(chs) == len(fields) > 0:
         raise ValueError("need one control Hamiltonian and field per instance")
-    return _propagate(chs, fields, _state_array(psi0s, len(chs), chs[0].dim), samples_per_segment)
-
-
-def _propagate(chs: tuple, fields: tuple, psi0: np.ndarray, samples_per_segment) -> TrajectoryStack:
-    """propagate_stack from checked states psi0 (B, d).  propagate enters here: its
-    PureState is checked already, and a second norm check adds a tenth to a sweep point."""
-    dim, n_seg = chs[0].dim, len(fields[0].segments)
-    if {(ch.dim, len(field.segments)) for ch, field in zip(chs, fields)} != {(dim, n_seg)}:
+    psi0 = _state_array(psi0s, len(chs), chs[0].dim)
+    if len({(ch.dim, len(field.segments)) for ch, field in zip(chs, fields)}) != 1:
         raise ValueError("stacked instances must share the dimension and the segment count")
-    if samples_per_segment < 1:
-        raise ValueError("samples_per_segment must be a positive integer")
+    segments = np.array([field.segments for field in fields])
+    return _propagate(_pairs(chs), [ch.u_max for ch in chs], segments, psi0, samples_per_segment)
 
-    segments = np.array([field.segments for field in fields])  # (B, S, 2), read once
+
+def _pairs(chs: Sequence[ControlHamiltonian]) -> np.ndarray:
+    """The (h0, hc) entries of each control Hamiltonian, one (B, 2, d, d) array."""
+    return np.array([(ch.h0.entries, ch.hc.entries) for ch in chs])
+
+
+def _propagate(pairs, u_max, segments, psi0, samples_per_segment) -> TrajectoryStack:
+    """propagate_stack on arrays: (h0, hc) pairs (B, 2, d, d), the drive windows u_max,
+    one float each, the (duration, amplitude) segments (B, S, 2) and checked states
+    psi0 (B, d).  Each drive is checked against its window, each H(u) for Hermiticity."""
+    n = samples_per_segment
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("samples_per_segment must be a positive integer")
     durations = segments[..., 0]
-    h = _hamiltonians(chs, segments[..., 1])
-    n_inst, width = len(chs), samples_per_segment + 1
+    h = _hamiltonians(pairs, u_max, segments[..., 1])
+    (n_inst, n_seg), width = durations.shape, n + 1
 
     # each segment owns `width` samples: its start node (for j > 0 the
     # duplicated boundary, carrying the new amplitude) and its interior.  The
     # offsets are np.linspace(0, durations, width)[1:] in the same arithmetic,
     # without its per-call axis handling
-    taus = np.arange(1, width) * (durations / samples_per_segment)[..., None]
+    taus = np.arange(1, width) * (durations / n)[..., None]
     taus[..., -1] = durations
     times = np.zeros((n_inst, n_seg, width))
     np.add.accumulate(durations[:, :-1], axis=-1, out=times[:, 1:, 0])
@@ -199,32 +203,30 @@ def _propagate(chs: tuple, fields: tuple, psi0: np.ndarray, samples_per_segment)
 
     return TrajectoryStack(
         times=times.reshape(n_inst, -1),
-        states=_evolve(h, taus, psi0),
+        states=_evolve(h, taus, np.ascontiguousarray(psi0)),
         segment_index=np.arange(n_seg * width) // width,
-        chs=chs,
-        fields=fields,
+        pairs=pairs,
+        segments=segments,
         hamiltonians=h,
     )
 
 
-def _hamiltonians(chs: Sequence[ControlHamiltonian], amplitudes: np.ndarray) -> np.ndarray:
-    """H(u) of instance b at each amplitudes[b, j], one read-only (B, S, d, d) array,
-    checked once per stack: every u within its window and every H Hermitian."""
-    for ch, amps in zip(chs, amplitudes.tolist()):
-        reach = ch.u_max + AMPLITUDE_RTOL * max(1.0, ch.u_max)
+def _hamiltonians(pairs: np.ndarray, u_max, amplitudes: np.ndarray) -> np.ndarray:
+    """H(u) = h0 + u*hc of instance b, (h0, hc) = pairs[b], at each amplitudes[b, j], one
+    (B, S, d, d) array, checked once per stack: every u within u_max[b] and every H
+    Hermitian."""
+    for cap, amps in zip(u_max, amplitudes.tolist()):
+        reach = cap + AMPLITUDE_RTOL * max(1.0, cap)
         for u in amps:  # a float loop: a stack of one costs no more than one instance
             if abs(u) > reach:
-                raise ValueError(f"amplitude {u!r} exceeds u_max {ch.u_max!r}")
-    h0 = np.array([ch.h0.entries for ch in chs])[:, None]
-    hc = np.array([ch.hc.entries for ch in chs])[:, None]
-    h = h0 + amplitudes[..., None, None] * hc
+                raise ValueError(f"amplitude {u!r} exceeds u_max {cap!r}")
+    h = pairs[:, None, 0] + amplitudes[..., None, None] * pairs[:, None, 1]
     try:
         check_hermitian(h)
     except ValueError:
         for h_b in h:  # the message of the first bad instance, as it reads alone
             check_hermitian(h_b)
         raise
-    h.setflags(write=False)
     return h
 
 
@@ -268,10 +270,12 @@ def propagate(
     psi0: PureState,
     samples_per_segment: int = 200,
 ) -> TrajectoryStack:
-    """Evolve psi0 under the field: propagate_stack on a stack of one."""
+    """Evolve psi0 under the field: propagate_stack on a stack of one.  Its PureState
+    is checked already, and a second norm check adds a tenth to a sweep point."""
     if psi0.dim != ch.dim:
         raise ValueError(f"dimension mismatch: {psi0.dim} vs {ch.dim}")
-    return _propagate((ch,), (field,), psi0.amplitudes[None], samples_per_segment)
+    segments, psi = np.array([field.segments]), psi0.amplitudes[None]
+    return _propagate(_pairs((ch,)), [ch.u_max], segments, psi, samples_per_segment)
 
 
 def _single(stack: TrajectoryStack) -> TrajectoryStack:
@@ -295,8 +299,7 @@ def _running_integral(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 def path_lengths(stack: TrajectoryStack) -> np.ndarray:
     """Anandan-Aharonov length 2*integral of the energy spread, per instance:
     exactly sum_j 2*d_j*deltaE_j, the spread being conserved on each segment."""
-    durations = np.array([field.segments for field in stack.fields])[..., 0]
-    return 2.0 * np.sum(durations * stack.spreads, axis=-1)
+    return 2.0 * np.sum(stack.segments[..., 0] * stack.spreads, axis=-1)
 
 
 def path_length(traj: TrajectoryStack) -> float:
@@ -461,8 +464,8 @@ def arenz_overlap_residuals(stack: TrajectoryStack, psigs: np.ndarray) -> np.nda
 
 def _arenz_residuals(stack: TrajectoryStack, psig: np.ndarray) -> np.ndarray:
     """arenz_overlap_residuals against checked targets psig (B, d), reached or not."""
-    pairs = np.array([(ch.h0.entries, ch.hc.entries) for ch in stack.chs])
-    u_ctrl = unitary_steps(pairs[:, 1], [field.amplitude_integral() for field in stack.fields])
+    pairs, products = stack.pairs, stack.segments[..., 0] * stack.segments[..., 1]
+    u_ctrl = unitary_steps(pairs[:, 1], [sum(row) for row in products.tolist()])
     # 1 x d by d x 1 products round as np.vdot does, np.hypot as abs() does
     amp = (psig.conj()[:, None, :] @ (u_ctrl @ stack.ends[0][..., None]))[:, 0, 0]
     lhs = 1.0 - np.hypot(amp.real, amp.imag)

@@ -17,8 +17,8 @@ from .dynamics import (
     TRAJECTORY_CHECKS,
     ControlHamiltonian,
     PiecewiseConstantField,
+    _propagate,
     propagate,  # noqa: F401  the perfbench tracer test patches this binding
-    propagate_stack,
     trajectory_residuals,
 )
 from .quantum import (
@@ -56,10 +56,10 @@ def _segment_count(rng: np.random.Generator) -> int:
     return int(rng.integers(1, MAX_SEGMENTS + 1))
 
 
-def _segments(uniforms: np.ndarray) -> list:
+def _segments(uniforms: np.ndarray) -> np.ndarray:
     """(duration, amplitude) rows of uniforms in [0, 1), scaled as Generator.uniform does."""
     low = np.array([0.1, -U_MAX])
-    return (low + (np.array([MAX_DURATION, U_MAX]) - low) * uniforms).tolist()
+    return low + (np.array([MAX_DURATION, U_MAX]) - low) * uniforms
 
 
 def random_state(rng: np.random.Generator, dim: int) -> PureState:
@@ -73,9 +73,10 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
 def random_control_problem(
     rng: np.random.Generator, dim: int
 ) -> Tuple[ControlHamiltonian, PiecewiseConstantField, PureState]:
-    """One instance of the stacked draws."""
-    _, _, (ch,), (field,), ((psi0,),) = next(_problem_stacks(rng, 1, 1, dim))
-    return ch, field, PureState(psi0)
+    """One instance of the stacked draws, a stack of one, as objects."""
+    _, _, (pair,), (segments,), ((psi0,),) = next(_problem_stacks(rng, 1, 1, dim))
+    ch = ControlHamiltonian(*map(HermitianOperator, pair), U_MAX)
+    return ch, PiecewiseConstantField(segments), PureState(psi0)
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,9 @@ def _problem_stacks(
     rng: np.random.Generator, count: int, n_states: int, dim: Optional[int] = None
 ) -> Iterator[tuple]:
     """count control problems of dimension dim (else drawn) with n_states states, one
-    generator call per array, built and checked one stack at a time: yields its draw
-    indices, (dimension, segment count), chs, fields and a (B, d) array per state column."""
+    generator call per array, drawn one stack at a time: yields its draw indices,
+    (dimension, segment count), the (h0, hc) pairs (B, 2, d, d), the (duration,
+    amplitude) segments (B, S, 2) and a (B, d) array per state column."""
     dims = (dim or int(rng.integers(2, MAX_DIM + 1)) for _ in range(count))
     draws = (
         (
@@ -178,11 +180,8 @@ def _problem_stacks(
         for d in dims
     )
     for idx, (ops, uniforms, states) in _stacks(draws):
-        d = ops.shape[-1]
-        h = HermitianOperator.stack(_hermitians(ops).reshape(-1, d, d))
-        chs = tuple(ControlHamiltonian(h0, hc, U_MAX) for h0, hc in zip(h[0::2], h[1::2]))
-        fields = tuple(PiecewiseConstantField(segs) for segs in _segments(uniforms))
-        yield idx, (d, uniforms.shape[1]), chs, fields, _unit_vectors(states).swapaxes(0, 1)
+        psis = _unit_vectors(states).swapaxes(0, 1)
+        yield idx, (ops.shape[-1], uniforms.shape[1]), _hermitians(ops), _segments(uniforms), psis
 
 
 def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult]:
@@ -192,8 +191,8 @@ def _trajectory_suites(rng: np.random.Generator, count: int) -> List[SuiteResult
     the Pfeifer envelope's fixed state phi are drawn together.  Instances are drawn,
     propagated and checked one (dimension, segment count) stack at a time."""
     residuals, shapes = np.empty((len(TRAJECTORY_CHECKS), count)), np.empty((count, 2), dtype=int)
-    for idx, shape, chs, fields, (psi0s, phis) in _problem_stacks(rng, count, 2):
-        stack = propagate_stack(chs, fields, psi0s, samples_per_segment=48)
+    for idx, shape, pairs, segments, (psi0s, phis) in _problem_stacks(rng, count, 2):
+        stack = _propagate(pairs, [U_MAX] * len(idx), segments, psi0s, samples_per_segment=48)
         residuals[:, idx] = trajectory_residuals(stack, stack.ends[1], phis)
         shapes[idx] = shape
     return [

@@ -8,8 +8,8 @@ so that repeated runs give bit-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -66,27 +66,6 @@ def check_normalized(amps: np.ndarray, ndim: int = 1) -> None:
         raise ValueError(f"state norm {worst!r} deviates from 1 beyond {NORM_ATOL}")
 
 
-def _stack(cls, rows, check: Callable[[np.ndarray, int], None], ndim: int) -> tuple:
-    """The rows of one array as instances of cls: read-only views, checked once
-    over the stack.  If the check fails, the single constructor of the first
-    bad row raises its own message, naming the row."""
-    try:
-        a = np.array(rows, dtype=complex)
-        check(a, ndim)
-    except ValueError:
-        for k, row in enumerate(rows):
-            try:
-                cls(row)
-            except ValueError as exc:
-                raise ValueError(f"row {k}: {exc}") from None
-        raise
-    a.setflags(write=False)
-    name, views = fields(cls)[0].name, tuple(object.__new__(cls) for _ in a)
-    for view, row in zip(views, a):
-        object.__setattr__(view, name, row)
-    return views
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of a d-level system, d >= 2."""
@@ -101,8 +80,24 @@ class PureState:
 
     @classmethod
     def stack(cls, amplitudes) -> Tuple["PureState", ...]:
-        """A state per row of amplitudes (n, d), as read-only row views."""
-        return _stack(cls, amplitudes, check_normalized, 2)
+        """A state per row of amplitudes (n, d), as read-only row views, checked once
+        over the stack.  If the check fails, the constructor of the first bad row
+        raises its own message, naming the row."""
+        try:
+            a = np.array(amplitudes, dtype=complex)
+            check_normalized(a, 2)
+        except ValueError:
+            for k, row in enumerate(amplitudes):
+                try:
+                    cls(row)
+                except ValueError as exc:
+                    raise ValueError(f"row {k}: {exc}") from None
+            raise
+        a.setflags(write=False)
+        views = tuple(object.__new__(cls) for _ in a)
+        for view, row in zip(views, a):
+            object.__setattr__(view, "amplitudes", row)
+        return views
 
     @property
     def dim(self) -> int:
@@ -120,11 +115,6 @@ class HermitianOperator:
         check_hermitian(m, 2)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def stack(cls, entries) -> Tuple["HermitianOperator", ...]:
-        """An operator per matrix of entries (n, d, d), as read-only views."""
-        return _stack(cls, entries, check_hermitian, 3)
 
     @property
     def dim(self) -> int:

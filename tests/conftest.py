@@ -5,6 +5,7 @@ import pytest
 
 from qslbounds import HermitianOperator, LandauZenerProblem, PureState, TrajectoryStack
 from qslbounds.bounds import _max_quadratic_root
+from qslbounds.dynamics import _hamiltonians, _pairs
 from qslbounds.quantum import energy_covariances
 from qslbounds.property_suites import (  # noqa: F401  re-exported to the tests
     random_control_problem,
@@ -48,10 +49,16 @@ def instance(stack: TrajectoryStack, k: int) -> TrajectoryStack:
         times=stack.times[k : k + 1],
         states=stack.states[k : k + 1],
         segment_index=stack.segment_index,
-        chs=stack.chs[k : k + 1],
-        fields=stack.fields[k : k + 1],
+        pairs=stack.pairs[k : k + 1],
+        segments=stack.segments[k : k + 1],
         hamiltonians=stack.hamiltonians[k : k + 1],
     )
+
+
+def segment_hamiltonians(ch, amplitudes) -> np.ndarray:
+    """H(u) of ch alone at each of amplitudes, checked as propagate checks them:
+    the (1, S, d, d) array dynamics._hamiltonians builds for one instance."""
+    return _hamiltonians(_pairs((ch,)), [ch.u_max], np.array([amplitudes], dtype=float))
 
 
 def sampled_spreads(traj: TrajectoryStack) -> np.ndarray:

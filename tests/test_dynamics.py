@@ -38,7 +38,6 @@ from qslbounds import (
     unitary_step,
 )
 from qslbounds import dynamics
-from qslbounds.dynamics import _hamiltonians
 from qslbounds.cli import LambdaSpec, SweepConfig
 from qslbounds.quantum import abs_overlaps
 from qslbounds.tolerances import BHATTACHARYYA_TOL, TARGET_FIDELITY_ATOL
@@ -51,6 +50,7 @@ from conftest import (
     random_state,
     sampled_spreads,
     scaled,
+    segment_hamiltonians,
     zero_operator,
 )
 
@@ -74,9 +74,9 @@ def test_control_hamiltonian_rejects_negative_window():
 
 def test_hamiltonian_rejects_amplitude_beyond_window():
     ch = ControlHamiltonian(h0=SIGMA_X, hc=SIGMA_Z, u_max=2.0)
-    _hamiltonians((ch,), np.array([[2.0]]))
+    segment_hamiltonians(ch, [2.0])
     with pytest.raises(ValueError):
-        _hamiltonians((ch,), np.array([[2.1]]))
+        segment_hamiltonians(ch, [2.1])
 
 
 def test_field_rejects_empty():
@@ -97,7 +97,6 @@ def test_field_rejects_infinite_amplitude():
 def test_field_totals():
     f = PiecewiseConstantField(((0.5, 2.0), (1.5, -1.0)))
     assert f.total_duration == pytest.approx(2.0)
-    assert f.amplitude_integral() == pytest.approx(0.5 * 2.0 - 1.5)
 
 
 def test_propagate_rejects_dim_mismatch():
@@ -106,17 +105,22 @@ def test_propagate_rejects_dim_mismatch():
 
 
 def test_propagate_rejects_zero_samples():
-    with pytest.raises(ValueError):
-        propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=0)
+    # and every count that is not an integer: a float, even a whole one, and a bool
+    for samples in (0, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match="^samples_per_segment must be a positive integer$"):
+            propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=samples)
+    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=np.int64(3))
+    assert traj.n_samples == 4
 
 
 def test_trajectory_records_its_drive(rng):
     ch, field, psi0 = random_control_problem(rng, 4)
     traj = propagate(ch, field, psi0, samples_per_segment=7)
-    assert traj.chs == (ch,) and traj.chs[0] is ch
-    assert traj.fields == (field,) and traj.fields[0] is field
+    assert _same_bits(traj.pairs, np.array([[ch.h0.entries, ch.hc.entries]]))
+    assert _same_bits(traj.segments, np.array([field.segments]))
     assert traj.hamiltonians.shape == (1, len(field.segments), 4, 4)
-    assert not traj.hamiltonians.flags.writeable
+    for drive in (traj.pairs, traj.segments, traj.hamiltonians):
+        assert not drive.flags.writeable
     for h, (_, u) in zip(traj.hamiltonians[0], field.segments):
         assert _same_bits(h, ch.h0.entries + u * ch.hc.entries)
 
@@ -183,9 +187,9 @@ def _hand_built(ch, end):
         times=np.array([[0.0, 1.0]]),
         states=np.array([[[1.0, 0.0], end]], dtype=complex),
         segment_index=np.array([0, 0]),
-        chs=(ch,),
-        fields=(FREE_UNIT,),
-        hamiltonians=_hamiltonians((ch,), np.zeros((1, 1))),
+        pairs=np.array([[ch.h0.entries, ch.hc.entries]]),
+        segments=np.array([FREE_UNIT.segments]),
+        hamiltonians=segment_hamiltonians(ch, [0.0]),
     )
 
 
@@ -330,13 +334,13 @@ def test_sweep_points_propagate_as_the_loop_reference_bit_for_bit(spec):
         assert _same_bits(traj.spreads[0], spreads), problem.theta
 
 
-def _reference_residuals(traj, phi):
-    """The Anandan-Aharonov, Pfeifer and Arenz residuals of a stack of one,
-    the Arenz target being its endpoint, from per-instance scalar calls:
-    overlaps by np.vdot, spreads by energy_variance and the drive's unitary
-    by unitary_step."""
+def _reference_residuals(traj, ch, field, phi):
+    """The Anandan-Aharonov, Pfeifer and Arenz residuals of a stack of one driven
+    by ch under field, the Arenz target being its endpoint, from per-instance
+    scalar calls: overlaps by np.vdot, spreads by energy_variance and the drive's
+    unitary by unitary_step of the drive's area, its sum of duration*amplitude."""
     psi0, final = PureState(traj.ends[0, 0]), PureState(traj.ends[1, 0])
-    (ch,), (field,), times, states = traj.chs, traj.fields, traj.times[0], traj.states[0]
+    times, states = traj.times[0], traj.states[0]
     geodesic = 2.0 * math.acos(min(abs(complex(np.vdot(psi0.amplitudes, final.amplitudes))), 1.0))
     segment_spreads = [
         [energy_variance(chi, HermitianOperator(h)) for h in traj.hamiltonians[0]]
@@ -348,7 +352,7 @@ def _reference_residuals(traj, phi):
     overlaps = np.abs(states @ phi.amplitudes.conj()[:, None])[:, 0]
     lower, upper = sin_star(delta - angle), sin_star(delta + angle)
     outside = max(np.max(lower - overlaps), np.max(overlaps - upper))
-    kicked = unitary_step(ch.hc, field.amplitude_integral()) @ psi0.amplitudes[:, None]
+    kicked = unitary_step(ch.hc, sum(d * a for d, a in field.segments)) @ psi0.amplitudes[:, None]
     reached = abs(complex(np.vdot(final.amplitudes, kicked)))
     arenz = 1.0 - reached - np.linalg.norm(ch.h0.entries) * float(times[-1])
     return geodesic - path_length(traj), max(float(outside), 0.0), arenz
@@ -367,7 +371,7 @@ def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
         assert residuals.shape == (5, len(idx))
         for k in range(len(idx)):
             alone = propagate(chs[k], fields[k], psi0s[k], samples_per_segment=48)
-            expected = _reference_residuals(instance(stack, k), phis[k])
+            expected = _reference_residuals(instance(stack, k), chs[k], fields[k], phis[k])
             expected = (*expected, bhattacharyya_check(alone))
             got = residuals[[0, 1, 2, 4], k].tolist()
             assert [v.hex() for v in got] == [v.hex() for v in expected], idx[k]
@@ -409,7 +413,12 @@ def test_per_instance_states_must_match_the_stack_count():
     finals = stack.ends[1]
     off_norm = finals.copy()
     off_norm[-1] *= 1.0 + 1e-6
-    checks = (arenz_overlap_residuals, pfeifer_envelope_residuals, tqsl_stars, _propagate_from)
+    checks = (
+        arenz_overlap_residuals,
+        pfeifer_envelope_residuals,
+        tqsl_stars,
+        lambda stack, psi0s: propagate_stack(chs, fields, psi0s, samples_per_segment=1),
+    )
     for check in checks:
         for states in (finals[:1], np.concatenate((finals, finals[:1]))):
             message = rf"^need one state per instance: got {len(states)} for {len(stack)}$"
@@ -420,11 +429,6 @@ def test_per_instance_states_must_match_the_stack_count():
             check(stack, np.eye(stack.dim + 1)[np.zeros(len(stack), dtype=int)])
         with pytest.raises(ValueError, match=r"^state norm .* deviates from 1 beyond"):
             check(stack, off_norm)
-
-
-def _propagate_from(stack, psi0s):
-    """propagate_stack from psi0s under the stack's own drives."""
-    return propagate_stack(stack.chs, stack.fields, psi0s, samples_per_segment=1)
 
 
 def test_stacked_checks_equal_the_single_trajectory_floats():
@@ -461,7 +465,8 @@ def test_stack_entries_carry_their_drive(rng):
     stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=5)
     for k, (ch, field, psi0) in enumerate(problems):
         traj = instance(stack, k)
-        assert traj.chs[0] is ch and traj.fields[0] is field
+        assert _same_bits(traj.pairs[0], np.array([ch.h0.entries, ch.hc.entries]))
+        assert _same_bits(traj.segments[0], np.array(field.segments))
         assert np.shares_memory(traj.hamiltonians, stack.hamiltonians)
         assert not stack.hamiltonians.flags.writeable
         for j, (_, u) in enumerate(field.segments):
@@ -477,11 +482,10 @@ def test_of_joins_the_per_instance_propagations():
             again = TrajectoryStack.of(
                 [propagate(*p, samples_per_segment=samples) for p in zip(chs, fields, psi0s)]
             )
-            for name in TRAJECTORY_ARRAYS:
+            for name in (*TRAJECTORY_ARRAYS, "pairs", "segments", "spreads"):
                 assert _same_bits(getattr(again, name), getattr(stack, name)), (samples, name)
-            assert _same_bits(again.spreads, stack.spreads)
-            assert again.chs == stack.chs and again.fields == stack.fields
-            assert not again.hamiltonians.flags.writeable
+            for drive in (again.pairs, again.segments, again.hamiltonians):
+                assert not drive.flags.writeable
 
 
 SINGLE_FORMS = {

@@ -107,6 +107,19 @@ def test_every_suite_counts_every_instance(count):
     assert [r.instances for r in report.results] == [count] * 6
 
 
+def test_proptest_builds_no_object_per_instance(monkeypatch):
+    # the drawn arrays go to the propagation kernel as they are, so no control
+    # Hamiltonian or field is built, however many instances run
+    built = []
+    for cls in (ControlHamiltonian, PiecewiseConstantField):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, check=check: built.append(self) or check(self)
+        )
+    run_property_suites(0, 200)
+    assert built == []
+
+
 @pytest.mark.parametrize("stack_size", [1, 3])
 def test_report_does_not_depend_on_the_stack_size(monkeypatch, stack_size):
     from qslbounds import property_suites
@@ -150,6 +163,8 @@ def _former_random_control_problem(rng, dim):
 
 def _bits(x):
     """Every bit of a drawn value, so that -0.0 and 0.0 differ."""
+    if isinstance(x, np.ndarray):
+        return (x.shape, x.dtype.str, x.tobytes())
     if isinstance(x, ControlHamiltonian):
         return _bits(x.h0) + _bits(x.hc) + (x.u_max,)
     if isinstance(x, PiecewiseConstantField):
@@ -164,14 +179,17 @@ def test_stacked_draws_reproduce_the_former_per_call_draws(n_states):
     for seed in range(200):
         rng, former = np.random.default_rng(seed), np.random.default_rng(seed)
         drawn = {}
-        for idx, shape, chs, fields, states in _problem_stacks(rng, 40, n_states):
+        for idx, shape, pairs, segments, states in _problem_stacks(rng, 40, n_states):
             shapes.add(shape)
             for k, i in enumerate(idx):
-                drawn[i] = (chs[k], fields[k]) + tuple(PureState(column[k]) for column in states)
+                drawn[i] = (pairs[k], segments[k], *(column[k] for column in states))
         for i in range(40):
             dim = int(former.integers(2, MAX_DIM + 1))
-            expected = _former_random_control_problem(former, dim)
-            expected += tuple(_former_random_state(former, dim) for _ in range(n_states - 1))
+            ch, field, psi0 = _former_random_control_problem(former, dim)
+            psis = (psi0, *(_former_random_state(former, dim) for _ in range(n_states - 1)))
+            assert ch.u_max == U_MAX
+            expected = (np.array([ch.h0.entries, ch.hc.entries]), np.array(field.segments))
+            expected += tuple(psi.amplitudes for psi in psis)
             assert list(map(_bits, drawn[i])) == list(map(_bits, expected)), (seed, i)
         assert rng.random() == former.random()  # the streams end in step
     assert shapes == {(d, n) for d in range(2, MAX_DIM + 1) for n in range(1, MAX_SEGMENTS + 1)}

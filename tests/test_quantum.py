@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from qslbounds import (
     ControlHamiltonian,
-    HermitianOperator,
     PureState,
     SIGMA_X,
     SIGMA_Z,
@@ -146,23 +145,10 @@ def _bad_state_rows(rng):
     }
 
 
-def _bad_operator_rows(rng):
-    rows = [random_hermitian(rng, 3).entries for _ in range(4)]
-    skew, non_finite = rows[2].copy(), rows[2].copy()
-    skew[0, 1] += 1e-9
-    non_finite[1, 1] = INF
-    return rows, {
-        "hermitian": skew,
-        "non-finite": non_finite,
-        "shape": rows[2][:, :2],
-        "vector": rows[2][0],
-    }
-
-
 @pytest.mark.parametrize(
     "cls, bad_rows",
-    [(PureState, _bad_state_rows), (HermitianOperator, _bad_operator_rows)],
-    ids=["state", "operator"],
+    [(PureState, _bad_state_rows)],
+    ids=["state"],
 )
 def test_a_stack_names_its_bad_row_with_the_single_message(rng, cls, bad_rows):
     rows, bad = bad_rows(rng)
@@ -171,22 +157,20 @@ def test_a_stack_names_its_bad_row_with_the_single_message(rng, cls, bad_rows):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # non-finite rows must not warn on the way
             with pytest.raises(ValueError) as exc:
-                cls.stack(stack if kind in ("shape", "vector", "matrix") else np.array(stack))
+                cls.stack(stack if kind in ("shape", "matrix") else np.array(stack))
         assert str(exc.value) == f"row 2: {_single_message(cls, row)}", kind
 
 
 def test_a_stack_of_the_wrong_shape_names_its_first_row():
-    with pytest.raises(ValueError, match=r"^row 0: operator must be square .* \(2, 3\)$"):
-        HermitianOperator.stack(np.zeros((4, 2, 3)))
     with pytest.raises(ValueError, match=r"^row 0: state must be a vector .* \(2, 2\)$"):
         PureState.stack(np.eye(2)[None].repeat(3, axis=0))
 
 
 @pytest.mark.parametrize(
-    "cls, draw", [(PureState, random_state), (HermitianOperator, random_hermitian)]
+    "cls, draw", [(PureState, random_state)]
 )
 def test_stacked_rows_are_read_only_and_equal_the_single_constructor(rng, cls, draw):
-    field = "amplitudes" if cls is PureState else "entries"
+    field = "amplitudes"
     for dim in range(2, 9):
         rows = np.array([getattr(draw(rng, dim), field) for _ in range(5)])
         stacked = cls.stack(rows)

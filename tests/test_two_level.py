@@ -34,10 +34,10 @@ from qslbounds import (
 )
 from qslbounds.bounds import BOUND_NAMES, compute_report
 from qslbounds.cli import LambdaSpec
-from qslbounds.dynamics import _hamiltonians
 from qslbounds.tolerances import CLOSED_FORM_TOL, FIDELITY_TOL
 from qslbounds.two_level import MAX_ENERGY
 from conftest import fidelity, overlap, problem_from_gamma, sampled_spreads, scaled
+from conftest import segment_hamiltonians
 
 HALF_PI = 0.5 * math.pi
 
@@ -157,7 +157,7 @@ def test_problem_rejects_non_finite_parameters(args, match):
 
 def test_lz_hamiltonian_matrix():
     ch = lz(0.25 * math.pi, cap=3.0).control_hamiltonian()
-    h, h2 = map(HermitianOperator, _hamiltonians((ch,), np.array([[0.0, 2.0]]))[0])
+    h, h2 = map(HermitianOperator, segment_hamiltonians(ch, [0.0, 2.0])[0])
     assert np.allclose(h.entries, [[0.0, 0.5], [0.5, 0.0]])
     assert np.allclose(h2.entries, [[2.0, 0.5], [0.5, -2.0]])
     eigs = spectral(h2)[0]
@@ -168,9 +168,9 @@ def test_lz_hamiltonian_matrix():
 
 def test_lz_hamiltonian_enforces_cap():
     ch = lz(0.25 * math.pi, cap=1.0).control_hamiltonian()
-    _hamiltonians((ch,), np.array([[1.0]]))
+    segment_hamiltonians(ch, [1.0])
     with pytest.raises(ValueError):
-        _hamiltonians((ch,), np.array([[1.5]]))
+        segment_hamiltonians(ch, [1.5])
 
 
 # ---------------------------------------------------------------------------
