@@ -22,9 +22,9 @@ JSON line each: diff two such files to find the first run that differs.
   +inf for even k, psi0 and psig normalized complex normals, t_opt = U(0.1, 3);
 - propagations, seed 3: 300 stacks of 1..3 instances, 1..3 segments and 1..49
   samples per segment, problems drawn as for reports, durations U(0.1, 1),
-  amplitudes U(-r, r) with r = min(u_max, 5); one instance goes through
-  propagate, more through propagate_stack.  Recorded are the times, the states
-  and trajectory_residuals against the reached ends and a drawn phi each.
+  amplitudes U(-r, r) with r = min(u_max, 5), each stack one propagate call.
+  Recorded are the times, the states and trajectory_residuals against the
+  reached ends and a drawn phi each.
 """
 import argparse
 import contextlib
@@ -46,7 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 from qslbounds import BoundInputs, ControlHamiltonian, HermitianOperator  # noqa: E402
 from qslbounds import PiecewiseConstantField, PureState, compute_report  # noqa: E402
-from qslbounds import propagate, propagate_stack, trajectory_residuals  # noqa: E402
+from qslbounds import propagate, trajectory_residuals  # noqa: E402
 from qslbounds.cli import LambdaSpec, SweepConfig, emit_report, main, run_sweep  # noqa: E402
 from test_cli import BAD_INPUTS, GRID_CAPS, GRID_DELTAS, GRID_THETAS, bad_input_argv  # noqa: E402
 from test_figures import GOLDEN_CONFIGS, VERIFY_ARGS  # noqa: E402
@@ -117,10 +117,7 @@ def _propagations():
                                                    rng.uniform(-reach, reach, n_seg)), axis=-1))
                   for _ in range(count)]
         psi0s, phis = (np.array([_unit(rng, d) for _ in range(count)]) for _ in range(2))
-        if count == 1:
-            stack = propagate(chs[0], fields[0], PureState(psi0s[0]), samples)
-        else:
-            stack = propagate_stack(chs, fields, psi0s, samples)
+        stack = propagate(chs, fields, psi0s, samples)
         residuals = trajectory_residuals(stack, stack.ends[1], phis).tolist()
         yield str(k), f"times {sha(stack.times)} states {sha(stack.states)} {residuals!r}"
 

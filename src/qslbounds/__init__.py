@@ -32,7 +32,6 @@ from .dynamics import (
     pfeifer_envelope_residuals,
     propagate,
     propagate_refined,
-    propagate_stack,
     sin_star,
     tqsl_star,
     tqsl_stars,

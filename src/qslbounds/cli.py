@@ -19,9 +19,8 @@ import numpy as np
 
 from . import __version__, tolerances
 from .bounds import BOUND_NAMES, compute_reports
-from .dynamics import MISSED_TARGET, TRAJECTORY_CHECKS, TrajectoryStack
+from .dynamics import MISSED_TARGET, TRAJECTORY_CHECKS
 from .dynamics import propagate_refined, tqsl_stars, trajectory_residuals
-from .quantum import PureState
 from .property_suites import run_property_suites
 from .tolerances import CLOSED_FORM_TOL, FIDELITY_TOL
 from .two_level import (
@@ -150,24 +149,24 @@ _SWEEP_ROW = ",".join(
 def _solve_points(problems: Sequence[LandauZenerProblem], u0: Optional[float], samples: int):
     """Every point's pipeline, for a sweep or verify's grid of one: the bounds
     flagged against t_opt_ideal, each report's t_qsl_star filled from one
-    tqsl_stars pass per segment count.  Returns the protocols, reports,
-    trajectories, final fidelities and the (n, 2) psi_g rows."""
+    propagation and one tqsl_stars pass per segment count.  Returns the
+    protocols, reports, one trajectory stack per segment count, the final
+    fidelities and the (n, 2) psi_g rows."""
     # the states first: their gap check rejects a tiny delta before the protocols divide by it
     ends = boundary_state_arrays(problems)  # psi0 and psig of every point, (2, n, 2)
     protocols = [optimal_protocol(p, u0) for p in problems]
     chs = [p.control_hamiltonian() for p in problems]
     reports = compute_reports(chs, *ends, [p.t_opt_ideal for p in protocols])
-    psi0s = PureState.stack(ends[0])  # propagate_refined takes a PureState
-    fields = [p.field for p in protocols]
-    # one call per point while perfbench/ wraps propagate_refined by name
-    trajs = [propagate_refined(*point, samples) for point in zip(chs, fields, psi0s)]
-    fidelities = [math.nan] * len(trajs)
-    for n in {t.n_samples for t in trajs}:  # one stack per segment count
-        group = [k for k, t in enumerate(trajs) if t.n_samples == n]
-        group_stack = TrajectoryStack.of([trajs[k] for k in group])
-        for k, estimate in zip(group, tqsl_stars(group_stack, ends[1, group])):
+    fidelities, stacks = [math.nan] * len(problems), []
+    for n_seg in {len(p.field.segments) for p in protocols}:
+        group = [k for k, p in enumerate(protocols) if len(p.field.segments) == n_seg]
+        stack = propagate_refined(
+            [chs[k] for k in group], [protocols[k].field for k in group], ends[0, group], samples
+        )
+        for k, estimate in zip(group, tqsl_stars(stack, ends[1, group])):
             reports[k].t_qsl_star, fidelities[k] = estimate.time, estimate.target_fidelity
-    return protocols, reports, trajs, fidelities, ends[1]
+        stacks.append(stack)
+    return protocols, reports, stacks, fidelities, ends[1]
 
 
 def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
@@ -281,7 +280,7 @@ def verify_case(
 
     problem = LandauZenerProblem(delta, theta, cap)
     solved = _solve_points([problem], u0_surrogate, 200)
-    (protocol,), (report,), (traj,), (fidelity,), psigs = solved
+    (protocol,), (report,), (traj,), (fidelity,), psigs = solved  # one point, one stack
     closed = closed_form_bounds(problem)
     worst = max(abs(getattr(closed, f"tmin_{n}") - report.value(n)) for n in BOUND_NAMES)
     checks = {"fidelity": Check(fidelity, FIDELITY_TOL, fidelity >= FIDELITY_TOL)}

@@ -14,7 +14,7 @@ leaving the states themselves single-valued.
 The propagation kernel and the checks work on a TrajectoryStack: instances
 of one dimension and one segment count, stacked along a leading axis, so
 they share one sample layout.  A single trajectory is a stack of one, which
-propagate returns and the single-trajectory functions read.
+the single-trajectory functions read.
 """
 from __future__ import annotations
 
@@ -110,21 +110,6 @@ class TrajectoryStack:
         for drive in (self.pairs, self.segments, self.hamiltonians):
             drive.setflags(write=False)
 
-    @classmethod
-    def of(cls, stacks: Sequence["TrajectoryStack"]) -> "TrajectoryStack":
-        """Stacks of one dimension and one sample layout joined along the instance axis."""
-        stacks = tuple(stacks)
-        if len({(s.dim, s.segment_index.tobytes()) for s in stacks}) != 1:
-            raise ValueError("need trajectories of one dimension and one sample layout")
-        return cls(
-            times=np.concatenate([s.times for s in stacks]),
-            states=np.concatenate([s.states for s in stacks]),
-            segment_index=stacks[0].segment_index,
-            pairs=np.concatenate([s.pairs for s in stacks]),
-            segments=np.concatenate([s.segments for s in stacks]),
-            hamiltonians=np.concatenate([s.hamiltonians for s in stacks]),
-        )
-
     def __len__(self) -> int:
         return self.states.shape[0]
 
@@ -152,14 +137,15 @@ class TrajectoryStack:
         return energy_spreads(self.hamiltonians, self.states[:, ::width])
 
 
-def propagate_stack(
+def propagate(
     chs: Sequence[ControlHamiltonian],
     fields: Sequence[PiecewiseConstantField],
     psi0s: np.ndarray,
     samples_per_segment: int = 200,
 ) -> TrajectoryStack:
-    """Evolve each initial state psi0s[b], one row of a (B, d) array, under
-    fields[b] and chs[b], sampling each segment uniformly.
+    """Evolve each initial state psi0s[b], one row of a (B, d) array (or for a
+    stack of one a (d,) state), under fields[b] and chs[b], sampling each
+    segment uniformly.
 
     The instances must share one dimension and one segment count.  Each
     segment is solved with one eigendecomposition and exact phase factors,
@@ -181,7 +167,7 @@ def _pairs(chs: Sequence[ControlHamiltonian]) -> np.ndarray:
 
 
 def _propagate(pairs, u_max, segments, psi0, samples_per_segment) -> TrajectoryStack:
-    """propagate_stack on arrays: (h0, hc) pairs (B, 2, d, d), the drive windows u_max,
+    """propagate on arrays: (h0, hc) pairs (B, 2, d, d), the drive windows u_max,
     one float each, the (duration, amplitude) segments (B, S, 2) and checked states
     psi0 (B, d).  Each drive is checked against its window, each H(u) for Hermiticity."""
     n = samples_per_segment
@@ -264,20 +250,6 @@ def _state_array(states, count: int, dim: int) -> np.ndarray:
     return rows
 
 
-def propagate(
-    ch: ControlHamiltonian,
-    field: PiecewiseConstantField,
-    psi0: PureState,
-    samples_per_segment: int = 200,
-) -> TrajectoryStack:
-    """Evolve psi0 under the field: propagate_stack on a stack of one.  Its PureState
-    is checked already, and a second norm check adds a tenth to a sweep point."""
-    if psi0.dim != ch.dim:
-        raise ValueError(f"dimension mismatch: {psi0.dim} vs {ch.dim}")
-    segments, psi = np.array([field.segments]), psi0.amplitudes[None]
-    return _propagate(_pairs((ch,)), [ch.u_max], segments, psi, samples_per_segment)
-
-
 def _single(stack: TrajectoryStack) -> TrajectoryStack:
     """stack, which must hold one instance: the single-trajectory forms read its value."""
     if len(stack) != 1:
@@ -313,14 +285,14 @@ def norm_drifts(stack: TrajectoryStack) -> np.ndarray:
 
 
 def propagate_refined(
-    ch: ControlHamiltonian,
-    field: PiecewiseConstantField,
-    psi0: PureState,
+    chs: Sequence[ControlHamiltonian],
+    fields: Sequence[PiecewiseConstantField],
+    psi0s: np.ndarray,
     samples_per_segment: int = 200,
 ) -> TrajectoryStack:
     """One propagate pass: every trajectory quantity is exact on any sample
     grid.  The name stays because perfbench/ wraps it by name for its useful_ratio."""
-    return propagate(ch, field, psi0, samples_per_segment)
+    return propagate(chs, fields, psi0s, samples_per_segment)
 
 
 def bhattacharyya_residuals(stack: TrajectoryStack) -> np.ndarray:

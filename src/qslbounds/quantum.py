@@ -78,27 +78,6 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def stack(cls, amplitudes) -> Tuple["PureState", ...]:
-        """A state per row of amplitudes (n, d), as read-only row views, checked once
-        over the stack.  If the check fails, the constructor of the first bad row
-        raises its own message, naming the row."""
-        try:
-            a = np.array(amplitudes, dtype=complex)
-            check_normalized(a, 2)
-        except ValueError:
-            for k, row in enumerate(amplitudes):
-                try:
-                    cls(row)
-                except ValueError as exc:
-                    raise ValueError(f"row {k}: {exc}") from None
-            raise
-        a.setflags(write=False)
-        views = tuple(object.__new__(cls) for _ in a)
-        for view, row in zip(views, a):
-            object.__setattr__(view, "amplitudes", row)
-        return views
-
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]

@@ -140,7 +140,7 @@ def test_criterion_4_bang_bang_figure():
               abs(tqsl_star_closed(p, proto) - closed_form_bounds(p).tmin_b) <= 1e-9,
               f"T*_QSL != t_min^B at theta={theta:.4f}")
         psi0, _ = boundary_states(p)
-        traj = propagate(p.control_hamiltonian(), proto.field, psi0)
+        traj = propagate([p.control_hamiltonian()], [proto.field], psi0.amplitudes)
         sampled = sampled_spreads(traj)
         ripple = float(np.max(sampled) - np.min(sampled))
         check(failures, ripple <= 1e-9,

@@ -20,7 +20,7 @@ from qslbounds import (
     propagate,
     tqsl_star,
 )
-from qslbounds import cli
+from qslbounds import cli, dynamics
 from qslbounds.cli import (
     SWEEP_CSV_HEADER,
     LambdaSpec,
@@ -123,37 +123,51 @@ def test_unconstrained_sweep_rows():
     assert all(a > b for a, b in zip(t_opts, t_opts[1:]))
 
 
+def _count_propagations(monkeypatch) -> list:
+    """The argument tuples of every dynamics._propagate call from here on."""
+    calls, kernel = [], dynamics._propagate
+    monkeypatch.setattr(dynamics, "_propagate", lambda *a: calls.append(a) or kernel(*a))
+    return calls
+
+
 def test_sweep_builds_no_operator_per_point(monkeypatch):
-    # boundary states and bounds are batched over the whole grid, so the
-    # number of operators built does not grow with the number of points
+    # boundary states and bounds are batched over the whole grid, and the
+    # points of one segment count propagate as one stack, so neither the
+    # operators built nor the propagations grow with the number of points
     built = []
     check = HermitianOperator.__post_init__
     monkeypatch.setattr(
         HermitianOperator, "__post_init__", lambda self: built.append(self) or check(self)
     )
-    counts = {}
+    propagations = _count_propagations(monkeypatch)
+    counts, propagated = {}, {}
     for count in (7, 50):
         _drift.cache_clear()  # each sweep builds its drift afresh
         built.clear()
+        propagations.clear()
         run_sweep(SweepConfig(lambda_spec=LambdaSpec("factor", 6.0), theta_count=count))
-        counts[count] = len(built)
+        counts[count], propagated[count] = len(built), len(propagations)
     assert counts[7] == counts[50] == 1
+    assert propagated[7] == propagated[50] == 1
 
 
-def test_mixed_regime_sweep_matches_the_per_point_trajectories():
+def test_mixed_regime_sweep_matches_the_per_point_trajectories(monkeypatch):
     # an absolute cap crosses the critical cap inside the grid, so the sweep
-    # stacks three-segment and two-segment trajectories separately; each row
-    # keeps the bits of its own 200-sample trajectory
+    # stacks three-segment and two-segment trajectories separately, one
+    # propagation each; each row keeps the bits of its own 200-sample trajectory
     cfg = SweepConfig(
         lambda_spec=LambdaSpec("absolute", 1.0), theta_min=0.05, theta_max=1.5, theta_count=30
     )
+    propagations = _count_propagations(monkeypatch)
     rows = run_sweep(cfg)
+    assert len(propagations) == 2
     assert {r.regime for r in rows} == {"bang-off-bang", "bang-bang"}
     for row in rows:
         problem = LandauZenerProblem(cfg.delta, row.theta, 1.0)
         psi0, psig = boundary_states(problem)
         field = optimal_protocol(problem).field
-        est = tqsl_star(propagate(problem.control_hamiltonian(), field, psi0, 200), psig)
+        ch = problem.control_hamiltonian()
+        est = tqsl_star(propagate([ch], [field], psi0.amplitudes, 200), psig)
         assert (row.tqsl_traj.hex(), row.fidelity.hex()) == (
             est.time.hex(), est.target_fidelity.hex()
         ), row.theta

@@ -30,7 +30,6 @@ from qslbounds import (
     pfeifer_envelope_check,
     pfeifer_envelope_residuals,
     propagate,
-    propagate_stack,
     sin_star,
     tqsl_star,
     tqsl_stars,
@@ -101,21 +100,21 @@ def test_field_totals():
 
 def test_propagate_rejects_dim_mismatch():
     with pytest.raises(ValueError):
-        propagate(RABI, FREE_UNIT, basis_state(3, 0))
+        propagate([RABI], [FREE_UNIT], basis_state(3, 0).amplitudes)
 
 
 def test_propagate_rejects_zero_samples():
     # and every count that is not an integer: a float, even a whole one, and a bool
     for samples in (0, 2.5, 3.0, True):
         with pytest.raises(ValueError, match="^samples_per_segment must be a positive integer$"):
-            propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=samples)
-    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=np.int64(3))
+            propagate([RABI], [FREE_UNIT], basis_state(2, 0).amplitudes, samples)
+    traj = propagate([RABI], [FREE_UNIT], basis_state(2, 0).amplitudes, np.int64(3))
     assert traj.n_samples == 4
 
 
 def test_trajectory_records_its_drive(rng):
     ch, field, psi0 = random_control_problem(rng, 4)
-    traj = propagate(ch, field, psi0, samples_per_segment=7)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=7)
     assert _same_bits(traj.pairs, np.array([[ch.h0.entries, ch.hc.entries]]))
     assert _same_bits(traj.segments, np.array([field.segments]))
     assert traj.hamiltonians.shape == (1, len(field.segments), 4, 4)
@@ -134,7 +133,7 @@ def test_checks_build_no_operator(monkeypatch):
         HermitianOperator, "__post_init__", lambda self: built.append(self) or check(self)
     )
     field = PiecewiseConstantField(((0.3, 0.4), (0.2, -0.7), (0.5, 0.0)))
-    traj = propagate(RABI, field, basis_state(2, 0), samples_per_segment=9)
+    traj = propagate([RABI], [field], basis_state(2, 0).amplitudes, samples_per_segment=9)
     bhattacharyya_check(traj)
     pfeifer_envelope_check(traj, basis_state(2, 1))
     arenz_overlap_inequality_check(traj, PureState(traj.ends[1, 0]))
@@ -147,7 +146,7 @@ def test_stacked_builder_keeps_both_guards():
     hc = HermitianOperator(np.array([[1.0, 5e-13j], [0.0, -1.0]]))
     ch = ControlHamiltonian(h0=SIGMA_X, hc=hc)
     with pytest.raises(ValueError, match="not Hermitian"):
-        propagate(ch, PiecewiseConstantField(((1.0, 1e3),)), basis_state(2, 0))
+        propagate([ch], [PiecewiseConstantField(((1.0, 1e3),))], basis_state(2, 0).amplitudes)
     # the window rule names the first amplitude outside it, here in the second instance
     capped = ControlHamiltonian(h0=SIGMA_X, hc=SIGMA_Z, u_max=1.0)
     fields = (
@@ -155,11 +154,11 @@ def test_stacked_builder_keeps_both_guards():
         PiecewiseConstantField(((1.0, 1.5), (1.0, -2.5))),
     )
     with pytest.raises(ValueError, match=r"amplitude 1\.5 exceeds u_max 1\.0"):
-        propagate_stack((capped, capped), fields, _rows((basis_state(2, 0),) * 2))
+        propagate((capped, capped), fields, _rows((basis_state(2, 0),) * 2))
 
 
 def test_boundary_states_are_built_once():
-    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=4)
+    traj = propagate([RABI], [FREE_UNIT], basis_state(2, 0).amplitudes, samples_per_segment=4)
     assert traj.ends is traj.ends
     assert np.array_equal(traj.ends[1, 0], traj.states[0, -1])
     assert np.array_equal(traj.ends[0, 0], traj.states[0, 0])
@@ -174,27 +173,28 @@ def test_propagate_hands_back_the_stack_it_built(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(dynamics.TrajectoryStack, "__init__", counting_init)
-    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=4)
+    traj = propagate([RABI], [FREE_UNIT], basis_state(2, 0).amplitudes, samples_per_segment=4)
     tqsl_star(traj, basis_state(2, 1))
     path_length(traj)
     bhattacharyya_check(traj)
     assert len(built) == 1 and built[0] is traj
 
 
-def _hand_built(ch, end):
-    """A stack of one over FREE_UNIT's unit time, from |0> straight to end."""
+def _hand_built(chs, ends):
+    """A stack over FREE_UNIT's unit time: instance b under chs[b], from |0>
+    straight to ends[b]."""
     return TrajectoryStack(
-        times=np.array([[0.0, 1.0]]),
-        states=np.array([[[1.0, 0.0], end]], dtype=complex),
+        times=np.array([[0.0, 1.0]] * len(chs)),
+        states=np.array([[[1.0, 0.0], end] for end in ends], dtype=complex),
         segment_index=np.array([0, 0]),
-        pairs=np.array([[ch.h0.entries, ch.hc.entries]]),
-        segments=np.array([FREE_UNIT.segments]),
-        hamiltonians=segment_hamiltonians(ch, [0.0]),
+        pairs=np.array([[ch.h0.entries, ch.hc.entries] for ch in chs]),
+        segments=np.array([FREE_UNIT.segments] * len(chs)),
+        hamiltonians=np.concatenate([segment_hamiltonians(ch, [0.0]) for ch in chs]),
     )
 
 
 def test_boundary_states_keep_the_norm_check():
-    traj = _hand_built(ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z), [0.0, 1.1])
+    traj = _hand_built([ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)], [[0.0, 1.1]])
     with pytest.raises(ValueError, match="norm"):
         traj.ends
 
@@ -288,10 +288,10 @@ def test_stacks_reproduce_the_loop_propagation_bit_for_bit():
     problems = _harness_problems() + _extreme_duration_problems()
     for samples in (1, 7, 48, 200):
         for idx, (chs, fields, psi0s, _) in _stacks(problems):
-            stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=samples)
+            stack = propagate(chs, fields, _rows(psi0s), samples_per_segment=samples)
             assert len(stack) == len(idx)
             for k in range(len(idx)):
-                single = propagate(chs[k], fields[k], psi0s[k], samples_per_segment=samples)
+                single = propagate([chs[k]], [fields[k]], psi0s[k].amplitudes, samples)
                 arrays, spreads = _reference_propagate(chs[k], fields[k], psi0s[k], samples)
                 for name, got, alone, ref in zip(
                     TRAJECTORY_ARRAYS, _arrays(stack, k), _arrays(single), arrays, strict=True
@@ -327,7 +327,7 @@ def test_sweep_points_propagate_as_the_loop_reference_bit_for_bit(spec):
     for problem, row in zip(problems, boundary_state_arrays(problems)[0], strict=True):
         ch, field = problem.control_hamiltonian(), optimal_protocol(problem).field
         psi0 = PureState(row)
-        traj = propagate(ch, field, psi0, samples_per_segment=2)
+        traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=2)
         arrays, spreads = _reference_propagate(ch, field, psi0, 2)
         for name, got, ref in zip(TRAJECTORY_ARRAYS, _arrays(traj), arrays, strict=True):
             assert _same_bits(got, ref), (problem.theta, name)
@@ -366,11 +366,11 @@ def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
     assert [name for name, _ in TRAJECTORY_CHECKS] == names
     problems = _harness_problems() + _extreme_duration_problems()
     for idx, (chs, fields, psi0s, phis) in _stacks(problems):
-        stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=48)
+        stack = propagate(chs, fields, _rows(psi0s), samples_per_segment=48)
         residuals = trajectory_residuals(stack, stack.ends[1], _rows(phis))
         assert residuals.shape == (5, len(idx))
         for k in range(len(idx)):
-            alone = propagate(chs[k], fields[k], psi0s[k], samples_per_segment=48)
+            alone = propagate([chs[k]], [fields[k]], psi0s[k].amplitudes, samples_per_segment=48)
             expected = _reference_residuals(instance(stack, k), chs[k], fields[k], phis[k])
             expected = (*expected, bhattacharyya_check(alone))
             got = residuals[[0, 1, 2, 4], k].tolist()
@@ -380,7 +380,7 @@ def test_trajectory_residuals_equal_the_scalar_references_bit_for_bit():
 def test_a_missed_target_reads_nan_in_its_arenz_entry_only():
     problems = _harness_problems(count=40, seed=11)
     chs, fields, psi0s, phis = next(p for i, p in _stacks(problems) if len(i) >= 3)
-    stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=7)
+    stack = propagate(chs, fields, _rows(psi0s), samples_per_segment=7)
     reached = trajectory_residuals(stack, stack.ends[1], _rows(phis))
     # instance 1 is asked for a state orthogonal to its endpoint
     targets, final = stack.ends[1].copy(), stack.ends[1, 1]
@@ -399,7 +399,7 @@ def test_overlaps_of_strided_columns_round_as_vdot():
     # abs(np.vdot) of contiguous copies, in every bit
     problems = _harness_problems() + _extreme_duration_problems()
     for idx, (chs, fields, psi0s, _) in _stacks(problems):
-        stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=48)
+        stack = propagate(chs, fields, _rows(psi0s), samples_per_segment=48)
         first, last = stack.states[:, 0], stack.states[:, -1]
         got = abs_overlaps(first, last)
         expected = [abs(np.vdot(a.copy(), b.copy())) for a, b in zip(first, last)]
@@ -409,7 +409,7 @@ def test_overlaps_of_strided_columns_round_as_vdot():
 def test_per_instance_states_must_match_the_stack_count():
     problems = _harness_problems(count=40, seed=11)
     chs, fields, psi0s, _ = next(p for i, p in _stacks(problems) if len(i) >= 3)
-    stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=7)
+    stack = propagate(chs, fields, _rows(psi0s), samples_per_segment=7)
     finals = stack.ends[1]
     off_norm = finals.copy()
     off_norm[-1] *= 1.0 + 1e-6
@@ -417,7 +417,7 @@ def test_per_instance_states_must_match_the_stack_count():
         arenz_overlap_residuals,
         pfeifer_envelope_residuals,
         tqsl_stars,
-        lambda stack, psi0s: propagate_stack(chs, fields, psi0s, samples_per_segment=1),
+        lambda stack, psi0s: propagate(chs, fields, psi0s, samples_per_segment=1),
     )
     for check in checks:
         for states in (finals[:1], np.concatenate((finals, finals[:1]))):
@@ -435,7 +435,7 @@ def test_stacked_checks_equal_the_single_trajectory_floats():
     problems = _harness_problems(count=120, seed=11)
     for samples in (7, 48):
         for idx, (chs, fields, psi0s, phis) in _stacks(problems):
-            stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=samples)
+            stack = propagate(chs, fields, _rows(psi0s), samples_per_segment=samples)
             finals = stack.ends[1]
             stacked = (
                 path_lengths(stack),
@@ -462,7 +462,7 @@ def test_stack_entries_carry_their_drive(rng):
     problems = [random_control_problem(rng, 3) for _ in range(6)]
     problems = [p for p in problems if len(p[1].segments) == len(problems[0][1].segments)]
     chs, fields, psi0s = zip(*problems)
-    stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=5)
+    stack = propagate(chs, fields, _rows(psi0s), samples_per_segment=5)
     for k, (ch, field, psi0) in enumerate(problems):
         traj = instance(stack, k)
         assert _same_bits(traj.pairs[0], np.array([ch.h0.entries, ch.hc.entries]))
@@ -475,16 +475,22 @@ def test_stack_entries_carry_their_drive(rng):
 
 
 def test_of_joins_the_per_instance_propagations():
+    # a stack holds the arrays of its instances propagated one by one, joined
     problems = _harness_problems(count=120, seed=11)
     for samples in (1, 2, 7):
         for idx, (chs, fields, psi0s, _) in _stacks(problems):
-            stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=samples)
-            again = TrajectoryStack.of(
-                [propagate(*p, samples_per_segment=samples) for p in zip(chs, fields, psi0s)]
-            )
+            stack = propagate(chs, fields, _rows(psi0s), samples_per_segment=samples)
+            alone = [
+                propagate([ch], [field], psi0.amplitudes, samples_per_segment=samples)
+                for ch, field, psi0 in zip(chs, fields, psi0s)
+            ]
             for name in (*TRAJECTORY_ARRAYS, "pairs", "segments", "spreads"):
-                assert _same_bits(getattr(again, name), getattr(stack, name)), (samples, name)
-            for drive in (again.pairs, again.segments, again.hamiltonians):
+                if name == "segment_index":  # shared by the instances, not stacked
+                    joined = alone[0].segment_index
+                else:
+                    joined = np.concatenate([getattr(traj, name) for traj in alone])
+                assert _same_bits(joined, getattr(stack, name)), (samples, name)
+            for drive in (stack.pairs, stack.segments, stack.hamiltonians):
                 assert not drive.flags.writeable
 
 
@@ -503,41 +509,25 @@ SINGLE_FORMS = {
 def test_single_trajectory_forms_reject_a_stack_of_two(form):
     # each reads the value of instance 0, so a longer stack would pass silently
     psi0s = _rows((basis_state(2, 0), basis_state(2, 1)))
-    stack = propagate_stack((RABI, RABI), (FREE_UNIT, FREE_UNIT), psi0s, samples_per_segment=4)
+    stack = propagate((RABI, RABI), (FREE_UNIT, FREE_UNIT), psi0s, samples_per_segment=4)
     with pytest.raises(ValueError, match=r"^need a stack of one trajectory, got 2$"):
         SINGLE_FORMS[form](stack)
     SINGLE_FORMS[form](instance(stack, 0))
 
 
-def test_of_rejects_mixed_layouts():
-    one = propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=4)
-    two_segments = PiecewiseConstantField(((0.5, 0.0), (0.5, 0.0)))
-    ch3 = ControlHamiltonian(h0=zero_operator(3), hc=zero_operator(3))
-    others = (
-        propagate(ch3, FREE_UNIT, basis_state(3, 0), samples_per_segment=4),  # dimension
-        propagate(RABI, two_segments, basis_state(2, 0), samples_per_segment=4),  # segments
-        propagate(RABI, FREE_UNIT, basis_state(2, 0), samples_per_segment=5),  # samples
-    )
-    for other in others:
-        with pytest.raises(ValueError, match="one dimension and one sample layout"):
-            TrajectoryStack.of([one, other])
-    with pytest.raises(ValueError, match="one dimension and one sample layout"):
-        TrajectoryStack.of([])
-
-
 def test_propagate_stack_rejects_mixed_shapes():
     two_segments = PiecewiseConstantField(((0.5, 0.0), (0.5, 0.0)))
     with pytest.raises(ValueError, match="segment count"):
-        propagate_stack((RABI, RABI), (FREE_UNIT, two_segments), _rows((basis_state(2, 0),) * 2))
+        propagate((RABI, RABI), (FREE_UNIT, two_segments), _rows((basis_state(2, 0),) * 2))
     ch3 = ControlHamiltonian(h0=zero_operator(3), hc=zero_operator(3))
     with pytest.raises(ValueError, match="dimension"):
-        propagate_stack((RABI, ch3), (FREE_UNIT,) * 2, _rows((basis_state(2, 0),) * 2))
+        propagate((RABI, ch3), (FREE_UNIT,) * 2, _rows((basis_state(2, 0),) * 2))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        propagate_stack((RABI,), (FREE_UNIT,), _rows((basis_state(3, 0),)))
+        propagate((RABI,), (FREE_UNIT,), _rows((basis_state(3, 0),)))
     with pytest.raises(ValueError, match="one control Hamiltonian"):
-        propagate_stack((RABI, RABI), (FREE_UNIT,), _rows((basis_state(2, 0),)))
+        propagate((RABI, RABI), (FREE_UNIT,), _rows((basis_state(2, 0),)))
     with pytest.raises(ValueError, match="one control Hamiltonian"):
-        propagate_stack((), (), ())
+        propagate((), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +536,7 @@ def test_propagate_stack_rejects_mixed_shapes():
 
 def test_rabi_half_period_flips():
     # H = (pi/2) sx for unit time sends |0> to -i|1>
-    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0))
+    traj = propagate([RABI], [FREE_UNIT], basis_state(2, 0).amplitudes)
     final = traj.ends[1, 0]
     assert final[1] == pytest.approx(-1.0j, abs=1e-12)
     assert abs(final[0]) < 1e-12
@@ -555,7 +545,7 @@ def test_rabi_half_period_flips():
 
 
 def test_rabi_path_length_is_geodesic():
-    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0))
+    traj = propagate([RABI], [FREE_UNIT], basis_state(2, 0).amplitudes)
     assert path_length(traj) == pytest.approx(math.pi, abs=1e-10)
     psi0, final = PureState(traj.ends[0, 0]), PureState(traj.ends[1, 0])
     assert fubini_study_distance(psi0, final) == pytest.approx(math.pi, abs=1e-7)
@@ -575,13 +565,13 @@ def test_bang_bang_field_reaches_target():
         ground_state(HermitianOperator(bias * SIGMA_Z.entries + (0.5 * delta) * SIGMA_X.entries))
         for bias in (-gamma, gamma)
     )
-    traj = propagate(ch, field, psi0)
+    traj = propagate([ch], [field], psi0.amplitudes)
     assert fidelity(PureState(traj.ends[1, 0]), psig) >= 0.999
 
 
 def test_trajectory_sampling_layout():
     field = PiecewiseConstantField(((0.5, 1.0), (0.25, -1.0), (0.25, 0.0)))
-    traj = propagate(RABI, field, basis_state(2, 0), samples_per_segment=10)
+    traj = propagate([RABI], [field], basis_state(2, 0).amplitudes, samples_per_segment=10)
     # 1 start node + 10 per segment + a duplicated node at each interior boundary
     assert traj.n_samples == 1 + 3 * 10 + 2
     assert traj.times[0, 0] == 0.0
@@ -597,7 +587,7 @@ def test_trajectory_sampling_layout():
 
 def test_trajectory_samples_stay_normalized(rng):
     ch, field, psi0 = random_control_problem(rng, 4)
-    traj = propagate(ch, field, psi0, samples_per_segment=50)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=50)
     norms = np.linalg.norm(traj.states[0], axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
@@ -606,7 +596,7 @@ def test_trajectory_variance_matches_pointwise_recompute(rng):
     # the per-segment spread, taken once at the segment's start, against
     # deltaE recomputed from the state at samples throughout the segment
     ch, field, psi0 = random_control_problem(rng, 3)
-    traj = propagate(ch, field, psi0, samples_per_segment=20)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=20)
     amps = [a for _, a in field.segments]
     for k in range(0, traj.n_samples, 7):
         j = traj.segment_index[k]
@@ -619,7 +609,7 @@ def test_variance_constant_within_segments(rng):
     # <H> and <H^2> are conserved under exp(-iHt), so the spread recomputed
     # at every sample must be flat between boundary nodes
     ch, field, psi0 = random_control_problem(rng, 4)
-    traj = propagate(ch, field, psi0, samples_per_segment=30)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=30)
     sampled = sampled_spreads(traj)
     for j in range(len(field.segments)):
         vals = sampled[traj.segment_index == j]
@@ -637,16 +627,16 @@ def test_path_length_is_exact_per_segment_sum(rng):
         expected += 2.0 * dur * energy_variance(psi, h)
         psi = PureState(unitary_step(h, dur) @ psi.amplitudes)
     for samples in (1, 400):
-        traj = propagate(ch, field, psi0, samples_per_segment=samples)
+        traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=samples)
         assert path_length(traj) == pytest.approx(expected, abs=1e-12)
 
 
 def test_evolution_reverses_under_negated_generators(rng):
     ch, field, psi0 = random_control_problem(rng, 4)
-    traj = propagate(ch, field, psi0, samples_per_segment=5)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=5)
     back_field = PiecewiseConstantField(tuple(reversed(field.segments)))
     back_ch = ControlHamiltonian(scaled(-1.0, ch.h0), scaled(-1.0, ch.hc), ch.u_max)
-    back = propagate(back_ch, back_field, PureState(traj.ends[1, 0]), samples_per_segment=5)
+    back = propagate([back_ch], [back_field], traj.ends[1, 0], samples_per_segment=5)
     assert np.allclose(back.ends[1, 0], psi0.amplitudes, atol=1e-9)
 
 
@@ -659,7 +649,7 @@ def test_evolution_reverses_under_negated_generators(rng):
 def test_path_length_dominates_geodesic(seed, dim):
     rng = np.random.default_rng(seed)
     ch, field, psi0 = random_control_problem(rng, dim)
-    traj = propagate(ch, field, psi0, samples_per_segment=40)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=40)
     geodesic = fubini_study_distance(psi0, PureState(traj.ends[1, 0]))
     assert geodesic <= path_length(traj) + 1e-6
 
@@ -673,7 +663,7 @@ def test_bhattacharyya_saturated_by_resonant_drive():
     # the spread rate, so the exact rate leaves only rounding on any grid
     ch = ControlHamiltonian(h0=scaled(0.25 * math.pi, SIGMA_X), hc=SIGMA_Z)
     for samples in (1, 200):
-        traj = propagate(ch, FREE_UNIT, basis_state(2, 0), samples_per_segment=samples)
+        traj = propagate([ch], [FREE_UNIT], basis_state(2, 0).amplitudes, samples)
         assert abs(bhattacharyya_check(traj)) <= 1e-12
 
 
@@ -681,7 +671,7 @@ def test_bhattacharyya_eigenstate_is_exactly_zero():
     # a stationary state never leaves psi0, every sample sits under the
     # round-off floor, and the residual of a motionless path is 0
     ch = ControlHamiltonian(h0=SIGMA_Z, hc=SIGMA_X)
-    traj = propagate(ch, FREE_UNIT, basis_state(2, 0))
+    traj = propagate([ch], [FREE_UNIT], basis_state(2, 0).amplitudes)
     assert bhattacharyya_check(traj) == 0.0
 
 
@@ -705,7 +695,7 @@ def test_bhattacharyya_matches_central_difference_reference(rng):
     for _ in range(30):
         dim = int(rng.integers(2, 6))
         ch, field, psi0 = random_control_problem(rng, dim)
-        traj = propagate(ch, field, psi0, samples_per_segment=2000)
+        traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=2000)
         exact = bhattacharyya_check(traj)
         assert abs(exact - _central_difference_residual(traj)) <= 1e-5
 
@@ -715,7 +705,7 @@ def test_bhattacharyya_matches_central_difference_reference(rng):
 def test_bhattacharyya_random_instances(seed, dim):
     rng = np.random.default_rng(seed)
     ch, field, psi0 = random_control_problem(rng, dim)
-    traj = propagate(ch, field, psi0, samples_per_segment=200)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=200)
     assert bhattacharyya_check(traj) <= BHATTACHARYYA_TOL
 
 
@@ -725,7 +715,7 @@ def test_bhattacharyya_random_instances(seed, dim):
 
 def test_pfeifer_envelope_tight_at_start(rng):
     ch, field, psi0 = random_control_problem(rng, 3)
-    traj = propagate(ch, field, psi0, samples_per_segment=20)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=20)
     phi = random_state(rng, 3)
     (lower,), (upper,) = dynamics._pfeifer_envelopes(traj, phi.amplitudes[None])
     start = abs(overlap(phi, psi0))
@@ -739,7 +729,7 @@ def test_pfeifer_envelope_stationary_state_pins_overlap():
     ch = ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)
     field = PiecewiseConstantField(((0.7, 1.3), (0.4, -0.2)))
     psi0 = basis_state(2, 0)
-    traj = propagate(ch, field, psi0)
+    traj = propagate([ch], [field], psi0.amplitudes)
     (lower,), (upper,) = dynamics._pfeifer_envelopes(traj, psi0.amplitudes[None])
     assert np.all(lower == 1.0)
     assert np.all(upper == 1.0)
@@ -749,7 +739,7 @@ def test_pfeifer_envelope_stationary_state_pins_overlap():
 
 def test_pfeifer_envelope_rejects_dim_mismatch(rng):
     ch, field, psi0 = random_control_problem(rng, 3)
-    traj = propagate(ch, field, psi0, samples_per_segment=10)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=10)
     with pytest.raises(ValueError):
         pfeifer_envelope_check(traj, basis_state(2, 0))
 
@@ -759,7 +749,7 @@ def test_pfeifer_envelope_rejects_dim_mismatch(rng):
 def test_pfeifer_envelope_contains_overlap(seed, dim):
     rng = np.random.default_rng(seed)
     ch, field, psi0 = random_control_problem(rng, dim)
-    traj = propagate(ch, field, psi0, samples_per_segment=40)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=40)
     phi = random_state(rng, dim)
     assert pfeifer_envelope_check(traj, phi) <= 1e-6
 
@@ -769,7 +759,7 @@ def test_pfeifer_envelope_contains_overlap(seed, dim):
 
 
 def test_tqsl_star_equals_duration_on_geodesic():
-    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0))
+    traj = propagate([RABI], [FREE_UNIT], basis_state(2, 0).amplitudes)
     est = tqsl_star(traj, basis_state(2, 1))
     assert est.time == pytest.approx(1.0, abs=1e-9)
     assert est.on_target
@@ -779,14 +769,14 @@ def test_tqsl_star_equals_duration_on_geodesic():
 def test_tqsl_star_closed_loop_is_zero():
     ch = ControlHamiltonian(h0=scaled(math.pi, SIGMA_X), hc=SIGMA_Z)
     field = PiecewiseConstantField(((2.0, 0.0),))  # full period, returns to |0>
-    traj = propagate(ch, field, basis_state(2, 0))
+    traj = propagate([ch], [field], basis_state(2, 0).amplitudes)
     est = tqsl_star(traj, basis_state(2, 0))
     assert est.time == pytest.approx(0.0, abs=1e-7)
     assert est.on_target
 
 
 def test_tqsl_star_flags_missed_target():
-    traj = propagate(RABI, FREE_UNIT, basis_state(2, 0))
+    traj = propagate([RABI], [FREE_UNIT], basis_state(2, 0).amplitudes)
     est = tqsl_star(traj, basis_state(2, 0))  # drive actually lands on |1>
     assert not est.on_target
     assert est.target_fidelity == pytest.approx(0.0, abs=1e-12)
@@ -795,14 +785,14 @@ def test_tqsl_star_flags_missed_target():
 def test_tqsl_star_stationary_with_displaced_endpoint_is_infinite():
     # not producible by propagation (zero spread means zero motion); built by
     # hand to pin the degenerate branch
-    traj = _hand_built(ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z), [0.0, 1.0])
+    traj = _hand_built([ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)], [[0.0, 1.0]])
     est = tqsl_star(traj, basis_state(2, 1))
     assert math.isinf(est.time)
 
 
 def test_tqsl_star_matches_geodesic_over_path_identity(rng):
     ch, field, psi0 = random_control_problem(rng, 2)
-    traj = propagate(ch, field, psi0, samples_per_segment=60)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=60)
     est = tqsl_star(traj, random_state(rng, 2))
     geodesic = fubini_study_distance(psi0, PureState(traj.ends[1, 0]))
     expected = geodesic * traj.times[0, -1] / path_length(traj)
@@ -836,7 +826,7 @@ def test_stacked_tqsl_equals_the_single_trajectory_floats():
     assert {ch.dim for ch, *_ in problems} == set(range(2, 9))
     for samples in (2, 7, 48):
         for idx, (chs, fields, psi0s, phis) in _stacks(problems):
-            stack = propagate_stack(chs, fields, _rows(psi0s), samples_per_segment=samples)
+            stack = propagate(chs, fields, _rows(psi0s), samples_per_segment=samples)
             estimates = tqsl_stars(stack, _rows(phis))
             assert len(estimates) == len(idx)
             for k, est in enumerate(estimates):
@@ -850,12 +840,11 @@ def test_stacked_tqsl_keeps_the_zero_and_infinite_branches():
     # (+inf), one that stays put (0), and one that moves under sigma_x
     still = ControlHamiltonian(h0=zero_operator(2), hc=SIGMA_Z)
     moving = ControlHamiltonian(h0=SIGMA_X, hc=SIGMA_Z)
-    trajs = [_hand_built(still, [0.0, 1.0]), _hand_built(still, [1.0, 0.0]),
-             _hand_built(moving, [0.0, 1.0])]
+    stack = _hand_built([still, still, moving], [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     target = basis_state(2, 1)
-    estimates = tqsl_stars(TrajectoryStack.of(trajs), _rows((target,) * 3))
+    estimates = tqsl_stars(stack, _rows((target,) * 3))
     assert [e.time for e in estimates] == [math.inf, 0.0, 0.5 * math.pi]
-    for traj, est in zip(trajs, estimates):
-        assert _estimate_bits(est) == _reference_tqsl_star(traj, target)
+    for k, est in enumerate(estimates):
+        assert _estimate_bits(est) == _reference_tqsl_star(instance(stack, k), target)
     with pytest.raises(ValueError):
-        tqsl_stars(TrajectoryStack.of(trajs), _rows((target,) * 2))
+        tqsl_stars(stack, _rows((target,) * 2))

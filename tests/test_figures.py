@@ -92,7 +92,7 @@ def _reference_row(cfg: SweepConfig, theta: float) -> SweepRow:
     protocol = optimal_protocol(problem)
     ch = problem.control_hamiltonian()
     psi0, psig = boundary_states(problem)
-    estimate = tqsl_star(propagate_refined(ch, protocol.field, psi0), psig)
+    estimate = tqsl_star(propagate_refined([ch], [protocol.field], psi0.amplitudes), psig)
     report = compute_report(BoundInputs(ch, psi0, psig), t_opt=protocol.t_opt_ideal)
     flags = report.inequality_flags
     return SweepRow(

@@ -69,7 +69,7 @@ def _single_residual(name, instance):
         h, s = instance
         return 2.0 * energy_variance(s, h) - math.sqrt(2.0) * np.linalg.norm(h.entries)
     ch, field, psi0, phi = instance
-    traj = propagate(ch, field, psi0, samples_per_segment=48)
+    traj = propagate([ch], [field], psi0.amplitudes, samples_per_segment=48)
     if name == "anandan_aharonov":
         return fubini_study_distance(psi0, PureState(traj.ends[1, 0])) - path_length(traj)
     if name == "pfeifer":

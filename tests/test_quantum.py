@@ -124,65 +124,7 @@ def test_distances_round_as_the_pairwise_vdot_formula(rng):
 
 
 # ---------------------------------------------------------------------------
-# stacked construction
-
-
-def _single_message(cls, row) -> str:
-    with pytest.raises(ValueError) as exc:
-        cls(row)
-    return str(exc.value)
-
-
-def _bad_state_rows(rng):
-    rows = [random_state(rng, 3).amplitudes for _ in range(4)]
-    unnormalized, non_finite = rows[2] * (1.0 + 1e-10), rows[2].copy()
-    non_finite[1] = NAN
-    return rows, {
-        "norm": unnormalized,
-        "non-finite": non_finite,
-        "shape": rows[2][:1],
-        "matrix": np.eye(3, dtype=complex),
-    }
-
-
-@pytest.mark.parametrize(
-    "cls, bad_rows",
-    [(PureState, _bad_state_rows)],
-    ids=["state"],
-)
-def test_a_stack_names_its_bad_row_with_the_single_message(rng, cls, bad_rows):
-    rows, bad = bad_rows(rng)
-    for kind, row in bad.items():
-        stack = rows[:2] + [row] + rows[3:]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # non-finite rows must not warn on the way
-            with pytest.raises(ValueError) as exc:
-                cls.stack(stack if kind in ("shape", "matrix") else np.array(stack))
-        assert str(exc.value) == f"row 2: {_single_message(cls, row)}", kind
-
-
-def test_a_stack_of_the_wrong_shape_names_its_first_row():
-    with pytest.raises(ValueError, match=r"^row 0: state must be a vector .* \(2, 2\)$"):
-        PureState.stack(np.eye(2)[None].repeat(3, axis=0))
-
-
-@pytest.mark.parametrize(
-    "cls, draw", [(PureState, random_state)]
-)
-def test_stacked_rows_are_read_only_and_equal_the_single_constructor(rng, cls, draw):
-    field = "amplitudes"
-    for dim in range(2, 9):
-        rows = np.array([getattr(draw(rng, dim), field) for _ in range(5)])
-        stacked = cls.stack(rows)
-        (one,) = cls.stack(rows[:1])
-        assert len(stacked) == 5 and all(type(x) is cls for x in stacked)
-        for x, row in zip(stacked + (one,), list(rows) + [rows[0]]):
-            value, single = getattr(x, field), getattr(cls(row), field)
-            assert value.dtype == single.dtype and value.shape == single.shape
-            assert value.tobytes() == single.tobytes()
-            with pytest.raises(ValueError):
-                value[0] = 0.0
-        assert rows.flags.writeable  # the caller's array is copied, not frozen
+# stacked norms
 
 
 def test_norms_round_as_the_single_vector_norm(rng):
@@ -368,7 +310,7 @@ def test_spectral_ties_break_to_lowest_index():
 def test_spectral_eigenvectors_are_the_read_only_columns(rng):
     eigenvalues, vectors = spectral(random_hermitian(rng, 6))
     assert eigenvalues.shape == (6,) and vectors.shape == (6, 6)
-    for j, vec in enumerate(PureState.stack(vectors.T)):
+    for j, vec in enumerate(PureState(v) for v in vectors.T):
         assert np.array_equal(vec.amplitudes, vectors[:, j])
     for arr in (vectors, eigenvalues):
         with pytest.raises(ValueError):

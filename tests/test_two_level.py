@@ -59,7 +59,7 @@ def critical_cap(delta: float, theta: float) -> float:
 
 def protocol_fidelity(problem: LandauZenerProblem, protocol: OptimalProtocol) -> float:
     psi0, psig = boundary_states(problem)
-    traj = propagate(problem.control_hamiltonian(), protocol.field, psi0)
+    traj = propagate([problem.control_hamiltonian()], [protocol.field], psi0.amplitudes)
     return fidelity(PureState(traj.ends[1, 0]), psig)
 
 
@@ -539,7 +539,7 @@ def test_tqsl_trajectory_matches_closed_form_constrained(cap_factor):
     p = problem_from_gamma(1.0, 1.0, lambda_cap=cap_factor * 0.25)
     proto = optimal_protocol(p)
     psi0, psig = boundary_states(p)
-    traj = propagate_refined(p.control_hamiltonian(), proto.field, psi0)
+    traj = propagate_refined([p.control_hamiltonian()], [proto.field], psi0.amplitudes)
     est = tqsl_star(traj, psig)
     assert est.on_target
     assert est.time == pytest.approx(tqsl_star_closed(p, proto), abs=1e-9)
@@ -549,12 +549,12 @@ def test_tqsl_trajectory_matches_closed_form_unconstrained():
     p = lz(0.6)
     psi0, psig = boundary_states(p)
     proto4 = optimal_protocol(p)  # default surrogate 1e4
-    traj4 = propagate_refined(p.control_hamiltonian(), proto4.field, psi0)
+    traj4 = propagate_refined([p.control_hamiltonian()], [proto4.field], psi0.amplitudes)
     assert tqsl_star(traj4, psig).time == pytest.approx(
         tqsl_star_closed(p, proto4), abs=1e-3
     )
     proto5 = optimal_protocol(p, u0=1e5)  # sharper kicks tighten it
-    traj5 = propagate_refined(p.control_hamiltonian(), proto5.field, psi0)
+    traj5 = propagate_refined([p.control_hamiltonian()], [proto5.field], psi0.amplitudes)
     assert tqsl_star(traj5, psig).time == pytest.approx(
         tqsl_star_closed(p, proto5), abs=1e-4
     )
@@ -581,7 +581,7 @@ def test_two_samples_per_segment_give_the_tqsl_star_bits_of_two_hundred():
                 ch, field = p.control_hamiltonian(), optimal_protocol(p).field
                 psi0, psig = boundary_states(p)
                 coarse, fine = (
-                    tqsl_star(propagate(ch, field, psi0, n), psig) for n in (2, 200)
+                    tqsl_star(propagate([ch], [field], psi0.amplitudes, n), psig) for n in (2, 200)
                 )
                 assert (coarse.time.hex(), coarse.target_fidelity.hex()) == (
                     fine.time.hex(), fine.target_fidelity.hex()
@@ -596,7 +596,7 @@ def test_bang_bang_spread_constant_along_trajectory():
     p = problem_from_gamma(1.0, 1.0, lambda_cap=0.05)
     proto = optimal_protocol(p)
     psi0, _ = boundary_states(p)
-    traj = propagate(p.control_hamiltonian(), proto.field, psi0)
+    traj = propagate([p.control_hamiltonian()], [proto.field], psi0.amplitudes)
     spread = p.lambda_cap * math.sin(p.theta) + 0.5 * p.delta * math.cos(p.theta)
     sampled = sampled_spreads(traj)
     assert float(np.max(sampled) - np.min(sampled)) < 1e-9
@@ -658,7 +658,7 @@ def test_spin_j_landau_zener_keeps_the_two_level_optimum(j2):
         closed = 2.0 * math.acos(math.sin(theta) ** j2)
         assert abs(fubini_study_distance(psi0, psig) - closed) <= 1e-13, (theta, spec)
         proto = optimal_protocol(p)
-        traj = propagate(ch, proto.field, psi0)
+        traj = propagate([ch], [proto.field], psi0.amplitudes)
         assert fidelity(PureState(traj.ends[1, 0]), psig) >= FIDELITY_TOL, (theta, spec)
         report = compute_report(BoundInputs(ch, psi0, psig), t_opt=proto.t_opt_ideal)
         flags = report.inequality_flags
