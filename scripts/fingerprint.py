@@ -24,7 +24,11 @@ JSON line each: diff two such files to find the first run that differs.
   samples per segment, problems drawn as for reports, durations U(0.1, 1),
   amplitudes U(-r, r) with r = min(u_max, 5), each stack one propagate call.
   Recorded are the times, the states and trajectory_residuals against the
-  reached ends and a drawn phi each.
+  reached ends and a drawn phi each;
+- stacked_reports, seed 4: 300 compute_reports calls on stacks of 1..16
+  instances of d = 2 + k % 7, problems drawn as for reports but each u_max
+  0, U(0.5, 3) or +inf at random within the stack, t_opt = U(0.1, 3); then
+  tmin_b_eigenstate of each instance between two eigenvectors of its hc.
 """
 import argparse
 import contextlib
@@ -46,6 +50,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 from qslbounds import BoundInputs, ControlHamiltonian, HermitianOperator  # noqa: E402
 from qslbounds import PiecewiseConstantField, PureState, compute_report  # noqa: E402
+from qslbounds import compute_reports, tmin_b_eigenstate  # noqa: E402
 from qslbounds import propagate, trajectory_residuals  # noqa: E402
 from qslbounds.cli import LambdaSpec, SweepConfig, emit_report, main, run_sweep  # noqa: E402
 from test_cli import BAD_INPUTS, GRID_CAPS, GRID_DELTAS, GRID_THETAS, bad_input_argv  # noqa: E402
@@ -122,6 +127,20 @@ def _propagations():
         yield str(k), f"times {sha(stack.times)} states {sha(stack.states)} {residuals!r}"
 
 
+def _stacked_reports():
+    for rng, k, d, _ in _draws(4, 300):
+        count = int(rng.integers(1, 17))
+        chs = [_ch(rng, d, (0.0, float(rng.uniform(0.5, 3.0)), math.inf)[int(rng.integers(3))])
+               for _ in range(count)]
+        psi0s, psigs = (np.array([_unit(rng, d) for _ in range(count)]) for _ in range(2))
+        reports = compute_reports(chs, psi0s, psigs, rng.uniform(0.1, 3.0, count).tolist())
+        eigen = []
+        for ch in chs:
+            ends = np.linalg.eigh(ch.hc.entries)[1].T[rng.integers(d, size=2)]
+            eigen.append(tmin_b_eigenstate(BoundInputs(ch, *map(PureState, ends))))
+        yield str(k), f"{reports!r} {eigen!r}"
+
+
 def _verify_random():
     for rng, k, _, _ in _draws(1, 300):
         delta, theta = 10.0 ** rng.uniform(-160, 160), 0.5 * math.pi * 10.0 ** rng.uniform(-8, 0)
@@ -145,6 +164,7 @@ FAMILIES = {
     "verify_random": _verify_random,
     "reports": _reports,
     "propagations": _propagations,
+    "stacked_reports": _stacked_reports,
 }
 
 
@@ -170,4 +190,4 @@ if __name__ == "__main__":
                 digest.update(line.encode() + b"\n")
                 records.write(json.dumps([family, key, hashlib.sha256(line.encode()).hexdigest(),
                                           record]) + "\n")
-            print(f"{family:<14} {count:5d} runs  {digest.hexdigest()}")
+            print(f"{family:<15} {count:5d} runs  {digest.hexdigest()}")

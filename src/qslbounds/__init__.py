@@ -45,7 +45,6 @@ from .bounds import (
     compute_reports,
     mandelstam_tamm_time,
     margolus_levitin_time,
-    max_hs_norm_over_field,
     tmin_a,
     tmin_b,
     tmin_b_eigenstate,

@@ -8,7 +8,7 @@ overlap structure makes it vacuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,15 +17,7 @@ from . import quantum, tolerances
 from .dynamics import ControlHamiltonian, TrajectoryStack, _state_array
 from .dynamics import _distance_over, _pairs, _single, arenz_overlap_residuals
 from .dynamics import sin_star, tqsl_star  # noqa: F401  perfbench traces these bindings
-from .quantum import (
-    HermitianOperator,
-    PureState,
-    energy_covariances,
-    energy_variance,
-    fubini_study_distance,
-    fubini_study_distances,
-    norms,
-)
+from .quantum import HermitianOperator, PureState, energy_covariances, fubini_study_distances, norms
 from .tolerances import EIGENSTATE_ATOL, OVERLAP_SUM_ATOL
 
 BOUND_NAMES = ("a", "b", "c1", "c2")
@@ -35,6 +27,8 @@ def mandelstam_tamm_time(delta_e: float, overlap: float) -> float:
     """arccos(overlap)/delta_e for a conserved energy spread delta_e."""
     if not delta_e > 0.0:
         raise ValueError(f"energy spread must be positive, got {delta_e!r}")
+    if math.isnan(overlap):
+        raise ValueError("overlap must be a number, got nan")
     x = min(max(overlap, 0.0), 1.0)
     return math.acos(x) / delta_e
 
@@ -50,7 +44,10 @@ def margolus_levitin_time(mean_energy_above_ground: float) -> float:
 
 def unified_time(delta_e: float, mean_e: float) -> float:
     """Orthogonalization bound min(pi/2deltaE, pi/2E); a non-positive argument
-    drops its branch."""
+    drops its branch; a NaN argument is an error."""
+    for name, x in (("delta_e", delta_e), ("mean_e", mean_e)):
+        if math.isnan(x):
+            raise ValueError(f"{name} must be a number, got nan")
     candidates = [math.pi / (2.0 * x) for x in (delta_e, mean_e) if x > 0.0]
     if not candidates:
         raise ValueError("at least one of delta_e, mean_e must be positive")
@@ -81,25 +78,25 @@ def _max_quadratic_root(c0: float, c1: float, c2: float, u_max: float) -> float:
     return math.sqrt(max(c0 + abs(c1) * u_max + c2 * u_max * u_max, 0.0))
 
 
-def max_hs_norm_over_field(ch: ControlHamiltonian) -> float:
-    """max over |u| <= u_max of ||h0 + u*hc||_HS, again quadratic in u.
-
-    For Hermitian a and b, tr(a b) = sum_ij a_ij conj(b_ij), one vdot of the
-    entries.
-    """
-    h0, hc = ch.h0.entries, ch.hc.entries
-    t00 = float(np.vdot(h0, h0).real)
-    t0c = float(np.vdot(hc, h0).real)
-    tcc = float(np.vdot(hc, hc).real)
-    return _max_quadratic_root(t00, 2.0 * t0c, tcc, ch.u_max)
+def _window_speeds(quadratics, caps) -> List[float]:
+    """The speed of each instance over its window |u| <= caps[k]: the min over its anchors
+    of sqrt(max_u c00 + 2*c01*u + c11*u^2), an anchor given as ((c00, c01), (_, c11)), with
+    c00 and c11 clamped at zero round-off."""
+    return [
+        min(
+            _max_quadratic_root(max(c00, 0.0), 2.0 * c01, max(c11, 0.0), cap)
+            for (c00, c01), (_, c11) in anchors
+        )
+        for anchors, cap in zip(quadratics, caps)
+    ]
 
 
 def _operands(chs: Sequence, psi0s: np.ndarray, psigs: np.ndarray) -> tuple:
-    """What every kernel reads of a stack with checked states psi0s and psigs (n, d): its
-    chs, states (n, 2, d) (one concatenate, a fraction of np.stack's cost on a stack of one),
-    (h0, hc) entries (n, 2, d, d) and endpoint distances."""
-    dists = fubini_study_distances(psi0s, psigs)
-    return chs, np.concatenate((psi0s, psigs), axis=1).reshape(len(chs), 2, -1), _pairs(chs), dists
+    """What every kernel reads of a stack chs with checked states psi0s, psigs (n, d): the (h0,
+    hc) entries (n, 2, d, d), the windows as floats, the states (n, 2, d) (one concatenate, a
+    fraction of np.stack's cost on a stack of one) and the endpoint distances."""
+    states = np.concatenate((psi0s, psigs), axis=1).reshape(len(chs), 2, -1)
+    return _pairs(chs), [ch.u_max for ch in chs], states, fubini_study_distances(psi0s, psigs)
 
 
 def _one(kernel, inputs: BoundInputs) -> float:
@@ -111,9 +108,13 @@ def _one(kernel, inputs: BoundInputs) -> float:
     return outcome
 
 
-def _tmin_a_stack(chs, states, pairs, dists) -> List[float]:
-    speeds = [math.sqrt(2.0) * max_hs_norm_over_field(ch) for ch in chs]
-    return [_distance_over(dist, speed) for dist, speed in zip(dists, speeds)]
+def _tmin_a_stack(pairs, caps, states, dists) -> List[float]:
+    # ||h0 + u*hc||_HS^2 = tr(h0^2) + 2*tr(hc h0)*u + tr(hc^2)*u^2, where for Hermitian a and b
+    # tr(a b) = sum_ij conj(b_ij) a_ij: 1 x d^2 by d^2 x 1 products, which round as np.vdot
+    rows = pairs.reshape(len(pairs), 2, -1)
+    traces = (rows.conj()[:, None, :, None, :] @ rows[:, :, None, :, None])[:, None, ..., 0, 0]
+    speeds = _window_speeds(traces.real.tolist(), caps)
+    return [_distance_over(dist, math.sqrt(2.0) * speed) for dist, speed in zip(dists, speeds)]
 
 
 def tmin_a(inputs: BoundInputs) -> float:
@@ -126,19 +127,12 @@ def tmin_a(inputs: BoundInputs) -> float:
     return _one(_tmin_a_stack, inputs)
 
 
-def _tmin_b_stack(chs, states, pairs, dists) -> List:
-    # deltaE^2(u) = c0 + c1*u + c2*u^2 in psi0 and psig: (n, 2, 2, 2) covariances
-    covs = energy_covariances(pairs[:, None], states).tolist()
+def _tmin_b_stack(pairs, caps, states, dists) -> List:
+    # deltaE^2(u) = c00 + 2*c01*u + c11*u^2 in psi0 and psig: (n, 2, 2, 2) covariances
+    speeds = _window_speeds(energy_covariances(pairs[:, None], states).tolist(), caps)
     overflow = "the energy spread overflows: the operator entries are too large"
-    out = []
-    for ch, anchors, dist in zip(chs, covs, dists):
-        spread = min(
-            _max_quadratic_root(max(c00, 0.0), 2.0 * c01, max(c11, 0.0), ch.u_max)
-            for (c00, c01), (_, c11) in anchors
-        )
-        bound = _distance_over(dist, 2.0 * spread)
-        out.append(ValueError(overflow) if math.isnan(bound) else bound)
-    return out
+    bounds = [_distance_over(dist, 2.0 * speed) for dist, speed in zip(dists, speeds)]
+    return [ValueError(overflow) if math.isnan(bound) else bound for bound in bounds]
 
 
 def tmin_b(inputs: BoundInputs) -> float:
@@ -163,30 +157,30 @@ def tmin_b_eigenstate(inputs: BoundInputs) -> float:
     operator cannot spread: distance / (2 * min drift spread).
 
     Requires both endpoints to be eigenstates of hc; then the drive drops out
-    of the variance entirely and the bound is the same for every u_max.
+    of the variance entirely and the bound is tmin_b with the window closed,
+    the same for every u_max.
     """
     _require_eigenstate(inputs.psi0, inputs.ch.hc, "psi0")
     _require_eigenstate(inputs.psig, inputs.ch.hc, "psig")
-    spread = min(energy_variance(chi, inputs.ch.h0) for chi in (inputs.psi0, inputs.psig))
-    return _distance_over(fubini_study_distance(inputs.psi0, inputs.psig), 2.0 * spread)
+    return tmin_b(replace(inputs, ch=replace(inputs.ch, u_max=0.0)))
 
 
-def _tmin_c_stack(chs, states, pairs, dists) -> Tuple[List, List]:
+def _tmin_c_stack(pairs, caps, states, dists) -> Tuple[List, List]:
     """The tmin_c1 and tmin_c2 columns: (1 - sum_j |<psig|phi_j>| |<phi_j|psi0>|) / scale,
     phi_j the eigenvectors of hc over ||h0||_HS (c1, where h0 != 0) or of h0 over
     u_max * ||hc||_HS (c2, where u_max is finite; 0 elsewhere).  A numerator in the
     round-off floor vanishes, a zero scale gives +inf.  Every eigenbasis comes from
     one stacked eigh; if that fails, each matrix is decomposed alone and its error
     fails only the values it decides."""
-    n = len(chs)
+    n = len(pairs)
     hs = norms(pairs.reshape(n, 2, -1)).tolist()
     zero = "zero drift: the control-eigenbasis bound needs h0 != 0"
     columns = ([0.0 if h0 else ValueError(zero) for h0, _ in hs], [0.0] * n)
     # (column, instance, operator of the pair, scale) of each value an eigenbasis decides
     todo = [(0, k, 1, h0) for k, (h0, _) in enumerate(hs) if h0] + [
-        (1, k, 0, ch.u_max * hc)
-        for k, (ch, (_, hc)) in enumerate(zip(chs, hs))
-        if math.isfinite(ch.u_max)
+        (1, k, 0, cap * hc)
+        for k, (cap, (_, hc)) in enumerate(zip(caps, hs))
+        if math.isfinite(cap)
     ]
     if not todo:
         return columns

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qslbounds import HermitianOperator, LandauZenerProblem, PureState, TrajectoryStack
-from qslbounds.bounds import _max_quadratic_root
+from qslbounds.bounds import _window_speeds
 from qslbounds.dynamics import _hamiltonians, _pairs
 from qslbounds.quantum import energy_covariances
 from qslbounds.property_suites import (  # noqa: F401  re-exported to the tests
@@ -72,18 +72,30 @@ def sampled_spreads(traj: TrajectoryStack) -> np.ndarray:
     return np.sqrt(np.maximum(second - mean * mean, 0.0))
 
 
+def variance_covariances(ch, chi: PureState) -> list:
+    """The energy covariances ((c00, c01), (c10, c11)) of (h0, hc) in chi, as tmin_b reads
+    them: deltaE^2(u) = c00 + 2*c01*u + c11*u^2."""
+    return energy_covariances(np.array([ch.h0.entries, ch.hc.entries]), chi.amplitudes).tolist()
+
+
 def variance_quadratic_coeffs(ch, chi: PureState):
-    """The library's coefficients of deltaE^2(u) = c0 + c1*u + c2*u^2 in chi,
-    read from the energy covariances of (h0, hc) as tmin_b reads them."""
-    (c00, c01), (_, c11) = energy_covariances(
-        np.array([ch.h0.entries, ch.hc.entries]), chi.amplitudes
-    ).tolist()
+    """The library's coefficients of deltaE^2(u) = c0 + c1*u + c2*u^2 in chi."""
+    (c00, c01), (_, c11) = variance_covariances(ch, chi)
     return max(c00, 0.0), 2.0 * c01, max(c11, 0.0)
 
 
 def max_variance_over_field(ch, chi: PureState) -> float:
-    """max over |u| <= u_max of deltaE(u) in chi, as tmin_b takes it."""
-    return _max_quadratic_root(*variance_quadratic_coeffs(ch, chi), ch.u_max)
+    """max over |u| <= u_max of deltaE(u) in chi, as tmin_b takes it: the library's
+    window kernel on one anchor."""
+    return _window_speeds([[variance_covariances(ch, chi)]], [ch.u_max])[0]
+
+
+def max_hs_norm_over_field(ch) -> float:
+    """max over |u| <= u_max of ||h0 + u*hc||_HS, as tmin_a takes it: the library's window
+    kernel on tr(h0^2), tr(hc h0) and tr(hc^2), each trace of Hermitian operators a vdot."""
+    h0, hc = ch.h0.entries, ch.hc.entries
+    t00, t0c, tcc = (float(np.vdot(b, a).real) for a, b in ((h0, h0), (h0, hc), (hc, hc)))
+    return _window_speeds([[((t00, t0c), (t0c, tcc))]], [ch.u_max])[0]
 
 
 def problem_from_gamma(delta: float, gamma: float, lambda_cap: float = math.inf):

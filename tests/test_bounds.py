@@ -21,7 +21,6 @@ from qslbounds import (
     fubini_study_distance,
     mandelstam_tamm_time,
     margolus_levitin_time,
-    max_hs_norm_over_field,
     propagate,
     sin_star,
     spectral,
@@ -49,6 +48,7 @@ from conftest import (
     basis_state,
     fidelity,
     hermitian,
+    max_hs_norm_over_field,
     max_variance_over_field,
     overlap,
     random_control_problem,
@@ -99,6 +99,21 @@ def test_mandelstam_tamm_clamps_overlap():
 def test_mandelstam_tamm_rejects_zero_spread():
     with pytest.raises(ValueError):
         mandelstam_tamm_time(0.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: mandelstam_tamm_time(1.0, math.nan), "overlap"),
+        (lambda: unified_time(math.nan, 1.0), "delta_e"),
+        (lambda: unified_time(1.0, math.nan), "mean_e"),
+    ],
+    ids=["mandelstam_tamm_overlap", "unified_delta_e", "unified_mean_e"],
+)
+def test_constant_drive_times_reject_nan(call, name):
+    # a NaN neither clamps into [0, 1] nor counts as a non-positive branch
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
+        call()
 
 
 def test_margolus_levitin_scalar():
@@ -305,6 +320,17 @@ def test_tmin_b_eigenstate_ignores_window():
 def test_tmin_b_eigenstate_agrees_with_general_form_at_closed_window():
     inputs = flip_inputs(0.0)
     assert tmin_b_eigenstate(inputs) == pytest.approx(tmin_b(inputs), abs=1e-13)
+    # bit for bit on endpoints that are eigenvectors of hc, at every window
+    rng = np.random.default_rng(421)
+    for i in range(700):
+        dim = 2 + i % 7
+        h0, hc = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        vecs = spectral(hc)[1].T
+        psi0, psig = (PureState(vecs[j]) for j in rng.integers(dim, size=2))
+        closed = tmin_b(BoundInputs(ControlHamiltonian(h0, hc, 0.0), psi0, psig))
+        for u_max in (0.0, 1.0, math.inf):
+            got = tmin_b_eigenstate(BoundInputs(ControlHamiltonian(h0, hc, u_max), psi0, psig))
+            assert got.hex() == closed.hex(), (i, u_max)
 
 
 def test_tmin_b_eigenstate_rejects_non_eigenstate():
