@@ -38,6 +38,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -181,7 +182,8 @@ if __name__ == "__main__":
     parser.add_argument("--records", help="write every run's record here, one JSON line each")
     records_path = parser.parse_args().records
     warnings.simplefilter("error")
-    print(f"numpy {np.__version__}  OpenBLAS core {_blas_core()}")
+    print(f"Python {platform.python_version()}  numpy {np.__version__}  "
+          f"OpenBLAS core {_blas_core()}")
     with open(records_path or os.devnull, "w", encoding="utf-8") as records:
         for family, runs in FAMILIES.items():
             digest, count = hashlib.sha256(), 0

@@ -67,28 +67,25 @@ class BoundInputs:
             raise ValueError("state dimensions must match the control Hamiltonian")
 
 
-def _max_quadratic_root(c0: float, c1: float, c2: float, u_max: float) -> float:
-    """sqrt of the max over |u| <= u_max of c0 + c1*u + c2*u^2, with c2 >= 0: the
-    quadratic is convex, so the max sits at the edge u = sign(c1)*u_max.  An
-    unbounded window gives +inf unless the quadratic is constant."""
-    if math.isinf(u_max):
-        if c2 > 0.0 or c1 != 0.0:
-            return math.inf
-        return math.sqrt(max(c0, 0.0))
-    return math.sqrt(max(c0 + abs(c1) * u_max + c2 * u_max * u_max, 0.0))
-
-
 def _window_speeds(quadratics, caps) -> List[float]:
     """The speed of each instance over its window |u| <= caps[k]: the min over its anchors
-    of sqrt(max_u c00 + 2*c01*u + c11*u^2), an anchor given as ((c00, c01), (_, c11)), with
-    c00 and c11 clamped at zero round-off."""
-    return [
-        min(
-            _max_quadratic_root(max(c00, 0.0), 2.0 * c01, max(c11, 0.0), cap)
-            for (c00, c01), (_, c11) in anchors
-        )
-        for anchors, cap in zip(quadratics, caps)
-    ]
+    ((c00, c01), (_, c11)) of sqrt(max_u c00 + 2*c01*u + c11*u^2), c00 and c11 clamped at zero
+    round-off.  The convex quadratic peaks at the edge u = sign(c01)*cap; an unbounded window
+    gives +inf unless it is constant.  A NaN anchor (overflowed covariances) gives NaN."""
+    speeds = []
+    for anchors, cap in zip(quadratics, caps):
+        roots = []
+        for (c00, c01), (_, c11) in anchors:
+            c0, c1, c2 = max(c00, 0.0), 2.0 * c01, max(c11, 0.0)
+            if math.isnan(c1) or math.isnan(c2):
+                c0 = math.nan
+            elif not math.isinf(cap):
+                c0 = c0 + abs(c1) * cap + c2 * cap * cap
+            elif c2 > 0.0 or c1 != 0.0:
+                c0 = math.inf
+            roots.append(math.sqrt(max(c0, 0.0)))
+        speeds.append(math.nan if any(map(math.isnan, roots)) else min(roots))
+    return speeds
 
 
 def _operands(chs: Sequence, psi0s: np.ndarray, psigs: np.ndarray) -> tuple:
@@ -169,23 +166,11 @@ def _tmin_c_stack(pairs, caps, states, dists) -> Tuple[List, List]:
     """The tmin_c1 and tmin_c2 columns: (1 - sum_j |<psig|phi_j>| |<phi_j|psi0>|) / scale,
     phi_j the eigenvectors of hc over ||h0||_HS (c1, where h0 != 0) or of h0 over
     u_max * ||hc||_HS (c2, where u_max is finite; 0 elsewhere).  A numerator in the
-    round-off floor vanishes, a zero scale gives +inf.  Every eigenbasis comes from
-    one stacked eigh; if that fails, each matrix is decomposed alone and its error
-    fails only the values it decides."""
-    n = len(pairs)
-    hs = norms(pairs.reshape(n, 2, -1)).tolist()
-    zero = "zero drift: the control-eigenbasis bound needs h0 != 0"
-    columns = ([0.0 if h0 else ValueError(zero) for h0, _ in hs], [0.0] * n)
-    # (column, instance, operator of the pair, scale) of each value an eigenbasis decides
-    todo = [(0, k, 1, h0) for k, (h0, _) in enumerate(hs) if h0] + [
-        (1, k, 0, cap * hc)
-        for k, (cap, (_, hc)) in enumerate(zip(caps, hs))
-        if math.isfinite(cap)
-    ]
-    if not todo:
-        return columns
-    cols, ks, sides, scales = zip(*todo)
-    mats, failed = pairs[ks, sides], {}
+    round-off floor vanishes, a zero scale gives +inf.  Both operators of every instance go
+    through one stacked eigh, matrix 2k + side being pairs[k, side]; if that fails, each
+    matrix is decomposed alone and its error fails only the values it decides."""
+    n, d = len(pairs), pairs.shape[-1]
+    mats, failed = pairs.reshape(2 * n, d, d), {}
     try:
         vecs = quantum._phase_fixed_eigh(mats)[1]
     except (ValueError, np.linalg.LinAlgError):
@@ -196,14 +181,20 @@ def _tmin_c_stack(pairs, caps, states, dists) -> Tuple[List, List]:
             except (ValueError, np.linalg.LinAlgError) as exc:
                 failed[j] = exc
     # d x d by d x 1 products round as vh @ psi, 1 x d by d x 1 as a dot
-    weights = np.abs(vecs.conj().swapaxes(-1, -2)[:, None] @ states[ks, :, :, None])
-    sums = (weights[:, 1].swapaxes(-1, -2) @ weights[:, 0])[:, 0, 0]
-    for j, (col, k, scale, total) in enumerate(zip(cols, ks, scales, sums.tolist())):
-        numerator = max(0.0, 1.0 - total)
-        if j in failed:
-            columns[col][k] = failed[j]
-        elif numerator > OVERLAP_SUM_ATOL:
-            columns[col][k] = numerator / scale if scale else math.inf
+    vh = vecs.conj().swapaxes(-1, -2).reshape(n, 2, 1, d, d)
+    weights = np.abs(vh @ states[:, None, :, :, None])
+    sums = (weights[:, :, 1].swapaxes(-1, -2) @ weights[:, :, 0])[..., 0, 0].tolist()
+    hs = norms(pairs.reshape(n, 2, -1)).tolist()
+    zero = "zero drift: the control-eigenbasis bound needs h0 != 0"
+    columns = ([0.0 if h0 else ValueError(zero) for h0, _ in hs], [0.0] * n)
+    for k, ((h0, hc), cap, totals) in enumerate(zip(hs, caps, sums)):
+        # c1 reads hc's eigenbasis, matrix 2k + 1, and c2 reads h0's, matrix 2k
+        for col, side, scale, live in ((0, 1, h0, h0), (1, 0, cap * hc, math.isfinite(cap))):
+            numerator = max(0.0, 1.0 - totals[side])
+            if live and 2 * k + side in failed:
+                columns[col][k] = failed[2 * k + side]
+            elif live and numerator > OVERLAP_SUM_ATOL:
+                columns[col][k] = numerator / scale if scale else math.inf
     return columns
 
 

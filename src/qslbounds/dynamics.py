@@ -19,8 +19,9 @@ the single-trajectory functions read.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -437,7 +438,8 @@ def arenz_overlap_residuals(stack: TrajectoryStack, psigs: np.ndarray) -> np.nda
 def _arenz_residuals(stack: TrajectoryStack, psig: np.ndarray) -> np.ndarray:
     """arenz_overlap_residuals against checked targets psig (B, d), reached or not."""
     pairs, products = stack.pairs, stack.segments[..., 0] * stack.segments[..., 1]
-    u_ctrl = unitary_steps(pairs[:, 1], [sum(row) for row in products.tolist()])
+    # areas summed left to right on every Python: the built-in sum compensates since 3.12
+    u_ctrl = unitary_steps(pairs[:, 1], [reduce(operator.add, r, 0.0) for r in products.tolist()])
     # 1 x d by d x 1 products round as np.vdot does, np.hypot as abs() does
     amp = (psig.conj()[:, None, :] @ (u_ctrl @ stack.ends[0][..., None]))[:, 0, 0]
     lhs = 1.0 - np.hypot(amp.real, amp.imag)

@@ -36,9 +36,9 @@ import qslbounds.bounds as bounds_module
 import qslbounds.quantum as quantum_module
 from qslbounds.bounds import (
     BOUND_NAMES,
-    _max_quadratic_root,
     _operands,
     _tmin_c_stack,
+    _window_speeds,
     compute_reports,
 )
 from qslbounds.cli import LambdaSpec
@@ -371,26 +371,35 @@ def test_eigenbasis_overlap_sum_matches_per_eigenvector_reference():
                 assert abs(value * np.linalg.norm(op.entries) - expected) <= 1e-14, (i, dim)
 
 
-def test_tmin_c2_unbounded_window_skips_the_drift_decomposition(monkeypatch):
-    decomposed = []
-    eigh = quantum_module._phase_fixed_eigh
-    monkeypatch.setattr(
-        quantum_module,
-        "_phase_fixed_eigh",
-        lambda m: decomposed.extend(np.reshape(m, (-1,) + m.shape[-2:])) or eigh(m),
-    )
-
-    def reached(op):
-        return any(np.array_equal(m, op.entries) for m in decomposed)
-
+def test_tmin_c2_is_zero_under_an_unbounded_window():
     rng = np.random.default_rng(405)
     for dim in range(2, 9):
         ch = ControlHamiltonian(random_hermitian(rng, dim), random_hermitian(rng, dim), math.inf)
-        inputs = BoundInputs(ch, random_state(rng, dim), random_state(rng, dim))
-        assert tmin_c2(inputs) == 0.0
-        assert not reached(ch.h0)
-    tmin_c2(BoundInputs(ControlHamiltonian(ch.h0, ch.hc, 1.0), inputs.psi0, inputs.psig))
-    assert reached(ch.h0)
+        assert tmin_c2(BoundInputs(ch, random_state(rng, dim), random_state(rng, dim))) == 0.0
+
+
+def test_the_c_bounds_decompose_every_operator_in_one_eigh(monkeypatch):
+    # windows closed, finite and unbounded, one drift zero: one call over all 2n operators
+    calls = []
+    eigh = quantum_module._phase_fixed_eigh
+    monkeypatch.setattr(
+        quantum_module, "_phase_fixed_eigh", lambda m: calls.append(np.array(m)) or eigh(m)
+    )
+    rng = np.random.default_rng(406)
+    for dim in range(2, 9):
+        h0s = [zero_operator(dim)] + [random_hermitian(rng, dim) for _ in range(3)]
+        chs = [
+            ControlHamiltonian(h0, random_hermitian(rng, dim), u_max)
+            for h0, u_max in zip(h0s, (1.0, 0.0, 2.5, math.inf))
+        ]
+        psi0s, psigs = ([random_state(rng, dim).amplitudes for _ in chs] for _ in range(2))
+        calls.clear()
+        reports = compute_reports(chs, psi0s, psigs)
+        assert list(reports[0].errors) == ["c1"]
+        assert all(report.errors == {} for report in reports[1:])
+        assert len(calls) == 1
+        operators = [op.entries for ch in chs for op in (ch.h0, ch.hc)]
+        assert np.array_equal(calls[0], operators)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +597,24 @@ def test_compute_report_fails_a_nan_bound():
     assert report.errors == {"b": overflow}
     assert "b" not in report.inequality_flags
     assert f"t_min_b   = nan  [error: {overflow}]" in report.text_block()
+
+
+def test_an_overflowing_anchor_fails_tmin_b_whichever_endpoint_it_is():
+    # only |0> sees the 1e200 drift level, so only its covariances overflow to NaN; under an
+    # unbounded window a zero drift leaves c00 = c01 = 0 beside the NaN control variance
+    huge = hermitian(np.diag([1e200, 0.0]))
+    plus, minus = (PureState(np.array([1.0, s]) / math.sqrt(2.0)) for s in (1.0, -1.0))
+    cases = [(ControlHamiltonian(huge, SIGMA_X, 1.0), basis_state(2, 1), basis_state(2, 0))]
+    cases.append((ControlHamiltonian(zero_operator(2), huge, math.inf), plus, minus))
+    overflow = "the energy spread overflows: the operator entries are too large"
+    for ch, a, b in cases:
+        for inputs in (BoundInputs(ch, a, b), BoundInputs(ch, b, a)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = compute_report(inputs)
+                with pytest.raises(ValueError, match=overflow):
+                    tmin_b(inputs)
+            assert math.isnan(report.t_min_b), ch.u_max
+            assert report.errors["b"] == overflow, ch.u_max
 
 
 def test_compute_report_measures_the_distance_once(monkeypatch):
@@ -874,12 +901,13 @@ def test_window_maximum_closed_form_equals_the_candidate_search():
     c0s, c1s, c2s = draw()
     for k, (c0, c1, c2) in enumerate(zip(c0s.tolist(), c1s.tolist(), np.abs(c2s).tolist())):
         u_max = WINDOWS[k % len(WINDOWS)]
-        expected = _ref_max_quadratic_root(c0, c1, c2, u_max)
-        got = _max_quadratic_root(c0, c1, c2, u_max)
+        # c1 read as c01; c0 of either sign goes through the clamp
+        expected = _ref_max_quadratic_root(max(c0, 0.0), 2.0 * c1, c2, u_max)
+        (got,) = _window_speeds([[((c0, c1), (c1, c2))]], [u_max])
         if math.isnan(expected):
             # the search meets c1*u = -inf and c2*u^2 = +inf at one edge; the
             # closed form adds magnitudes, and the quadratic is +inf there
-            assert math.isinf(c1 * u_max) and math.isinf(c2 * u_max * u_max)
+            assert math.isinf(2.0 * c1 * u_max) and math.isinf(c2 * u_max * u_max)
             assert got == math.inf
         else:
             assert got.hex() == expected.hex(), (c0, c1, c2, u_max)

@@ -1,5 +1,7 @@
 """Piecewise-constant propagation, path geometry and the trajectory checks."""
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -352,7 +354,8 @@ def _reference_residuals(traj, ch, field, phi):
     overlaps = np.abs(states @ phi.amplitudes.conj()[:, None])[:, 0]
     lower, upper = sin_star(delta - angle), sin_star(delta + angle)
     outside = max(np.max(lower - overlaps), np.max(overlaps - upper))
-    kicked = unitary_step(ch.hc, sum(d * a for d, a in field.segments)) @ psi0.amplitudes[:, None]
+    area = functools.reduce(operator.add, (d * a for d, a in field.segments), 0.0)
+    kicked = unitary_step(ch.hc, area) @ psi0.amplitudes[:, None]
     reached = abs(complex(np.vdot(final.amplitudes, kicked)))
     arenz = 1.0 - reached - np.linalg.norm(ch.h0.entries) * float(times[-1])
     return geodesic - path_length(traj), max(float(outside), 0.0), arenz
@@ -392,6 +395,17 @@ def test_a_missed_target_reads_nan_in_its_arenz_entry_only():
     assert _same_bits(missed, reached)
     with pytest.raises(ValueError, match=r"^trajectory missed the target \(fidelity "):
         arenz_overlap_residuals(stack, targets)
+
+
+def test_arenz_drive_areas_are_summed_left_to_right(monkeypatch):
+    # the built-in sum of floats compensates since Python 3.12 and would give 1.0
+    ch = ControlHamiltonian(SIGMA_Z, SIGMA_X, math.inf)
+    field = PiecewiseConstantField(np.array([[1.0, 1e16], [1.0, 1.0], [1.0, -1e16]]))
+    stack = propagate([ch], [field], PureState([1.0, 0.0]).amplitudes, samples_per_segment=2)
+    areas, steps = [], dynamics.unitary_steps
+    monkeypatch.setattr(dynamics, "unitary_steps", lambda ops, a: areas.extend(a) or steps(ops, a))
+    arenz_overlap_residuals(stack, stack.ends[1])
+    assert [a.hex() for a in areas] == [0.0.hex()]
 
 
 def test_overlaps_of_strided_columns_round_as_vdot():
